@@ -46,13 +46,9 @@ from .gaussian import (
 from .lindblad import (
     ChoiEvolution,
     LindbladModel,
-    Trajectory,
-    build_generator,
     channel_superoperator,
     choi_from_superoperator,
-    evolve,
     evolve_choi,
-    reduced_choi_trajectory,
 )
 from .states import (
     CONVENTION_SPIN,
@@ -61,6 +57,7 @@ from .states import (
     DEFAULT_CONVENTION,
     DensityMatrix,
     EntropyTriple,
+    entropy_arrays,
     entropy_triple,
     ladder_operators,
     max_entangled_state,
@@ -69,6 +66,7 @@ from .states import (
 )
 from .witness import (
     DETECTION_THRESHOLD,
+    EntropyTrajectory,
     QuditScanRow,
     QuditWitnessResult,
     WitnessReport,
@@ -79,6 +77,7 @@ from .witness import (
     ordering_check,
     qudit_entropy_trajectory,
     scan_qudit,
+    witness_from_trajectory,
     witness_qudit_model,
 )
 

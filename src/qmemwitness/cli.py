@@ -35,7 +35,7 @@ from .witness import (
     evaluate_criterion_gaussian,
     qudit_entropy_trajectory,
     scan_qudit,
-    witness_qudit_model,
+    witness_from_trajectory,
 )
 
 SCHEMA_VERSION = 1
@@ -157,7 +157,7 @@ def _cmd_qudit_trace(cfg: dict) -> int:
     t_max = float(cfg["t_max"])
     points = int(cfg["points"])
     _require(d >= 2, "d must be >= 2")
-    _require(ratio >= 0, "gamma_over_omega must be >= 0")
+    _require(math.isfinite(ratio) and ratio >= 0, "gamma_over_omega must be finite and >= 0")
     _require(convention in CONVENTIONS, f"convention must be one of {CONVENTIONS}")
     _require(t_max > 0, "t_max must be > 0")
     _require(points >= 3, "points must be >= 3")
@@ -170,9 +170,9 @@ def _cmd_qudit_trace(cfg: dict) -> int:
         "params": {"d": d, "gamma_over_omega": ratio, "convention": convention,
                    "t_max": t_max, "points": points},
     }
+    ev, traj = qudit_entropy_trajectory(model, t_max=t_max, n_points=points)
     try:
-        result = witness_qudit_model(model, t_max=t_max, n_points=points)
-        triples = result.triples
+        result = witness_from_trajectory(ev, traj)
         sidecar.update({
             "report": result.report.to_dict(),
             "revival_maxima": [list(p) for p in result.revival_maxima],
@@ -180,9 +180,8 @@ def _cmd_qudit_trace(cfg: dict) -> int:
         })
     except ExtremumNotFoundError as exc:
         # no witness pair on this window; still emit the entropy curves
-        triples = qudit_entropy_trajectory(model, t_max=t_max, n_points=points)
         sidecar.update({"report": None, "error": str(exc)})
-    rows = [[t, tr.s_system, tr.neg_cond_sa, tr.neg_cond_as] for t, tr in triples]
+    rows = list(zip(traj.times, traj.s_system, traj.neg_cond_sa, traj.neg_cond_as))
     _write_csv(cfg["output"], ["t", "S_S", "neg_S_cond_SA", "neg_S_cond_AS"], rows)
     _write_json(_sidecar_path(cfg["output"]), sidecar)
     return 0
@@ -209,8 +208,8 @@ def _cmd_qudit_scan(cfg: dict) -> int:
         d_list = _parse_int_list(d_list)
     _require(len(d_list) > 0, "d list must not be empty")
     _require(all(int(d) >= 2 for d in d_list), "all dimensions must be >= 2")
-    _require(0 <= float(cfg["ratio_min"]) < float(cfg["ratio_max"]),
-             "need 0 <= ratio_min < ratio_max")
+    _require(0 <= float(cfg["ratio_min"]) < float(cfg["ratio_max"]) < math.inf,
+             "need 0 <= ratio_min < ratio_max < inf")
     _require(int(cfg["ratio_points"]) >= 1, "ratio_points must be >= 1")
     _require(cfg["convention"] in CONVENTIONS, f"convention must be one of {CONVENTIONS}")
     _require(float(cfg["t_max"]) > 0, "t_max must be > 0")

@@ -6,39 +6,41 @@ excitation-exchange Hamiltonian
     H = omega * (J_- (x) sigma_+ + J_+ (x) sigma_-),
 
 while M is damped at rate gamma by a single zero-temperature dissipator
-D[1_S (x) sigma_-]. The reduced map on S is extracted by evolving either
-the joint state extended with an untouched ancilla A (tensor order
-S (x) M (x) A) or a basis of matrix units on S (x) M.
+D[1_S (x) sigma_-].
 
-Integration uses an adaptive embedded Runge-Kutta scheme (DOP853) with
-rtol 1e-10 / atol 1e-12; trajectories are streamed through the solver's
-per-step dense output so memory stays flat for long output grids.
+The generator does not depend on time, so the reduced map on S is exact:
+
+    Lambda_t(X) = Tr_M exp(L t) (X (x) rho_M),
+
+with L the Liouvillian on S (x) M (size 4d^2 x 4d^2, row-major vec).
+Propagators come from `scipy.linalg.expm` (scaling and squaring, Al-Mohy
+& Higham, SIAM J. Matrix Anal. Appl. 31, 2009). On an output grid the d^2
+matrix units |i><j| (x) rho_M are stepped with one propagator per
+distinct step and traced over M in batches; off-grid queries apply
+exp(L t) to the matrix units directly. L is never diagonalized: under the
+spin convention it is (nearly) defective.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.linalg import expm
 
-from .errors import (
-    IntegrationFailureError,
-    InvalidDimensionError,
-    InvalidStateError,
-    InvalidSubsystemError,
-)
+from .errors import InvalidDimensionError, InvalidSubsystemError
 from .states import (
     DEFAULT_CONVENTION,
     CONVENTIONS,
     DensityMatrix,
     ladder_operators,
-    max_entangled_state,
 )
 
-INTEGRATOR_RTOL = 1e-10
-INTEGRATOR_ATOL = 1e-12
+# grid steps stepped before each batched trace-out; bounds the joint
+# S (x) M states held at once to this many copies of the matrix units
+_STEP_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ class LindbladModel:
     """Parameters of the qudit-memory model.
 
     d : system dimension (>= 2)
-    omega : exchange coupling rate (1/time), > 0
-    gamma : memory damping rate (1/time), >= 0
+    omega : exchange coupling rate (1/time), finite and > 0
+    gamma : memory damping rate (1/time), finite and >= 0
     convention : ladder convention for the system operators
     """
 
@@ -59,10 +61,10 @@ class LindbladModel:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 2:
             raise InvalidDimensionError(f"d must be an integer >= 2, got {self.d}")
-        if not self.omega > 0:
-            raise InvalidDimensionError(f"omega must be > 0, got {self.omega}")
-        if self.gamma < 0:
-            raise InvalidDimensionError(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise InvalidDimensionError(f"omega must be finite and > 0, got {self.omega}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise InvalidDimensionError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.convention not in CONVENTIONS:
             raise InvalidDimensionError(f"unknown convention {self.convention!r}")
         object.__setattr__(self, "d", int(self.d))
@@ -75,64 +77,29 @@ class LindbladModel:
         s_plus, s_minus = ladder_operators(2)
         return self.omega * (np.kron(j_minus, s_plus) + np.kron(j_plus, s_minus))
 
+    def liouvillian(self) -> np.ndarray:
+        """Generator on S (x) M acting on row-major vec, shape (4d^2, 4d^2).
 
-def _sm_rhs(model: LindbladModel, n_ancilla: int) -> tuple[Callable, int]:
-    """Derivative closure for states on S (x) M (x) [A], flattened.
-
-    The dissipator D[1 (x) sigma_- (x) 1] only moves the memory-qubit
-    indices, so it is applied by slicing instead of matrix products.
-    Returns (rhs, hilbert_dim).
-    """
-    d = model.d
-    gamma = model.gamma
-    dim_a = max(1, n_ancilla)
-    h_sm = model.hamiltonian_sm()
-    h = np.kron(h_sm, np.eye(dim_a)) if n_ancilla else h_sm
-    n = 2 * d * dim_a
-    shape6 = (d, 2, dim_a, d, 2, dim_a)
-
-    def rhs(t, y):
-        rho = y.reshape(n, n)
-        drho = -1j * (h @ rho - rho @ h)
-        if gamma:
-            r6 = rho.reshape(shape6)
-            d6 = drho.reshape(shape6)
-            d6[:, 0, :, :, 0, :] += gamma * r6[:, 1, :, :, 1, :]
-            d6[:, 1, :, :, :, :] -= 0.5 * gamma * r6[:, 1, :, :, :, :]
-            d6[:, :, :, :, 1, :] -= 0.5 * gamma * r6[:, :, :, :, 1, :]
-        return drho.ravel()
-
-    return rhs, n
-
-
-def build_generator(model: LindbladModel) -> Callable[[DensityMatrix | np.ndarray], np.ndarray]:
-    """Right-hand side of the master equation on S (x) M (x) A.
-
-    The returned closure maps a state (DensityMatrix with dims (d, 2, d)
-    or a plain (2d^2, 2d^2) array) to its time derivative
-
-        -i [H (x) 1_A, rho] + gamma * D[1_S (x) sigma_- (x) 1_A] rho
-
-    with D[X] rho = X rho X^dag - (X^dag X rho + rho X^dag X) / 2.
-    The output is traceless and Hermiticity-preserving.
-    """
-    rhs, n = _sm_rhs(model, n_ancilla=model.d)
-
-    def generator(rho):
-        arr = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        if arr.shape != (n, n):
-            raise InvalidSubsystemError(
-                f"state shape {arr.shape} incompatible with dims ({model.d}, 2, {model.d})"
-            )
-        return rhs(0.0, arr.ravel()).reshape(n, n)
-
-    return generator
+        vec(d rho / dt) = L vec(rho) for
+        d rho / dt = -i [H, rho] + gamma * D[1_S (x) sigma_-] rho,
+        with D[X] rho = X rho X^dag - (X^dag X rho + rho X^dag X) / 2.
+        Row-major vec turns A rho B into (A (x) B^T) vec(rho).
+        """
+        h = self.hamiltonian_sm()
+        one = np.eye(h.shape[0])
+        x = np.kron(np.eye(self.d), ladder_operators(2)[1])
+        xdx = x.conj().T @ x
+        return (-1j * (np.kron(h, one) - np.kron(one, h.T))
+                + self.gamma * (np.kron(x, x.conj())
+                                - 0.5 * (np.kron(xdx, one) + np.kron(one, xdx.T))))
 
 
 def _validate_grid(t_grid: Sequence[float]) -> np.ndarray:
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise InvalidSubsystemError("time grid must be a non-empty 1-d sequence")
+    if not np.isfinite(grid).all():
+        raise InvalidSubsystemError("time grid must be finite")
     if abs(grid[0]) > 1e-14:
         raise InvalidSubsystemError(f"time grid must start at 0, got {grid[0]}")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
@@ -140,133 +107,65 @@ def _validate_grid(t_grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
-def _integrate_stream(rhs, y0, grid, n_checkpoints=256):
-    """Integrate y' = rhs(t, y) over grid, streaming per-step dense output.
-
-    Returns (values, checkpoints) where values[k] is y at grid[k] and
-    checkpoints is a list of (t, y) snapshots spaced at most
-    grid[-1]/n_checkpoints apart, for cheap later re-integration.
-    """
-    values = [np.array(y0)]
-    checkpoints = [(float(grid[0]), np.array(y0))]
-    if grid.size == 1:
-        return values, checkpoints
-    t_end = float(grid[-1])
-    cp_dt = (t_end - float(grid[0])) / n_checkpoints
-    solver = DOP853(rhs, float(grid[0]), y0, t_bound=t_end,
-                    rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
-    idx = 1
-    while idx < grid.size:
-        if solver.status != "running":
-            raise IntegrationFailureError(
-                f"integrator stopped at t={solver.t:.6g} before reaching {t_end:.6g}"
-            )
-        msg = solver.step()
-        if solver.status == "failed":
-            raise IntegrationFailureError(msg or "step-size underflow")
-        dense = solver.dense_output()
-        while idx < grid.size and grid[idx] <= solver.t + 1e-13:
-            values.append(dense(min(grid[idx], solver.t)))
-            idx += 1
-        if solver.t - checkpoints[-1][0] >= cp_dt:
-            checkpoints.append((float(solver.t), solver.y.copy()))
-    return values, checkpoints
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States of the joint S (x) M (x) A evolution on an output grid."""
-
-    times: np.ndarray
-    states: tuple[DensityMatrix, ...]
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.size != len(self.states):
-            raise InvalidSubsystemError("times and states differ in length")
-        if times.size > 1 and np.any(np.diff(times) <= 0):
-            raise InvalidSubsystemError("times must be strictly increasing")
-        for st in self.states:
-            if abs(st.data.trace() - 1.0) > 1e-8:
-                raise InvalidStateError("trace not preserved along trajectory")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
-
-
-def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid: Sequence[float]) -> Trajectory:
-    """Integrate the master equation from rho0 over the output grid.
-
-    rho0 must carry dims (d, 2, d) = S (x) M (x) A; the grid must start
-    at 0 and increase strictly.
-    """
-    d = model.d
-    if tuple(rho0.dims) != (d, 2, d):
-        raise InvalidSubsystemError(
-            f"rho0 dims {rho0.dims} incompatible with model dims ({d}, 2, {d})"
-        )
-    grid = _validate_grid(t_grid)
-    rhs, n = _sm_rhs(model, n_ancilla=d)
-    values, _ = _integrate_stream(rhs, rho0.data.ravel().astype(complex), grid)
-    dims = (d, 2, d)
-    states = tuple(DensityMatrix(v.reshape(n, n), dims) for v in values)
-    return Trajectory(times=grid, states=states)
-
-
-def _memory_matrix(memory_state: np.ndarray | None) -> np.ndarray:
+def _matrix_units(d: int, memory_state: np.ndarray | None) -> np.ndarray:
+    """Columns vec(|i><j| (x) rho_M) for column i*d + j, shape (4d^2, d^2)."""
     if memory_state is None:
-        m = np.zeros((2, 2), dtype=complex)
-        m[0, 0] = 1.0
-        return m
-    m = np.asarray(memory_state, dtype=complex)
-    if m.shape != (2, 2):
-        raise InvalidSubsystemError("memory state must be a 2x2 density matrix")
-    return m
+        mem = np.zeros((2, 2), dtype=complex)
+        mem[0, 0] = 1.0
+    else:
+        mem = np.asarray(memory_state, dtype=complex)
+        if mem.shape != (2, 2):
+            raise InvalidSubsystemError("memory state must be a 2x2 density matrix")
+    eye = np.eye(d)
+    units = np.einsum("si,tj,mn->smtnij", eye, eye, mem)
+    return units.reshape(4 * d * d, d * d)
+
+
+def _trace_out_memory(joint: np.ndarray, d: int) -> np.ndarray:
+    """Superoperators from evolved matrix units: (..., 4d^2, d^2) -> (..., d^2, d^2).
+
+    Column i*d + j of the result holds vec Tr_M of the evolved |i><j| (x) rho_M.
+    """
+    lead = joint.shape[:-2]
+    r = joint.reshape(lead + (d, 2, d, 2, d * d))
+    return (r[..., :, 0, :, 0, :] + r[..., :, 1, :, 1, :]).reshape(lead + (d * d, d * d))
+
+
+def _choi(superop: np.ndarray, d: int) -> np.ndarray:
+    """Normalized Choi matrices of a stack of superoperators, same leading shape."""
+    lead = superop.shape[:-2]
+    s4 = superop.reshape(lead + (d, d, d, d))
+    return s4.swapaxes(-3, -2).reshape(lead + (d * d, d * d)) / d
 
 
 class ChoiEvolution:
-    """Joint system-ancilla state of the extended evolution, time-resolved.
+    """System-ancilla Choi states of the reduced dynamics, time-resolved.
 
-    Produced by `evolve_choi`. Holds the traced-out S-A states on the
-    requested grid plus sparse raw checkpoints of the full S-M-A state,
-    so `state_at` can re-integrate short spans to answer off-grid queries
-    at full accuracy.
+    Produced by `evolve_choi`. `states[k]` (array of shape (T, d^2, d^2))
+    is the state obtained by sending half of |Phi+>_SA through the map at
+    `times[k]`, with S (x) A ordering; `state_at` answers any time in the
+    span exactly.
     """
 
-    def __init__(self, model, times, sa_states, checkpoints, rhs):
+    def __init__(self, model, times, states, generator, units):
         self.model = model
         self.times = times
-        self.states = sa_states
-        self._checkpoints = checkpoints
-        self._rhs = rhs
+        self.states = states
+        self._generator = generator
+        self._units = units
 
     def state_at(self, t: float) -> DensityMatrix:
         """S-A joint state (dims (d, d)) at any time within the grid span."""
         t = float(t)
-        if t < -1e-13 or t > self.times[-1] + 1e-13:
-            raise InvalidSubsystemError(f"t={t} outside the integrated span")
+        if not -1e-13 <= t <= self.times[-1] + 1e-13:
+            raise InvalidSubsystemError(f"t={t} outside the evolved span")
+        d = self.model.d
         k = np.searchsorted(self.times, t)
-        for kk in (k - 1, k, k + 1):
+        for kk in (k - 1, k):
             if 0 <= kk < self.times.size and abs(self.times[kk] - t) < 1e-12:
-                return self.states[kk]
-        cp_times = [c[0] for c in self._checkpoints]
-        i = int(np.searchsorted(cp_times, t + 1e-15)) - 1
-        i = max(i, 0)
-        tc, yc = self._checkpoints[i]
-        if abs(t - tc) < 1e-13:
-            y = yc
-        else:
-            sol = solve_ivp(self._rhs, (tc, t), yc, method="DOP853",
-                            rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
-            if not sol.success:
-                raise IntegrationFailureError(sol.message)
-            y = sol.y[:, -1]
-        return _trace_out_memory(y, self.model.d)
-
-
-def _trace_out_memory(y: np.ndarray, d: int) -> DensityMatrix:
-    rho = y.reshape(d, 2, d, d, 2, d)
-    sa = np.trace(rho, axis1=1, axis2=4).reshape(d * d, d * d)
-    return DensityMatrix(sa, (d, d))
+                return DensityMatrix(self.states[kk], (d, d))
+        joint = expm(self._generator * t) @ self._units
+        return DensityMatrix(_choi(_trace_out_memory(joint, d), d), (d, d))
 
 
 def evolve_choi(
@@ -282,24 +181,22 @@ def evolve_choi(
     """
     d = model.d
     grid = _validate_grid(t_grid)
-    phi = max_entangled_state(d).data.reshape(d, d, d, d)
-    mem = _memory_matrix(memory_state)
-    rho0 = np.einsum("mn,sapq->smapnq", mem, phi, optimize=True)
-    n = 2 * d * d
-    rhs, _ = _sm_rhs(model, n_ancilla=d)
-    values, checkpoints = _integrate_stream(rhs, rho0.reshape(n * n).astype(complex), grid)
-    sa_states = tuple(_trace_out_memory(v, d) for v in values)
-    return ChoiEvolution(model, grid, sa_states, checkpoints, rhs)
-
-
-def reduced_choi_trajectory(
-    model: LindbladModel,
-    t_grid: Sequence[float],
-    memory_state: np.ndarray | None = None,
-) -> list[tuple[float, DensityMatrix]]:
-    """(time, S-A state) pairs of the extended evolution on the grid."""
-    ev = evolve_choi(model, t_grid, memory_state=memory_state)
-    return [(float(t), s) for t, s in zip(ev.times, ev.states)]
+    generator = model.liouvillian()
+    units = _matrix_units(d, memory_state)
+    steps, which = np.unique(np.diff(grid), return_inverse=True)
+    propagators = [expm(generator * dt) for dt in steps]
+    states = np.empty((grid.size, d * d, d * d), dtype=complex)
+    batch = np.empty((min(grid.size, _STEP_BATCH),) + units.shape, dtype=complex)
+    x = units
+    for start in range(0, grid.size, _STEP_BATCH):
+        stop = min(start + _STEP_BATCH, grid.size)
+        for k in range(start, stop):
+            if k:
+                x = np.matmul(propagators[which[k - 1]], x, out=batch[k - start])
+            else:
+                batch[0] = x
+        states[start:stop] = _choi(_trace_out_memory(batch[:stop - start], d), d)
+    return ChoiEvolution(model, grid, states, generator, units)
 
 
 def channel_superoperator(
@@ -310,48 +207,14 @@ def channel_superoperator(
     """Superoperator matrix of the reduced map on S at time t.
 
     Row-major vectorization: column i*d + j holds vec of the image of the
-    matrix unit |i><j|, each evolved jointly with the memory (no ancilla)
-    and traced over M. At t = 0 this is the identity on d^2 components.
+    matrix unit |i><j|, evolved jointly with the memory (no ancilla) and
+    traced over M. At t = 0 this is the identity on d^2 components.
     """
-    d = model.d
     t = float(t)
-    if t < 0:
-        raise InvalidSubsystemError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return np.eye(d * d, dtype=complex)
-    mem = _memory_matrix(memory_state)
-    units = np.zeros((d * d, 2 * d, 2 * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            units[i * d + j] = np.kron(unit, mem)
-    n = 2 * d
-    h_sm = model.hamiltonian_sm()
-    gamma = model.gamma
-    shape5 = (d * d, d, 2, d, 2)
-
-    def rhs(tt, y):
-        batch = y.reshape(d * d, n, n)
-        dbatch = -1j * (h_sm @ batch - batch @ h_sm)
-        if gamma:
-            b5 = batch.reshape(shape5)
-            d5 = dbatch.reshape(shape5)
-            d5[:, :, 0, :, 0] += gamma * b5[:, :, 1, :, 1]
-            d5[:, :, 1, :, :] -= 0.5 * gamma * b5[:, :, 1, :, :]
-            d5[:, :, :, :, 1] -= 0.5 * gamma * b5[:, :, :, :, 1]
-        return dbatch.ravel()
-
-    sol = solve_ivp(rhs, (0.0, t), units.ravel(), method="DOP853",
-                    rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
-    if not sol.success:
-        raise IntegrationFailureError(sol.message)
-    final = sol.y[:, -1].reshape(d * d, d, 2, d, 2)
-    images = np.trace(final, axis1=2, axis2=4)
-    sup = np.empty((d * d, d * d), dtype=complex)
-    for col in range(d * d):
-        sup[:, col] = images[col].ravel()
-    return sup
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidSubsystemError(f"t must be finite and >= 0, got {t}")
+    joint = expm(model.liouvillian() * t) @ _matrix_units(model.d, memory_state)
+    return _trace_out_memory(joint, model.d)
 
 
 def choi_from_superoperator(superop: np.ndarray) -> np.ndarray:
@@ -365,5 +228,4 @@ def choi_from_superoperator(superop: np.ndarray) -> np.ndarray:
     d = int(round(n2 ** 0.5))
     if d * d != n2 or superop.shape != (n2, n2):
         raise InvalidSubsystemError(f"superoperator shape {superop.shape} is not (d^2, d^2)")
-    s4 = superop.reshape(d, d, d, d)
-    return s4.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d
+    return _choi(superop, d)

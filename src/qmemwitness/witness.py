@@ -23,8 +23,14 @@ import numpy as np
 
 from . import gaussian as _gaussian
 from .errors import ExtremumNotFoundError, InvalidSubsystemError, QmemError
-from .lindblad import LindbladModel, evolve_choi
-from .states import DEFAULT_CONVENTION, DensityMatrix, EntropyTriple, entropy_triple
+from .lindblad import ChoiEvolution, LindbladModel, evolve_choi
+from .states import (
+    DEFAULT_CONVENTION,
+    DensityMatrix,
+    EntropyTriple,
+    entropy_arrays,
+    entropy_triple,
+)
 
 #: delta_s must undershoot zero by more than this before detection is
 #: declared, so rounding noise never produces a false positive.
@@ -115,16 +121,55 @@ def evaluate_criterion_gaussian(
     return _report(s_sys, neg_sa, neg_as, t1, t2)
 
 
-def _interior_extrema(values: np.ndarray, kind: str, noise_floor: float) -> list[int]:
-    """Indices of interior local minima/maxima with prominence above noise."""
-    sign = 1.0 if kind == "min" else -1.0
-    v = sign * values
-    out = []
-    for i in range(1, len(v) - 1):
-        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-            if max(v[i - 1], v[i + 1]) - v[i] > noise_floor:
-                out.append(i)
-    return out
+@dataclass(frozen=True)
+class EntropyTrajectory:
+    """Entropies (nats) of a bipartite state along a time grid, as arrays.
+
+    The array form of a sequence of (time, EntropyTriple) pairs; the
+    conditional entropies follow as in `EntropyTriple`.
+    """
+
+    times: np.ndarray
+    s_system: np.ndarray
+    s_ancilla: np.ndarray
+    s_joint: np.ndarray
+
+    @classmethod
+    def from_triples(cls, traj: Sequence[tuple[float, EntropyTriple]]) -> "EntropyTrajectory":
+        return cls(
+            times=np.array([p[0] for p in traj], dtype=float),
+            s_system=np.array([p[1].s_system for p in traj], dtype=float),
+            s_ancilla=np.array([p[1].s_ancilla for p in traj], dtype=float),
+            s_joint=np.array([p[1].s_joint for p in traj], dtype=float),
+        )
+
+    @property
+    def neg_cond_sa(self) -> np.ndarray:
+        """-S(S|A) = s_ancilla - s_joint at every grid time."""
+        return self.s_ancilla - self.s_joint
+
+    @property
+    def neg_cond_as(self) -> np.ndarray:
+        """-S(A|S) = s_system - s_joint at every grid time."""
+        return self.s_system - self.s_joint
+
+
+def _as_trajectory(traj) -> EntropyTrajectory:
+    if isinstance(traj, EntropyTrajectory):
+        return traj
+    return EntropyTrajectory.from_triples(traj)
+
+
+def _interior_extrema(values: np.ndarray, kind: str, noise_floor: float) -> np.ndarray:
+    """Indices of interior local minima/maxima with prominence above noise.
+
+    A point counts when it is <= both neighbours (plateaus included) and
+    the larger neighbour exceeds it by more than `noise_floor`.
+    """
+    v = values if kind == "min" else -values
+    mid, left, right = v[1:-1], v[:-2], v[2:]
+    hit = (mid <= left) & (mid <= right) & (np.maximum(left, right) - mid > noise_floor)
+    return np.flatnonzero(hit) + 1
 
 
 def _golden_refine(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -146,7 +191,7 @@ def _golden_refine(f: Callable[[float], float], a: float, b: float, tol: float) 
 
 
 def find_witness_times(
-    traj: Sequence[tuple[float, EntropyTriple]],
+    traj: EntropyTrajectory | Sequence[tuple[float, EntropyTriple]],
     evaluate: Callable[[float], EntropyTriple] | None = None,
     noise_floor: float = _EXTREMUM_NOISE_FLOOR,
     time_tolerance: float | None = None,
@@ -155,7 +200,7 @@ def find_witness_times(
 
     t1 is the first interior local minimum of s_system, t2 the first
     local maximum of -S(S|A) after t1. When `evaluate` is given (a map
-    from time to EntropyTriple, typically backed by the dense solution),
+    from time to EntropyTriple, typically backed by exact off-grid states),
     both times are refined by golden-section search on re-evaluated
     states down to `time_tolerance` (default 1e-4 of the grid span);
     otherwise a parabolic fit through the three bracketing grid points
@@ -164,22 +209,24 @@ def find_witness_times(
     Raises ExtremumNotFoundError when either extremum is missing, e.g.
     on monotone trajectories (callers may extend the grid).
     """
-    times = np.array([p[0] for p in traj], dtype=float)
+    traj = _as_trajectory(traj)
+    times = traj.times
     if times.size < 3:
         raise ExtremumNotFoundError("trajectory too short to contain extrema")
-    s_sys = np.array([p[1].s_system for p in traj])
-    neg_sa = np.array([p[1].neg_cond_sa for p in traj])
+    s_sys = traj.s_system
+    neg_sa = traj.neg_cond_sa
     span = times[-1] - times[0]
     tol = time_tolerance if time_tolerance is not None else 1e-4 * span
 
     i_mins = _interior_extrema(s_sys, "min", noise_floor)
-    if not i_mins:
+    if i_mins.size == 0:
         raise ExtremumNotFoundError("no interior local minimum of s_system")
     i1 = i_mins[0]
     t1 = _refine_extremum(times, s_sys, i1, "min", evaluate, tol)
 
-    i_maxs = [i for i in _interior_extrema(neg_sa, "max", noise_floor) if times[i] > t1]
-    if not i_maxs:
+    i_maxs = _interior_extrema(neg_sa, "max", noise_floor)
+    i_maxs = i_maxs[times[i_maxs] > t1]
+    if i_maxs.size == 0:
         raise ExtremumNotFoundError("no local maximum of -S(S|A) after t1")
     i2 = i_maxs[0]
     t2 = _refine_extremum(times, neg_sa, i2, "max", evaluate, tol)
@@ -211,7 +258,7 @@ def _refine_extremum(times, values, i, kind, evaluate, tol):
 
 
 def ordering_check(
-    traj: Sequence[tuple[float, EntropyTriple]], tol: float = 1e-9
+    traj: EntropyTrajectory | Sequence[tuple[float, EntropyTriple]], tol: float = 1e-9
 ) -> bool:
     """True iff -S(S|A) >= -S(A|S) - tol at every grid time.
 
@@ -219,18 +266,18 @@ def ordering_check(
     system-ancilla probe, where the ancilla marginal stays maximally
     mixed.
     """
-    return all(p[1].neg_cond_sa >= p[1].neg_cond_as - tol for p in traj)
+    traj = _as_trajectory(traj)
+    return bool(np.all(traj.neg_cond_sa >= traj.neg_cond_as - tol))
 
 
 def qudit_entropy_trajectory(
     model: LindbladModel,
     t_max: float = 12.0,
     n_points: int = 2001,
-) -> list[tuple[float, EntropyTriple]]:
-    """Entropy triples of the extended qudit evolution on a uniform grid."""
-    grid = np.linspace(0.0, float(t_max), int(n_points))
-    ev = evolve_choi(model, grid)
-    return [(float(t), entropy_triple(s)) for t, s in zip(ev.times, ev.states)]
+) -> tuple[ChoiEvolution, EntropyTrajectory]:
+    """Extended qudit evolution on a uniform grid and its entropy arrays."""
+    ev = evolve_choi(model, np.linspace(0.0, float(t_max), int(n_points)))
+    return ev, EntropyTrajectory(ev.times, *entropy_arrays(ev.states, (model.d, model.d)))
 
 
 @dataclass(frozen=True)
@@ -238,9 +285,54 @@ class QuditWitnessResult:
     """Full outcome of one qudit-model witness run."""
 
     report: WitnessReport
-    triples: tuple[tuple[float, EntropyTriple], ...]
+    trajectory: EntropyTrajectory
     revival_maxima: tuple[tuple[float, float], ...]
     ordering_ok: bool
+
+    @property
+    def triples(self) -> tuple[tuple[float, EntropyTriple], ...]:
+        """The trajectory as (time, EntropyTriple) pairs, one per grid point."""
+        tr = self.trajectory
+        return tuple(
+            (float(t), EntropyTriple(float(s), float(a), float(j)))
+            for t, s, a, j in zip(tr.times, tr.s_system, tr.s_ancilla, tr.s_joint)
+        )
+
+
+def witness_from_trajectory(
+    ev: ChoiEvolution,
+    traj: EntropyTrajectory,
+    time_tolerance: float | None = None,
+) -> QuditWitnessResult:
+    """Select (t1, t2) on a computed qudit trajectory and evaluate the witness.
+
+    `ev` and `traj` come from `qudit_entropy_trajectory`. The witness
+    times are refined on exact off-grid states down to `time_tolerance`
+    (default 1e-6 of the grid span, so the reported delta_s is
+    insensitive to the output grid). `revival_maxima` lists every
+    interior local maximum of -S(S|A) after t1 as (time, value) pairs;
+    entries beyond the first show whether later revivals could still
+    detect. Raises ExtremumNotFoundError like `find_witness_times`.
+    """
+
+    def evaluate(t: float) -> EntropyTriple:
+        return entropy_triple(ev.state_at(t))
+
+    tol = 1e-6 * float(traj.times[-1]) if time_tolerance is None else time_tolerance
+    t1, t2 = find_witness_times(traj, evaluate=evaluate, time_tolerance=tol)
+    report = evaluate_criterion(ev.state_at(t1), ev.state_at(t2), t1=t1, t2=t2)
+    neg_sa = traj.neg_cond_sa
+    revivals = tuple(
+        (float(traj.times[i]), float(neg_sa[i]))
+        for i in _interior_extrema(neg_sa, "max", _EXTREMUM_NOISE_FLOOR)
+        if traj.times[i] > t1
+    )
+    return QuditWitnessResult(
+        report=report,
+        trajectory=traj,
+        revival_maxima=revivals,
+        ordering_ok=ordering_check(traj),
+    )
 
 
 def witness_qudit_model(
@@ -251,37 +343,12 @@ def witness_qudit_model(
 ) -> QuditWitnessResult:
     """Run the full pipeline for one qudit model.
 
-    Extends a maximally entangled probe, integrates, selects (t1, t2),
-    and evaluates the witness. The witness times are refined on the
-    dense solution down to `time_tolerance` (default 1e-6 of t_max, so
-    the reported delta_s is insensitive to the output grid).
-    `revival_maxima` lists every interior local maximum of -S(S|A)
-    after t1 as (time, value) pairs; entries beyond the first show
-    whether later revivals could still detect.
+    Extends a maximally entangled probe, evolves it on a uniform grid of
+    `n_points` over [0, t_max], selects (t1, t2) and evaluates the
+    witness (see `witness_from_trajectory`).
     """
-    grid = np.linspace(0.0, float(t_max), int(n_points))
-    ev = evolve_choi(model, grid)
-    triples = tuple(
-        (float(t), entropy_triple(s)) for t, s in zip(ev.times, ev.states)
-    )
-
-    def evaluate(t: float) -> EntropyTriple:
-        return entropy_triple(ev.state_at(t))
-
-    tol = 1e-6 * float(t_max) if time_tolerance is None else time_tolerance
-    t1, t2 = find_witness_times(triples, evaluate=evaluate, time_tolerance=tol)
-    report = evaluate_criterion(ev.state_at(t1), ev.state_at(t2), t1=t1, t2=t2)
-    neg_sa = np.array([p[1].neg_cond_sa for p in triples])
-    revivals = tuple(
-        (float(ev.times[i]), float(neg_sa[i]))
-        for i in _interior_extrema(neg_sa, "max", _EXTREMUM_NOISE_FLOOR)
-        if ev.times[i] > t1
-    )
-    return QuditWitnessResult(
-        report=report,
-        triples=triples,
-        revival_maxima=revivals,
-        ordering_ok=ordering_check(triples),
+    return witness_from_trajectory(
+        *qudit_entropy_trajectory(model, t_max, n_points), time_tolerance=time_tolerance
     )
 
 

@@ -62,6 +62,34 @@ class TestQuditTrace:
         assert sidecar["report"] is not None
         assert sidecar["report"]["delta_s"] < 1e-6
 
+    def test_no_extrema_reports_curves_from_one_evolution(self, tmp_path, monkeypatch):
+        from qmemwitness import witness
+
+        calls = []
+        inner = witness.evolve_choi
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(witness, "evolve_choi", counted)
+        out = tmp_path / "trace.csv"
+        code = run(["qudit-trace", "--d", 2, "--gamma-over-omega", 0.05,
+                    "--t-max", 1.2, "--points", 121, "--output", out])
+        assert code == 0
+        sidecar = json.loads((tmp_path / "trace.json").read_text())
+        assert sidecar["report"] is None and sidecar["error"]
+        _, rows = read_csv(out)
+        assert len(rows) == 121
+        assert len(calls) == 1
+
+    def test_non_finite_ratio_is_config_error(self, tmp_path):
+        for ratio in ("nan", "inf"):
+            assert run(["qudit-trace", "--gamma-over-omega", ratio,
+                        "--output", tmp_path / "x.csv"]) == 2
+            assert run(["qudit-scan", "--ratio-max", ratio,
+                        "--output", tmp_path / "s.csv"]) == 2
+
     def test_zero_t_max_is_config_error(self, tmp_path):
         code = run(["qudit-trace", "--t-max", 0, "--output", tmp_path / "x.csv"])
         assert code == 2

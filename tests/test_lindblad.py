@@ -2,27 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qmemwitness import (
     DensityMatrix,
     InvalidDimensionError,
     InvalidSubsystemError,
     LindbladModel,
-    build_generator,
     channel_superoperator,
     choi_from_superoperator,
+    entropy_arrays,
     entropy_triple,
-    evolve,
     evolve_choi,
     max_entangled_state,
     partial_trace,
-    reduced_choi_trajectory,
+    qudit_entropy_trajectory,
     von_neumann_entropy,
 )
 from oracles import (
     binary_entropy,
     partial_trace_out_memory_loops,
     qubit_damping_amplitude,
+    qudit_dop853_states,
     qudit_generator_dense,
     random_density_matrix,
 )
@@ -37,6 +38,15 @@ def extended_initial(d: int) -> DensityMatrix:
     return DensityMatrix(rho.reshape(2 * d * d, 2 * d * d), (d, 2, d))
 
 
+def apply_generator(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
+    """The package's Liouvillian on S (x) M, applied to an S-M-A state (1 on A)."""
+    d = model.d
+    n = 2 * d
+    blocks = np.asarray(rho).reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d, d, n * n)
+    out = blocks @ model.liouvillian().T
+    return out.reshape(d, d, n, n).transpose(2, 0, 3, 1).reshape(n * d, n * d)
+
+
 class TestModelValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidDimensionError):
@@ -48,27 +58,32 @@ class TestModelValidation:
         with pytest.raises(InvalidDimensionError):
             LindbladModel(d=2, convention="nope")
 
+    @pytest.mark.parametrize("omega, gamma", [
+        (1.0, math.nan), (1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1),
+    ])
+    def test_rejects_non_finite_parameters(self, omega, gamma):
+        with pytest.raises(InvalidDimensionError):
+            LindbladModel(d=2, omega=omega, gamma=gamma)
+
 
 class TestGenerator:
     def test_matches_dense_oracle(self, rng):
         for d, conv in ((2, "spin"), (3, "truncated-oscillator"), (4, "spin")):
             model = LindbladModel(d=d, omega=1.0, gamma=0.05, convention=conv)
-            gen = build_generator(model)
             rho = random_density_matrix(rng, [d, 2, d])
             expected = qudit_generator_dense(d, 1.0, 0.05, conv, rho)
-            assert np.abs(gen(rho) - expected).max() < 1e-12
+            assert np.abs(apply_generator(model, rho) - expected).max() < 1e-12
 
     def test_matches_oracle_on_extended_initial_state(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.05)
         rho0 = extended_initial(2)
         expected = qudit_generator_dense(2, 1.0, 0.05, "spin", rho0.data)
-        assert np.abs(build_generator(model)(rho0) - expected).max() < 1e-12
+        assert np.abs(apply_generator(model, rho0.data) - expected).max() < 1e-12
 
     def test_traceless_and_hermiticity_preserving(self, rng):
         model = LindbladModel(d=3, omega=1.0, gamma=0.0)
-        gen = build_generator(model)
         rho = random_density_matrix(rng, [3, 2, 3])
-        deriv = gen(rho)
+        deriv = apply_generator(model, rho)
         assert abs(np.trace(deriv)) < 1e-12
         assert np.abs(deriv - deriv.conj().T).max() < 1e-12
 
@@ -78,76 +93,111 @@ class TestGenerator:
         ground_sm = np.zeros((2 * d, 2 * d), dtype=complex)
         ground_sm[0, 0] = 1.0
         rho = np.kron(ground_sm, random_density_matrix(rng, [d]))
-        assert np.abs(build_generator(model)(rho)).max() < 1e-12
+        assert np.abs(apply_generator(model, rho)).max() < 1e-12
+        step = expm(model.liouvillian() * 2.5) @ ground_sm.ravel()
+        assert np.abs(step - ground_sm.ravel()).max() < 1e-12
 
     def test_rejects_wrong_shape(self):
         model = LindbladModel(d=2)
         with pytest.raises(InvalidSubsystemError):
-            build_generator(model)(np.eye(4) / 4)
+            evolve_choi(model, [0.0, 1.0], memory_state=np.eye(4) / 4)
+        with pytest.raises(InvalidSubsystemError):
+            channel_superoperator(model, 1.0, memory_state=np.eye(4) / 4)
 
 
 class TestEvolve:
     def test_t0_returns_initial_state_exactly(self):
         model = LindbladModel(d=2, gamma=0.1)
-        rho0 = extended_initial(2)
-        traj = evolve(model, rho0, [0.0])
-        assert np.array_equal(traj.states[0].data, rho0.data)
+        ev = evolve_choi(model, [0.0])
+        phi = choi_from_superoperator(np.eye(4))
+        assert np.array_equal(ev.states[0], phi)
+        assert np.array_equal(ev.state_at(0.0).data, phi)
 
     def test_rabi_swap_closed_form(self):
         # gamma = 0, d = 2: the single-excitation sector oscillates at
         # frequency omega; S population follows cos^2(omega t) / 2
         model = LindbladModel(d=2, omega=1.0, gamma=0.0)
-        rho0 = extended_initial(2)
         ts = np.linspace(0.0, math.pi, 41)
-        traj = evolve(model, rho0, ts)
-        for t, state in zip(traj.times, traj.states):
-            rho_s = partial_trace(state, {0}).data
-            rho_m = partial_trace(state, {1}).data
+        ev = evolve_choi(model, ts)
+        mem = np.zeros((2, 2), dtype=complex)
+        mem[0, 0] = 1.0
+        rho0_sm = np.kron(np.eye(2) / 2, mem)
+        for t, state in zip(ev.times, ev.states):
+            rho_s = partial_trace(DensityMatrix(state, (2, 2)), {0}).data
             assert abs(rho_s[1, 1].real - math.cos(t) ** 2 / 2) < 1e-8
+            rho_sm = (expm(model.liouvillian() * t) @ rho0_sm.ravel()).reshape(4, 4)
+            rho_m = partial_trace(DensityMatrix(rho_sm, (2, 2)), {1}).data
             assert abs(rho_m[1, 1].real - math.sin(t) ** 2 / 2) < 1e-8
 
-    def test_trace_and_positivity_along_flow(self):
+    def test_trace_and_positivity_along_flow(self, rng):
         model = LindbladModel(d=3, omega=1.0, gamma=0.3)
-        rho0 = extended_initial(3)
-        traj = evolve(model, rho0, np.linspace(0.0, 6.0, 61))
-        for state in traj.states:
-            assert abs(np.trace(state.data) - 1.0) < 1e-8
-            assert np.linalg.eigvalsh(state.data).min() > -1e-8
+        ts = np.linspace(0.0, 6.0, 61)
+        for state in evolve_choi(model, ts).states:
+            assert abs(np.trace(state) - 1.0) < 1e-8
+            assert np.linalg.eigvalsh(state).min() > -1e-8
+        rho_sm = random_density_matrix(rng, [3, 2])
+        for t in ts:
+            out = (expm(model.liouvillian() * t) @ rho_sm.ravel()).reshape(6, 6)
+            assert abs(np.trace(out) - 1.0) < 1e-8
+            assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() > -1e-8
 
     def test_grid_validation(self):
         model = LindbladModel(d=2)
-        rho0 = extended_initial(2)
         with pytest.raises(InvalidSubsystemError):
-            evolve(model, rho0, [1.0, 2.0])
+            evolve_choi(model, [1.0, 2.0])
         with pytest.raises(InvalidSubsystemError):
-            evolve(model, rho0, [0.0, 2.0, 1.0])
+            evolve_choi(model, [0.0, 2.0, 1.0])
+        with pytest.raises(InvalidSubsystemError):
+            evolve_choi(model, [0.0, math.nan])
+        ev = evolve_choi(model, [0.0, 2.0])
+        with pytest.raises(InvalidSubsystemError):
+            ev.state_at(2.5)
+        with pytest.raises(InvalidSubsystemError):
+            ev.state_at(math.nan)
 
     def test_rejects_wrong_dims(self):
-        model = LindbladModel(d=3)
         with pytest.raises(InvalidSubsystemError):
-            evolve(model, extended_initial(2), [0.0, 1.0])
+            choi_from_superoperator(np.eye(5))
+        with pytest.raises(InvalidSubsystemError):
+            choi_from_superoperator(np.eye(9)[:, :4])
+
+    @pytest.mark.parametrize("d, conv", [(3, "spin"), (4, "spin"), (3, "truncated-oscillator")])
+    def test_matches_dop853_oracle(self, d, conv):
+        # grid states and exact off-grid probes against an adaptive
+        # Runge-Kutta integration of the kron-built generator
+        model = LindbladModel(d=d, omega=1.0, gamma=0.15, convention=conv)
+        grid = np.linspace(0.0, 3.0, 31)
+        probes = [0.37, 1.555, 2.93]
+        ev = evolve_choi(model, grid)
+        ts = np.sort(np.concatenate([grid, probes]))
+        ref = qudit_dop853_states(d, 1.0, 0.15, conv, extended_initial(d).data, ts)
+        ref_sa = {float(t): partial_trace_out_memory_loops(r, d) for t, r in zip(ts, ref)}
+        for t, state in zip(grid, ev.states):
+            assert np.abs(state - ref_sa[float(t)]).max() < 1e-9
+        for t in probes:
+            assert np.abs(ev.state_at(t).data - ref_sa[t]).max() < 1e-9
 
 
 class TestReducedChoiTrajectory:
     def test_t0_is_max_entangled(self):
         model = LindbladModel(d=3, gamma=0.2)
-        (t0, s0), = reduced_choi_trajectory(model, [0.0])
-        assert t0 == 0.0
-        assert np.abs(s0.data - max_entangled_state(3).data).max() < 1e-12
+        ev = evolve_choi(model, [0.0])
+        assert ev.times[0] == 0.0
+        assert np.abs(ev.states[0] - max_entangled_state(3).data).max() < 1e-12
 
     def test_trace_and_untouched_ancilla(self):
         d = 3
         model = LindbladModel(d=d, omega=1.0, gamma=0.15)
-        traj = reduced_choi_trajectory(model, np.linspace(0.0, 5.0, 26))
-        for _, state in traj:
-            assert abs(np.trace(state.data) - 1.0) < 1e-8
-            anc = partial_trace(state, {1}).data
+        ev = evolve_choi(model, np.linspace(0.0, 5.0, 26))
+        for state in ev.states:
+            assert abs(np.trace(state) - 1.0) < 1e-8
+            anc = partial_trace(DensityMatrix(state, (d, d)), {1}).data
             assert np.abs(anc - np.eye(d) / d).max() < 1e-8
 
     def test_swap_revival_of_system_entropy(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.0)
-        traj = reduced_choi_trajectory(model, np.linspace(0.0, math.pi, 81))
-        s_sys = [entropy_triple(s).s_system for _, s in traj]
+        ev = evolve_choi(model, np.linspace(0.0, math.pi, 81))
+        s_sys, _, _ = entropy_arrays(ev.states, (2, 2))
         assert s_sys[40] < 1e-6                      # dip at t = pi/2
         assert abs(s_sys[-1] - math.log(2)) < 1e-6   # revival at t = pi
 
@@ -157,35 +207,60 @@ class TestReducedChoiTrajectory:
         omega, gamma = 1.0, 0.2
         model = LindbladModel(d=2, omega=omega, gamma=gamma)
         ts = np.linspace(0.0, 8.0, 81)
-        traj = reduced_choi_trajectory(model, ts)
+        ev = evolve_choi(model, ts)
         u = qubit_damping_amplitude(omega, gamma, ts)
-        for (t, state), ut in zip(traj, u):
-            trip = entropy_triple(state)
+        for state, ut in zip(ev.states, u):
+            trip = entropy_triple(DensityMatrix(state, (2, 2)))
             s_sys_expected = binary_entropy(abs(ut) ** 2 / 2.0)
             neg_sa_expected = math.log(2) - binary_entropy((1.0 - abs(ut) ** 2) / 2.0)
             assert abs(trip.s_system - s_sys_expected) < 1e-7
             assert abs(trip.neg_cond_sa - neg_sa_expected) < 1e-7
 
+    @pytest.mark.parametrize("gamma", [0.05, 0.2, 0.6])
+    def test_default_grid_entropies_match_closed_form_tightly(self, gamma):
+        # the exact propagator keeps the d = 2 entropies far below the
+        # 1e-9 detection threshold over the whole default 2001-point grid
+        _, traj = qudit_entropy_trajectory(LindbladModel(d=2, omega=1.0, gamma=gamma))
+        assert traj.times.size == 2001
+        u = qubit_damping_amplitude(1.0, gamma, traj.times)
+        s_ref = np.array([binary_entropy(abs(x) ** 2 / 2.0) for x in u])
+        neg_ref = np.array([math.log(2) - binary_entropy((1.0 - abs(x) ** 2) / 2.0)
+                            for x in u])
+        assert np.abs(traj.s_system - s_ref).max() <= 1e-11
+        assert np.abs(traj.neg_cond_sa - neg_ref).max() <= 1e-11
+
     def test_memory_trace_matches_loop_oracle(self):
-        model = LindbladModel(d=3, omega=1.0, gamma=0.25)
-        rho0 = extended_initial(3)
-        traj = evolve(model, rho0, [0.0, 1.7])
-        full = traj.states[-1]
-        direct = partial_trace(full, {0, 2}).data
-        loops = partial_trace_out_memory_loops(full.data, 3)
+        d = 3
+        model = LindbladModel(d=d, omega=1.0, gamma=0.25)
+        full = qudit_dop853_states(d, 1.0, 0.25, "spin", extended_initial(d).data,
+                                   [0.0, 1.7])[-1]
+        loops = partial_trace_out_memory_loops(full, d)
+        direct = partial_trace(DensityMatrix(full, (d, 2, d)), {0, 2}).data
         assert np.abs(direct - loops).max() < 1e-12
+        state = evolve_choi(model, [0.0, 1.7]).states[-1]
+        assert np.abs(state - loops).max() < 1e-9
 
     def test_dense_queries_match_grid(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.1)
         grid = np.linspace(0.0, 4.0, 41)
         ev = evolve_choi(model, grid)
-        st_grid = ev.states[20]
+        assert ev.states.shape == (41, 4, 4)
         st_query = ev.state_at(grid[20])
-        assert np.abs(st_grid.data - st_query.data).max() == 0.0
+        assert np.abs(ev.states[20] - st_query.data).max() == 0.0
         # off-grid query sits between neighbours, consistent with both
         mid = 0.5 * (grid[20] + grid[21])
         st_mid = ev.state_at(mid)
         assert abs(np.trace(st_mid.data) - 1.0) < 1e-9
+        assert np.abs(st_mid.data - ev.states[20]).max() < 0.1
+        assert np.abs(st_mid.data - ev.states[21]).max() < 0.1
+
+    def test_non_uniform_grid(self):
+        model = LindbladModel(d=3, omega=1.0, gamma=0.2)
+        grid = np.array([0.0, 0.1, 0.35, 0.4, 1.3, 1.4])
+        ev = evolve_choi(model, grid)
+        for t, state in zip(grid, ev.states):
+            exact = choi_from_superoperator(channel_superoperator(model, t))
+            assert np.abs(state - exact).max() < 1e-12
 
 
 class TestChannelSuperoperator:
@@ -203,11 +278,9 @@ class TestChannelSuperoperator:
         # same map applied through the joint evolution with a spectator ancilla
         mem = np.zeros((2, 2), dtype=complex)
         mem[0, 0] = 1.0
-        rho0 = DensityMatrix(
-            np.kron(np.kron(rho_s, mem), np.eye(d) / d), (d, 2, d)
-        )
-        traj = evolve(model, rho0, [0.0, t])
-        via_evolve = partial_trace(traj.states[-1], {0}).data
+        rho0 = np.kron(np.kron(rho_s, mem), np.eye(d) / d)
+        final = qudit_dop853_states(d, 1.0, 0.3, "spin", rho0, [0.0, t])[-1]
+        via_evolve = partial_trace(DensityMatrix(final, (d, 2, d)), {0}).data
         assert np.abs(via_superop - via_evolve).max() < 1e-8
 
     def test_choi_positive_and_normalized(self):
@@ -223,20 +296,22 @@ class TestChannelSuperoperator:
         model = LindbladModel(d=d, omega=1.0, gamma=0.2)
         t = 1.1
         choi = choi_from_superoperator(channel_superoperator(model, t))
-        (_, sa), = reduced_choi_trajectory(model, [0.0, t])[1:]
-        assert np.abs(choi - sa.data).max() < 1e-8
+        sa = evolve_choi(model, [0.0, t]).states[-1]
+        assert np.abs(choi - sa).max() < 1e-8
 
     def test_rejects_negative_time(self):
         with pytest.raises(InvalidSubsystemError):
             channel_superoperator(LindbladModel(d=2), -1.0)
+        with pytest.raises(InvalidSubsystemError):
+            channel_superoperator(LindbladModel(d=2), math.nan)
 
 
 class TestGridConvergence:
     def test_entropy_agrees_on_shared_points_under_refinement(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.05)
-        coarse = reduced_choi_trajectory(model, np.linspace(0.0, 6.0, 31))
-        fine = reduced_choi_trajectory(model, np.linspace(0.0, 6.0, 61))
-        for k, (t, state) in enumerate(coarse):
-            s_c = von_neumann_entropy(partial_trace(state, {0}))
-            s_f = von_neumann_entropy(partial_trace(fine[2 * k][1], {0}))
+        coarse = evolve_choi(model, np.linspace(0.0, 6.0, 31)).states
+        fine = evolve_choi(model, np.linspace(0.0, 6.0, 61)).states
+        for k, state in enumerate(coarse):
+            s_c = von_neumann_entropy(partial_trace(DensityMatrix(state, (2, 2)), {0}))
+            s_f = von_neumann_entropy(partial_trace(DensityMatrix(fine[2 * k], (2, 2)), {0}))
             assert abs(s_c - s_f) < 1e-6

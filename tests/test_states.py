@@ -9,6 +9,7 @@ from qmemwitness import (
     InvalidDimensionError,
     InvalidStateError,
     InvalidSubsystemError,
+    entropy_arrays,
     entropy_triple,
     ladder_operators,
     max_entangled_state,
@@ -123,6 +124,10 @@ class TestVonNeumannEntropy:
         with pytest.raises(InvalidStateError):
             von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
 
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(InvalidStateError):
+            von_neumann_entropy(np.full((2, 2), np.nan, dtype=complex))
+
     def test_rejects_deep_negative_eigenvalue(self):
         with pytest.raises(InvalidStateError):
             von_neumann_entropy(np.diag([1.0 + 5e-8, -5e-8]).astype(complex))
@@ -176,6 +181,48 @@ class TestEntropyTriple:
     def test_invariant_violation_rejected(self):
         with pytest.raises(InvalidStateError):
             EntropyTriple(s_system=1.0, s_ancilla=0.0, s_joint=0.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidStateError):
+            EntropyTriple(s_system=math.nan, s_ancilla=0.5, s_joint=0.5)
+
+
+class TestEntropyArrays:
+    def test_matches_per_state_entropies(self, rng):
+        stack = np.array([random_density_matrix(rng, [2, 3], rank=r) for r in (1, 2, 3, 6)])
+        s_sys, s_anc, s_joint = entropy_arrays(stack, (2, 3))
+        for k, rho in enumerate(stack):
+            dm = DensityMatrix(rho, (2, 3))
+            assert abs(s_sys[k] - von_neumann_entropy(partial_trace(dm, {0}))) < 1e-12
+            assert abs(s_anc[k] - von_neumann_entropy(partial_trace(dm, {1}))) < 1e-12
+            assert abs(s_joint[k] - von_neumann_entropy(dm)) < 1e-12
+
+    def test_accepts_eigenvalue_noise(self):
+        stack = np.array([np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]).astype(complex)])
+        _, _, s_joint = entropy_arrays(stack, (2, 2))
+        assert abs(s_joint[0] - math.log(2)) < 1e-8
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.5, 0.3], [0.0, 0.5]]),   # not Hermitian
+        np.eye(2),                            # trace 2
+        np.diag([1.2, -0.2]),                 # negative eigenvalue
+        np.full((2, 2), np.nan),              # not finite
+    ])
+    def test_rejects_any_invalid_point(self, bad):
+        # one bad state anywhere in the stack rejects the stack, as
+        # DensityMatrix would reject it on its own
+        good = np.eye(4, dtype=complex) / 4
+        stack = np.array([good, np.kron(bad, np.eye(2) / 2), good], dtype=complex)
+        with pytest.raises(InvalidStateError):
+            entropy_arrays(stack, (2, 2))
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(InvalidSubsystemError):
+            entropy_arrays(np.array([np.eye(4) / 4]), (2, 3))
+        with pytest.raises(InvalidSubsystemError):
+            entropy_arrays(np.eye(4) / 4, (2, 2))
+        with pytest.raises(InvalidSubsystemError):
+            entropy_arrays(np.array([np.eye(8) / 8]), (2, 2, 2))
 
 
 class TestLadderOperators:

@@ -5,6 +5,7 @@ import pytest
 
 from qmemwitness import (
     DensityMatrix,
+    EntropyTrajectory,
     EntropyTriple,
     ExtremumNotFoundError,
     InvalidSubsystemError,
@@ -19,9 +20,12 @@ from qmemwitness import (
     max_entangled_state,
     ordering_check,
     scan_qudit,
+    qudit_entropy_trajectory,
     two_mode_squeezed,
+    witness_from_trajectory,
     witness_qudit_model,
 )
+from qmemwitness.witness import _interior_extrema
 from oracles import (
     apply_kraus_choi,
     random_density_matrix,
@@ -171,6 +175,55 @@ class TestFindWitnessTimes:
             find_witness_times(traj)
 
 
+def interior_extrema_loops(values, kind, noise_floor):
+    """Reference: interior extrema by an explicit loop over the grid."""
+    sign = 1.0 if kind == "min" else -1.0
+    v = sign * values
+    out = []
+    for i in range(1, len(v) - 1):
+        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
+            if max(v[i - 1], v[i + 1]) - v[i] > noise_floor:
+                out.append(i)
+    return out
+
+
+def ordering_check_loops(traj, tol=1e-9):
+    return all(p[1].neg_cond_sa >= p[1].neg_cond_as - tol for p in traj)
+
+
+class TestVectorizedScansMatchLoops:
+    @staticmethod
+    def arrays(rng):
+        yield rng.normal(size=200)
+        # plateaus, exact ties and steps around the noise floor
+        yield np.round(rng.normal(size=300), 1)
+        yield np.repeat(rng.integers(0, 4, size=60), rng.integers(1, 4, size=60)) * 1e-10
+        yield np.cumsum(rng.choice([-1e-10, 0.0, 2e-10, -3e-10], size=400))
+        yield np.array([1.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 0.0])
+        yield np.zeros(5)
+        yield np.array([1.0, np.nan, 0.0, 1.0, 0.5, 2.0])
+        yield np.array([0.3, 0.1])
+
+    def test_interior_extrema(self, rng):
+        for values in self.arrays(rng):
+            for kind in ("min", "max"):
+                for floor in (0.0, 1e-10, 0.05):
+                    got = _interior_extrema(values, kind, floor)
+                    assert got.tolist() == interior_extrema_loops(values, kind, floor)
+
+    def test_ordering_check(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            s_anc = np.round(rng.uniform(0.5, 1.0, size=n), 2)
+            s_sys = s_anc + rng.choice([-2e-9, 0.0, 5e-10, 1e-9, 1e-3], size=n)
+            s_joint = np.round(rng.uniform(0.01, 0.4, size=n), 2)
+            traj = [(float(k), EntropyTriple(float(a), float(b), float(c)))
+                    for k, (a, b, c) in enumerate(zip(s_sys, s_anc, s_joint))]
+            expected = ordering_check_loops(traj)
+            assert ordering_check(traj) == expected
+            assert ordering_check(EntropyTrajectory.from_triples(traj)) == expected
+
+
 class TestOrderingCheck:
     def test_max_entangled_probe_ordering(self):
         res = witness_qudit_model(LindbladModel(d=2, omega=1.0, gamma=0.1),
@@ -194,6 +247,17 @@ class TestQuditPipeline:
         assert rep.delta_s < -0.2
         assert res.ordering_ok
         assert res.revival_maxima[0][0] == pytest.approx(rep.t2, abs=0.05)
+
+    def test_trajectory_then_witness_matches_pipeline(self):
+        model = LindbladModel(d=3, omega=1.0, gamma=0.2)
+        ev, traj = qudit_entropy_trajectory(model, t_max=6.0, n_points=301)
+        assert ev.states.shape == (301, 9, 9)
+        res = witness_from_trajectory(ev, traj)
+        ref = witness_qudit_model(model, t_max=6.0, n_points=301)
+        assert res.report == ref.report
+        assert res.revival_maxima == ref.revival_maxima
+        for (t, a), (u, b) in zip(res.triples, ref.triples):
+            assert t == u and a == b
 
     def test_scan_rows_ordered_and_complete(self):
         rows = scan_qudit([2], [0.5, 0.25], t_max=8.0, n_points=401)
