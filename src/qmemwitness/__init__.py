@@ -24,23 +24,22 @@ from .errors import (
     UnphysicalStateError,
 )
 from .gaussian import (
-    CovarianceState,
+    DhoAmplitude,
     DhoParams,
     GaussianChannel,
     TwoModeBlocks,
     apply_channel,
     cp_check,
-    delta_S_gaussian,
     delta_S_lossy,
     dho_amplitude,
     dho_channel,
     dho_coefficients,
     entropy_single_mode,
     entropy_two_mode,
+    first_loss_reversal,
     h,
     lossy_channel,
     minimize_delta_S_over_r,
-    symplectic_form,
     two_mode_squeezed,
 )
 from .lindblad import (

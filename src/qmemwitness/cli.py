@@ -86,18 +86,11 @@ def _progress(message: str) -> None:
 # configuration handling
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind: type) -> list:
     try:
-        return [int(p) for p in str(text).replace(",", " ").split()]
+        return [kind(p) for p in str(text).replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in str(text).replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}") from exc
+        raise ConfigError(f"expected a comma-separated {kind.__name__} list: {text!r}") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -205,7 +198,7 @@ _SCAN_SPEC = {
 def _cmd_qudit_scan(cfg: dict) -> int:
     d_list = cfg["d_list"]
     if isinstance(d_list, str):
-        d_list = _parse_int_list(d_list)
+        d_list = _parse_list(d_list, int)
     _require(len(d_list) > 0, "d list must not be empty")
     _require(all(int(d) >= 2 for d in d_list), "all dimensions must be >= 2")
     _require(0 <= float(cfg["ratio_min"]) < float(cfg["ratio_max"]) < math.inf,
@@ -251,34 +244,30 @@ _LOSSY_SPEC = {
 
 
 def _cmd_gauss_lossy(cfg: dict) -> int:
-    _require(int(cfg["eta_points"]) >= 2, "eta_points must be >= 2")
-    _require(0 < float(cfg["r_min"]) < float(cfg["r_max"]),
-             "need 0 < r_min < r_max")
+    n = int(cfg["eta_points"])
+    r_min, r_max = float(cfg["r_min"]), float(cfg["r_max"])
+    _require(n >= 2, "eta_points must be >= 2")
+    _require(0 < r_min < r_max < math.inf, "need 0 < r_min < r_max < inf")
     fixed_r = cfg["fixed_r"]
     if isinstance(fixed_r, str):
-        fixed_r = _parse_float_list(fixed_r)
+        fixed_r = _parse_list(fixed_r, float)
     if fixed_r is not None:
-        _require(all(r > 0 for r in fixed_r), "fixed r values must be > 0")
+        _require(all(0 < float(r) < math.inf for r in fixed_r),
+                 "fixed r values must be finite and > 0")
 
-    etas = np.linspace(0.0, 1.0, int(cfg["eta_points"]))
-    rows = []
-    for i, e1 in enumerate(etas):
-        if i % 10 == 0:
-            _progress(f"gauss-lossy: row {i + 1}/{etas.size}")
-        for e2 in etas:
-            r_star, ds = gaussian.minimize_delta_S_over_r(
-                float(e1), float(e2), r_min=float(cfg["r_min"]), r_max=float(cfg["r_max"])
-            )
-            rows.append([float(e1), float(e2), ds, r_star])
+    _progress(f"gauss-lossy: {n}x{n} grid")
+    etas = np.linspace(0.0, 1.0, n)
+    e1, e2 = np.repeat(etas, n), np.tile(etas, n)   # eta1-major rows
+    r_star, ds = gaussian.minimize_delta_S_over_r(e1, e2, r_min=r_min, r_max=r_max)
+    rows = list(zip(e1.tolist(), e2.tolist(), ds.tolist(), r_star.tolist()))
     _write_csv(cfg["output"], ["eta1", "eta2", "delta_S_min", "r_star"], rows)
 
     if fixed_r:
-        rows_r = []
-        for r in fixed_r:
-            for e1 in etas:
-                ds_row = gaussian.delta_S_lossy(float(e1), etas, float(r))
-                for e2, ds in zip(etas, np.atleast_1d(ds_row)):
-                    rows_r.append([float(e1), float(e2), float(r), float(ds), ds < 0])
+        rs = np.array(fixed_r, dtype=float)
+        ds_r = gaussian.delta_S_lossy(e1, e2, rs[:, None])   # (r, cell)
+        rows_r = [[a, b, r, ds, ds < 0]
+                  for r, ds_row in zip(rs.tolist(), ds_r.tolist())
+                  for a, b, ds in zip(e1.tolist(), e2.tolist(), ds_row)]
         stem = Path(cfg["output"])
         path_r = str(stem.with_name(stem.stem + "_fixed_r" + stem.suffix))
         _write_csv(path_r, ["eta1", "eta2", "r", "delta_S", "negative"], rows_r)
@@ -304,6 +293,8 @@ def _cmd_gauss_dho(cfg: dict) -> int:
     g2, kappa = float(cfg["g2"]), float(cfg["kappa"])
     omega, omega_big = float(cfg["omega"]), float(cfg["omega_big"])
     t_max, points, r_probe = float(cfg["t_max"]), int(cfg["points"]), float(cfg["r"])
+    _require(all(map(math.isfinite, (g2, kappa, omega, omega_big, t_max, r_probe))),
+             "g2, kappa, omega, omega_big, t_max and r must be finite")
     _require(g2 >= 0, "g2 must be >= 0")
     _require(kappa > 0, "kappa must be > 0")
     _require(t_max > 0, "t_max must be > 0")
@@ -336,15 +327,7 @@ def _cmd_gauss_dho(cfg: dict) -> int:
         rows,
     )
 
-    # first loss reversal: first interior maximum of eta followed by a drop
-    # clearly above integrator noise
-    pair = None
-    for k in range(1, len(etas) - 1):
-        if etas[k] >= etas[k - 1] and etas[k] >= etas[k + 1]:
-            later = int(np.argmin(etas[k:])) + k
-            if etas[later] < etas[k] - 1e-9:
-                pair = (k, later)
-                break
+    pair = gaussian.first_loss_reversal(etas)
     sidecar: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "gauss-dho",

@@ -24,6 +24,7 @@ from .errors import (
     NumericalDegeneracyError,
     UnphysicalStateError,
 )
+from .optimize import golden_section
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
@@ -34,43 +35,6 @@ INTEGRATOR_ATOL = 1e-12
 
 #: Single-mode symplectic form.
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def symplectic_form(modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form for `modes` modes, shape (2N, 2N)."""
-    return np.kron(np.eye(modes), OMEGA_1)
-
-
-def _check_physical(sigma: np.ndarray, what: str) -> None:
-    modes = sigma.shape[0] // 2
-    omega = symplectic_form(modes)
-    lo = np.linalg.eigvalsh(sigma + 0.5j * omega).min()
-    if lo < -PHYSICALITY_TOL:
-        raise UnphysicalStateError(
-            f"{what} violates sigma + i Omega/2 >= 0 (min eigenvalue {lo:.3e})"
-        )
-
-
-@dataclass(frozen=True)
-class CovarianceState:
-    """Zero-mean Gaussian state: real symmetric 2N x 2N covariance matrix."""
-
-    sigma: np.ndarray
-    modes: int
-
-    def __post_init__(self):
-        sig = np.array(self.sigma, dtype=float)
-        n = int(self.modes)
-        if sig.shape != (2 * n, 2 * n):
-            raise UnphysicalStateError(
-                f"covariance matrix shape {sig.shape} does not match {n} modes"
-            )
-        if np.abs(sig - sig.T).max() > SYMMETRY_TOL:
-            raise UnphysicalStateError("covariance matrix is not symmetric")
-        _check_physical(sig, "covariance matrix")
-        sig.setflags(write=False)
-        object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "modes", n)
 
 
 @dataclass(frozen=True)
@@ -90,6 +54,8 @@ class GaussianChannel:
         n = np.array(self.n, dtype=float)
         if m.shape != (2, 2) or n.shape != (2, 2):
             raise InvalidChannelError("channel matrices must be 2x2")
+        if not (np.isfinite(m).all() and np.isfinite(n).all()):
+            raise InvalidChannelError("channel matrices must be finite")
         if np.abs(n - n.T).max() > SYMMETRY_TOL:
             raise InvalidChannelError("noise matrix N must be symmetric")
         m.setflags(write=False)
@@ -119,8 +85,13 @@ class TwoModeBlocks:
                 raise UnphysicalStateError(f"{name} must be 2x2, got {blk.shape}")
         if np.abs(a - a.T).max() > SYMMETRY_TOL or np.abs(b - b.T).max() > SYMMETRY_TOL:
             raise UnphysicalStateError("alpha and beta must be symmetric")
+        if not all(np.isfinite(blk).all() for blk in (a, b, g)):
+            raise UnphysicalStateError("covariance blocks must be finite")
         sig = np.block([[a, g], [g.T, b]])
-        _check_physical(sig, "assembled two-mode state")
+        lo = np.linalg.eigvalsh(sig + 0.5j * np.kron(np.eye(2), OMEGA_1)).min()
+        if lo < -PHYSICALITY_TOL:
+            raise UnphysicalStateError(f"two-mode state violates sigma + i Omega/2 >= 0 "
+                                       f"(min eigenvalue {lo:.3e})")
         for blk in (a, b, g):
             blk.setflags(write=False)
         object.__setattr__(self, "alpha", a)
@@ -137,7 +108,7 @@ class TwoModeBlocks:
 class DhoParams:
     """Damped-oscillator parameters: coupling strength g2 = |g|^2 (1/time^2),
     bath memory decay rate kappa (1/time), oscillator frequency omega and
-    bath central frequency omega_big (1/time)."""
+    bath central frequency omega_big (1/time); all finite."""
 
     g2: float
     kappa: float
@@ -145,6 +116,8 @@ class DhoParams:
     omega_big: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.g2, self.kappa, self.omega, self.omega_big))):
+            raise DomainError(f"parameters must be finite, got {self}")
         if self.g2 < 0:
             raise DomainError(f"g2 must be >= 0, got {self.g2}")
         if not self.kappa > 0:
@@ -177,10 +150,13 @@ def h(x):
         h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2),
 
     continuously extended by h(1/2) = 0. Accepts scalars or arrays;
-    values within 1e-9 below 1/2 are clamped to 1/2.
+    values within 1e-9 below 1/2 are clamped to 1/2. Non-finite input
+    raises DomainError.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.5 - 1e-9):
+    if not np.isfinite(arr).all():
+        raise DomainError("h(x) requires finite x")
+    if (arr < 0.5 - 1e-9).any():
         raise DomainError(f"h(x) requires x >= 1/2, got min {arr.min()}")
     arr = np.maximum(arr, 0.5)
     minus = arr - 0.5
@@ -255,21 +231,6 @@ def lossy_channel(eta: float) -> GaussianChannel:
     return GaussianChannel(m=math.sqrt(1.0 - eta) * np.eye(2), n=0.5 * eta * np.eye(2))
 
 
-def delta_S_gaussian(state_t1: TwoModeBlocks, state_t2: TwoModeBlocks) -> float:
-    """Entropic quantum-memory witness for two Gaussian snapshots:
-
-        S[alpha_t1] + S[sigma_t2] - max(S[alpha_t2], S[beta_t2]).
-
-    A strictly negative value certifies that no classical-memory
-    realization connects the two snapshots.
-    """
-    return (
-        entropy_single_mode(state_t1.alpha)
-        + entropy_two_mode(state_t2)
-        - max(entropy_single_mode(state_t2.alpha), entropy_single_mode(state_t2.beta))
-    )
-
-
 def delta_S_lossy(eta1, eta2, r):
     """Closed form of the witness for two lossy snapshots on a two-mode
     squeezed probe:
@@ -277,15 +238,16 @@ def delta_S_lossy(eta1, eta2, r):
         h((eta1 + (1-eta1) cosh r)/2) + h((1-eta2 + eta2 cosh r)/2)
           - h(cosh(r)/2).
 
-    Vectorizes over any of the arguments.
+    Vectorizes over any of the arguments; NaN or out-of-range input
+    raises DomainError.
     """
     e1 = np.asarray(eta1, dtype=float)
     e2 = np.asarray(eta2, dtype=float)
-    if np.any(e1 < 0) or np.any(e1 > 1) or np.any(e2 < 0) or np.any(e2 > 1):
+    if not (((e1 >= 0) & (e1 <= 1)).all() and ((e2 >= 0) & (e2 <= 1)).all()):
         raise DomainError("loss parameters must lie in [0, 1]")
     rr = np.asarray(r, dtype=float)
-    if np.any(rr <= 0):
-        raise DomainError("squeezing parameter must be > 0")
+    if not ((rr > 0) & np.isfinite(rr)).all():
+        raise DomainError("squeezing parameter must be finite and > 0")
     c = np.cosh(rr)
     out = h((e1 + (1.0 - e1) * c) / 2.0) + h((1.0 - e2 + e2 * c) / 2.0) - h(c / 2.0)
     if all(np.ndim(a) == 0 for a in (eta1, eta2, r)):
@@ -293,58 +255,75 @@ def delta_S_lossy(eta1, eta2, r):
     return out
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def minimize_delta_S_over_r(
-    eta1: float,
-    eta2: float,
-    r_min: float = 1e-3,
-    r_max: float = 6.0,
-    coarse_points: int = 40,
-) -> tuple[float, float]:
+def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0,
+                            coarse_points: int = 40):
     """Minimize the lossy-channel witness over the squeezing parameter.
 
-    Golden-section search on ln r, warm-started from a coarse grid.
-    Returns (r_star, delta_S_star). The minimum is never positive-biased:
+    Golden-section search on ln r, warm-started from a coarse grid, for
+    every cell of the broadcast (eta1, eta2) at once. Returns
+    (r_star, delta_S_star) as arrays of the broadcast shape, or as two
+    floats for scalar input. The minimum is never positive-biased:
     values below the coarse grid's best are always explored around it.
     """
-    if not 0.0 <= eta1 <= 1.0 or not 0.0 <= eta2 <= 1.0:
-        raise DomainError("loss parameters must lie in [0, 1]")
-    u_lo, u_hi = math.log(r_min), math.log(r_max)
-    grid = np.linspace(u_lo, u_hi, coarse_points)
-    vals = delta_S_lossy(eta1, eta2, np.exp(grid))
-    k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, coarse_points - 1)]
-
-    def f(u: float) -> float:
-        return delta_S_lossy(eta1, eta2, math.exp(u))
-
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-9:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    u_star = c if fc < fd else d
-    f_star = min(fc, fd)
-    best_grid = float(vals[k])
-    if best_grid < f_star:
-        u_star, f_star = float(grid[k]), best_grid
-    return math.exp(u_star), float(f_star)
+    if not 0.0 < r_min < r_max < math.inf:
+        raise DomainError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
+    e1, e2 = np.broadcast_arrays(np.asarray(eta1, dtype=float), np.asarray(eta2, dtype=float))
+    shape, e1, e2 = e1.shape, e1.ravel(), e2.ravel()
+    grid = np.linspace(math.log(r_min), math.log(r_max), coarse_points)
+    vals = delta_S_lossy(e1[:, None], e2[:, None], np.exp(grid))
+    k = np.argmin(vals, axis=1)
+    _, _, c, d, fc, fd = golden_section(
+        lambda u, idx: delta_S_lossy(e1[idx], e2[idx], np.exp(u)),
+        grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, coarse_points - 1)], 1e-9,
+    )
+    best_grid = vals[np.arange(k.size), k]
+    on_grid = best_grid < np.minimum(fc, fd)
+    u_star = np.where(on_grid, grid[k], np.where(fc < fd, c, d)).reshape(shape)
+    f_star = np.where(on_grid, best_grid, np.minimum(fc, fd)).reshape(shape)
+    if u_star.ndim == 0:
+        return math.exp(u_star), float(f_star)
+    return np.exp(u_star), f_star
 
 
-def dho_amplitude(
-    params: DhoParams, t_grid: Sequence[float]
-) -> list[tuple[float, complex, complex]]:
-    """Oscillator amplitude c_t and its derivative on the output grid.
+@dataclass(frozen=True)
+class DhoAmplitude:
+    """Oscillator amplitude c_t, its derivative c_dot and the accumulated
+    phase Phi_t = int_0^t omega_s ds (cumulative trapezoid; omega_s from
+    `dho_coefficients`, interpolated across points with |c| below the
+    cutoff) at `times`. Iterates and indexes as (t, c, c_dot) tuples.
+    """
+
+    times: np.ndarray
+    c: np.ndarray
+    c_dot: np.ndarray
+    phase: np.ndarray
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def __getitem__(self, k: int) -> tuple[float, complex, complex]:
+        return float(self.times[k]), complex(self.c[k]), complex(self.c_dot[k])
+
+    def __iter__(self):
+        return zip(self.times.tolist(), self.c.tolist(), self.c_dot.tolist())
+
+    @classmethod
+    def from_arrays(cls, times, c, c_dot, omega: float) -> "DhoAmplitude":
+        """Amplitude samples on a grid plus the phase they give at frequency omega."""
+        times = np.asarray(times, dtype=float)
+        c, c_dot = np.asarray(c, dtype=complex), np.asarray(c_dot, dtype=complex)
+        ok = np.abs(c) > AMPLITUDE_CUTOFF
+        phase = np.full(times.shape, np.nan)
+        if ok.any():
+            g = -(c_dot[ok] + 1j * omega * c[ok]) / c[ok]
+            omega_s = omega + np.interp(times, times[ok], g.imag)
+            steps = np.diff(times) * (omega_s[1:] + omega_s[:-1]) / 2.0
+            phase = np.concatenate([[0.0], np.cumsum(steps)])
+        return cls(times, c, c_dot, phase)
+
+
+def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
+    """Oscillator amplitude c_t, its derivative and phase on the output grid.
 
     Integrates the time-local equation
 
@@ -352,18 +331,19 @@ def dho_amplitude(
             + [g2 + i omega (kappa + i omega_big)] c = 0
 
     with c(0) = 1, c'(0) = -i omega, which encodes an exponentially
-    decaying bath memory kernel. Returns [(t, c, c_dot), ...].
+    decaying bath memory kernel. Returns a `DhoAmplitude`, which also
+    reads as [(t, c, c_dot), ...].
     """
     grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1 or abs(grid[0]) > 1e-14:
-        raise DomainError("time grid must be 1-d and start at 0")
+    if grid.ndim != 1 or grid.size < 1 or abs(grid[0]) > 1e-14 or not np.isfinite(grid).all():
+        raise DomainError("time grid must be 1-d, finite and start at 0")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise DomainError("time grid must be strictly increasing")
     b = params.kappa + 1j * (params.omega + params.omega_big)
     c0 = params.g2 + 1j * params.omega * (params.kappa + 1j * params.omega_big)
     y0 = np.array([1.0, -1j * params.omega], dtype=complex)
     if grid.size == 1:
-        return [(0.0, complex(y0[0]), complex(y0[1]))]
+        return DhoAmplitude.from_arrays(grid, y0[:1], y0[1:], params.omega)
 
     def rhs(t, y):
         return np.array([y[1], -b * y[1] - c0 * y[0]])
@@ -372,8 +352,7 @@ def dho_amplitude(
                     rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
     if not sol.success:
         raise IntegrationFailureError(sol.message)
-    return [(float(t), complex(c), complex(cd))
-            for t, c, cd in zip(grid, sol.y[0], sol.y[1])]
+    return DhoAmplitude.from_arrays(grid, sol.y[0], sol.y[1], params.omega)
 
 
 def dho_coefficients(
@@ -393,13 +372,8 @@ def dho_coefficients(
     return g, 2.0 * g.real, params.omega + g.imag
 
 
-def _rotation(phi: float) -> np.ndarray:
-    cs, sn = math.cos(phi), math.sin(phi)
-    return np.array([[cs, -sn], [sn, cs]])
-
-
 def dho_channel(
-    amplitude: Sequence[tuple[float, complex, complex]],
+    amplitude: DhoAmplitude | Sequence[tuple[float, complex, complex]],
     params: DhoParams,
     t: float,
     on_vanishing: str = "raise",
@@ -412,19 +386,20 @@ def dho_channel(
     Phi_t = int_0^t omega_s ds evaluated by trapezoidal quadrature over
     the amplitude grid (the rotation never affects the witness).
 
-    `amplitude` is the output of `dho_amplitude`; t must coincide with
-    one of its grid times. With on_vanishing="full-loss" an amplitude
+    `amplitude` is the output of `dho_amplitude`, whose phase is read at
+    t, or a list of (t, c, c_dot) tuples; t must coincide with one of
+    its grid times. With on_vanishing="full-loss" an amplitude
     zero at t yields the full-loss channel (M = 0, N = I/2) instead of
     raising.
     """
-    times = np.array([p[0] for p in amplitude], dtype=float)
-    cs = np.array([p[1] for p in amplitude], dtype=complex)
-    cds = np.array([p[2] for p in amplitude], dtype=complex)
+    amp = (amplitude if isinstance(amplitude, DhoAmplitude)
+           else DhoAmplitude.from_arrays(*zip(*amplitude), params.omega))
+    times = amp.times
     span = max(times[-1], 1.0)
     k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > 1e-9 * span:
+    if not abs(times[k] - t) <= 1e-9 * span:
         raise DomainError(f"t={t} is not a grid time of the amplitude trajectory")
-    c_t = cs[k]
+    c_t = amp.c[k]
     if abs(c_t) <= AMPLITUDE_CUTOFF:
         if on_vanishing == "full-loss":
             return GaussianChannel(m=np.zeros((2, 2)), n=0.5 * np.eye(2))
@@ -432,12 +407,27 @@ def dho_channel(
             f"amplitude vanished at t={times[k]:.6g}", time=float(times[k])
         )
     gamma_big = -math.log(abs(c_t) ** 2)
-    ok = np.abs(cs[: k + 1]) > AMPLITUDE_CUTOFF
-    g_vals = -(cds[: k + 1][ok] + 1j * params.omega * cs[: k + 1][ok]) / cs[: k + 1][ok]
-    omega_s = params.omega + np.interp(times[: k + 1], times[: k + 1][ok], g_vals.imag)
-    phi = float(np.trapezoid(omega_s, times[: k + 1])) if k > 0 else 0.0
     scale = math.exp(-gamma_big / 2.0)
+    cs, sn = math.cos(amp.phase[k]), math.sin(amp.phase[k])
     return GaussianChannel(
-        m=scale * _rotation(phi),
+        m=scale * np.array([[cs, -sn], [sn, cs]]),
         n=0.5 * (1.0 - math.exp(-gamma_big)) * np.eye(2),
     )
+
+
+def first_loss_reversal(eta) -> tuple[int, int] | None:
+    """First loss reversal (k1, k2) on a sampled loss curve, or None.
+
+    k1 is the first interior local maximum of eta (>= both neighbours, so
+    a plateau counts at its first point) after which eta drops by more
+    than 1e-9 (integrator noise); k2 is the first index of the minimum
+    of eta from k1 on. A monotone loss gives None.
+    """
+    e = np.asarray(eta, dtype=float)
+    mid = e[1:-1]
+    tail_min = np.minimum.accumulate(e[::-1])[::-1]
+    hits = np.flatnonzero((mid >= e[:-2]) & (mid >= e[2:]) & (tail_min[1:-1] < mid - 1e-9))
+    if hits.size == 0:
+        return None
+    k = int(hits[0]) + 1
+    return k, int(np.argmin(e[k:])) + k

@@ -61,6 +61,8 @@ class DensityMatrix:
             raise InvalidSubsystemError(
                 f"subsystem dimensions {dims} do not factor a {arr.shape[0]}-dim space"
             )
+        if not np.isfinite(arr).all():
+            raise InvalidStateError("matrix has non-finite entries")
         herm = np.abs(arr - arr.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm:.3e}")

@@ -24,6 +24,7 @@ import numpy as np
 from . import gaussian as _gaussian
 from .errors import ExtremumNotFoundError, InvalidSubsystemError, QmemError
 from .lindblad import ChoiEvolution, LindbladModel, evolve_choi
+from .optimize import golden_section
 from .states import (
     DEFAULT_CONVENTION,
     DensityMatrix,
@@ -172,24 +173,6 @@ def _interior_extrema(values: np.ndarray, kind: str, noise_floor: float) -> np.n
     return np.flatnonzero(hit) + 1
 
 
-def _golden_refine(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Location of the minimum of f on [a, b] to within tol."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def find_witness_times(
     traj: EntropyTrajectory | Sequence[tuple[float, EntropyTriple]],
     evaluate: Callable[[float], EntropyTriple] | None = None,
@@ -243,7 +226,8 @@ def _refine_extremum(times, values, i, kind, evaluate, tol):
             f = lambda t: evaluate(t).s_system
         else:
             f = lambda t: -evaluate(t).neg_cond_sa
-        return _golden_refine(f, a, b, tol)
+        a, b, *_ = golden_section(lambda x, _: np.array([f(float(x[0]))]), a, b, tol)
+        return float(0.5 * (a[0] + b[0]))
     # parabola through the three grid points
     y0, y1, y2 = values[i - 1], values[i], values[i + 1]
     t0, t1_, t2_ = times[i - 1], times[i], times[i + 1]

@@ -2,8 +2,9 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from qmemwitness import max_entangled_state
+from qmemwitness import delta_S_lossy, max_entangled_state, minimize_delta_S_over_r
 from qmemwitness.cli import main
 
 
@@ -179,6 +180,34 @@ class TestGaussLossy:
         assert run(["gauss-lossy", "--r-min", 2, "--r-max", 1,
                     "--output", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--r-max", "inf"], ["--r-min", "nan"],
+                                       ["--r-max", "nan"], ["--fixed-r", "1,inf"],
+                                       ["--fixed-r", "nan"]])
+    def test_non_finite_flags_are_config_errors(self, tmp_path, flags):
+        out = tmp_path / "x.csv"
+        assert run(["gauss-lossy", "--eta-points", 3, *flags, "--output", out]) == 2
+        assert not out.exists()
+
+    def test_rows_match_per_cell_minimization(self, tmp_path):
+        out = tmp_path / "lossy.csv"
+        assert run(["gauss-lossy", "--eta-points", 4, "--r-min", 0.01, "--r-max", 5,
+                    "--fixed-r", "0.5,2", "--output", out]) == 0
+        _, rows = read_csv(out)
+        etas = np.linspace(0.0, 1.0, 4)
+        expected = []
+        for e1 in etas:
+            for e2 in etas:
+                r_star, ds = minimize_delta_S_over_r(float(e1), float(e2), r_min=0.01, r_max=5.0)
+                expected.append([format(float(v), ".12g") for v in (e1, e2, ds, r_star)])
+        assert [row[:3] for row in rows] == [row[:3] for row in expected]
+        for row, ref in zip(rows, expected):
+            assert abs(float(row[3]) - float(ref[3])) <= 1e-6 * float(ref[3])
+        _, rows_r = read_csv(tmp_path / "lossy_fixed_r.csv")
+        expected_r = [[format(float(v), ".12g") for v in (e1, e2, r)]
+                      + [format(delta_S_lossy(float(e1), float(e2), r), ".12g")]
+                      for r in (0.5, 2.0) for e1 in etas for e2 in etas]
+        assert [row[:4] for row in rows_r] == expected_r
+
 
 class TestGaussDho:
     def test_default_parameters_detect(self, tmp_path):
@@ -217,6 +246,14 @@ class TestGaussDho:
 
     def test_bad_kappa(self, tmp_path):
         assert run(["gauss-dho", "--kappa", 0, "--output", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--g2", "--kappa", "--omega", "--omega-big",
+                                      "--t-max", "--r"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_flags_are_config_errors(self, tmp_path, flag, value):
+        out = tmp_path / "x.csv"
+        assert run(["gauss-dho", flag, value, "--output", out]) == 2
+        assert not out.exists()
 
 
 class TestWitnessEval:
@@ -270,6 +307,17 @@ class TestWitnessEval:
         }
         f1.write_text(json.dumps(bad))
         assert run(["witness-eval", "--state-t1", f1, "--state-t2", f1]) == 3
+
+    def test_nan_snapshot_is_numerical_failure(self, tmp_path, capsys):
+        f1 = tmp_path / "s1.json"
+        nan = {"schema_version": 1, "kind": "density_matrix", "dims": [2, 2],
+               "real": np.full((4, 4), np.nan).tolist(), "imag": np.zeros((4, 4)).tolist()}
+        f1.write_text(json.dumps(nan))
+        f2 = tmp_path / "s2.json"
+        write_dm_state(f2, max_entangled_state(2))
+        assert run(["witness-eval", "--state-t1", f1, "--state-t2", f2]) == 3
+        assert run(["witness-eval", "--state-t1", f2, "--state-t2", f1]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_unordered_times_rejected(self, tmp_path):
         f1 = tmp_path / "s1.json"

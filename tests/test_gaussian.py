@@ -5,7 +5,7 @@ import pytest
 
 from qmemwitness import (
     AmplitudeVanishingError,
-    CovarianceState,
+    DhoAmplitude,
     DhoParams,
     DomainError,
     GaussianChannel,
@@ -14,13 +14,14 @@ from qmemwitness import (
     UnphysicalStateError,
     apply_channel,
     cp_check,
-    delta_S_gaussian,
     delta_S_lossy,
     dho_amplitude,
     dho_channel,
     dho_coefficients,
     entropy_single_mode,
     entropy_two_mode,
+    evaluate_criterion_gaussian,
+    first_loss_reversal,
     h,
     lossy_channel,
     minimize_delta_S_over_r,
@@ -41,13 +42,22 @@ def blocks_from_sigma(sigma):
                          gamma_block=sigma[:2, 2:])
 
 
+def delta_S_gaussian(state_t1, state_t2):
+    """S[alpha_t1] + S[sigma_t2] - max(S[alpha_t2], S[beta_t2]) via the witness report."""
+    return evaluate_criterion_gaussian(state_t1, state_t2).delta_s
+
+
 class TestTypes:
     def test_covariance_state_validation(self):
-        CovarianceState(np.eye(2) / 2, modes=1)
+        # single-mode physicality, checked on the system block of a product state
+        vac, zero = np.eye(2) / 2, np.zeros((2, 2))
+        TwoModeBlocks(alpha=vac, beta=vac, gamma_block=zero)
         with pytest.raises(UnphysicalStateError):
-            CovarianceState(np.eye(2) / 4, modes=1)   # below vacuum
+            TwoModeBlocks(alpha=np.eye(2) / 4, beta=vac, gamma_block=zero)   # below vacuum
         with pytest.raises(UnphysicalStateError):
-            CovarianceState(np.array([[0.5, 0.1], [0.0, 0.5]]), modes=1)
+            TwoModeBlocks(alpha=np.array([[0.5, 0.1], [0.0, 0.5]]), beta=vac, gamma_block=zero)
+        with pytest.raises(UnphysicalStateError):
+            TwoModeBlocks(alpha=np.full((2, 2), np.nan), beta=vac, gamma_block=zero)
 
     def test_two_mode_blocks_validation(self):
         with pytest.raises(UnphysicalStateError):
@@ -58,11 +68,24 @@ class TestTypes:
         with pytest.raises(InvalidChannelError):
             GaussianChannel(m=np.eye(3), n=np.zeros((3, 3)))
 
+    def test_channel_rejects_non_finite(self):
+        with pytest.raises(InvalidChannelError):
+            GaussianChannel(m=np.full((2, 2), np.nan), n=np.eye(2) / 2)
+        with pytest.raises(InvalidChannelError):
+            GaussianChannel(m=np.eye(2), n=np.diag([np.inf, 0.5]))
+
     def test_dho_params_validation(self):
         with pytest.raises(DomainError):
             DhoParams(g2=-1.0, kappa=0.5, omega=1.0, omega_big=0.0)
         with pytest.raises(DomainError):
             DhoParams(g2=1.0, kappa=0.0, omega=1.0, omega_big=0.0)
+
+    @pytest.mark.parametrize("field", ["g2", "kappa", "omega", "omega_big"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_dho_params_reject_non_finite(self, field, value):
+        fields = {"g2": 1.0, "kappa": 0.25, "omega": 1.0, "omega_big": 1.0, field: value}
+        with pytest.raises(DomainError):
+            DhoParams(**fields)
 
 
 class TestEntropyFunctions:
@@ -83,6 +106,11 @@ class TestEntropyFunctions:
         assert h(0.5 - 5e-10) == 0.0   # clamped
         with pytest.raises(DomainError):
             h(0.4)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, np.array([1.0, math.nan])])
+    def test_h_rejects_non_finite(self, x):
+        with pytest.raises(DomainError):
+            h(x)
 
     def test_entropy_single_mode(self):
         assert entropy_single_mode(np.eye(2) / 2) == 0.0
@@ -204,6 +232,13 @@ class TestLossyWitness:
         with pytest.raises(DomainError):
             delta_S_lossy(0.5, 0.5, -1.0)
 
+    @pytest.mark.parametrize("args", [(0.5, 0.5, math.nan), (0.5, 0.5, math.inf),
+                                      (math.nan, 0.5, 1.0), (0.5, math.nan, 1.0),
+                                      (np.array([0.2, math.nan]), 0.5, 1.0)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError):
+            delta_S_lossy(*args)
+
 
 class TestMinimizeOverR:
     def test_diagonal_is_nonnegative(self):
@@ -251,6 +286,93 @@ class TestMinimizeOverR:
                     assert ds_small < 0
 
 
+def minimize_loop(eta1, eta2, r_min=1e-3, r_max=6.0, coarse_points=40):
+    """Reference: one scalar golden-section search on ln r for one cell."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    grid = np.linspace(math.log(r_min), math.log(r_max), coarse_points)
+    vals = delta_S_lossy(eta1, eta2, np.exp(grid))
+    k = int(np.argmin(vals))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, coarse_points - 1)]
+
+    def f(u):
+        return delta_S_lossy(eta1, eta2, math.exp(u))
+
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-9:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = f(d)
+    u_star, f_star = (c if fc < fd else d), min(fc, fd)
+    if vals[k] < f_star:
+        u_star, f_star = float(grid[k]), float(vals[k])
+    return math.exp(u_star), float(f_star), k
+
+
+class TestVectorizedMinimizerMatchesLoop:
+    @staticmethod
+    def check(e1, e2, **kw):
+        r_star, ds = minimize_delta_S_over_r(e1, e2, **kw)
+        ks = []
+        for a, b, r_got, ds_got in zip(e1, e2, r_star, ds):
+            r_ref, ds_ref, k = minimize_loop(float(a), float(b), **kw)
+            assert abs(ds_got - ds_ref) <= 1e-14
+            assert abs(r_got - r_ref) <= 1e-6 * r_ref
+            ks.append(k)
+        return ks
+
+    def test_21x21_grid(self):
+        etas = np.linspace(0.0, 1.0, 21)
+        self.check(np.repeat(etas, 21), np.tile(etas, 21))
+
+    def test_random_interior_points(self, rng):
+        e1, e2 = rng.uniform(0.0, 1.0, size=(2, 60))
+        self.check(e1, e2)
+        self.check(e1[:10], e2[:10], r_min=0.05, r_max=3.0, coarse_points=17)
+
+    def test_edge_brackets(self):
+        # the coarse minimum on the first (k=0) and the last (k=39) grid point
+        assert self.check(np.array([0.6, 0.9]), np.array([0.3, 0.5]), r_min=2.0) == [0, 0]
+        assert self.check(np.array([0.6, 1.0]), np.array([0.3, 0.0]), r_max=0.5) == [39, 39]
+        assert self.check(np.array([1.0]), np.array([0.0]))[0] == 39
+
+    def test_scalar_input_returns_floats(self):
+        r_star, ds = minimize_delta_S_over_r(0.6, 0.3)
+        assert type(r_star) is float and type(ds) is float
+        r_ref, ds_ref, _ = minimize_loop(0.6, 0.3)
+        assert abs(ds - ds_ref) <= 1e-14 and abs(r_star - r_ref) <= 1e-6 * r_ref
+
+    def test_shapes_broadcast(self):
+        e1 = np.linspace(0.0, 1.0, 3)[:, None]
+        e2 = np.linspace(0.0, 1.0, 4)
+        r_star, ds = minimize_delta_S_over_r(e1, e2)
+        assert r_star.shape == ds.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert ds[i, j] == minimize_delta_S_over_r(e1[i, 0], e2[j])[1]
+        r_col, ds_col = minimize_delta_S_over_r(0.5, e2)
+        assert r_col.shape == ds_col.shape == (4,)
+        r_none, ds_none = minimize_delta_S_over_r(np.empty((0, 3)), 0.5)
+        assert r_none.shape == ds_none.shape == (0, 3)
+
+    @pytest.mark.parametrize("pair", [(math.nan, 0.5), (0.5, math.nan), (-0.1, 0.5),
+                                      (0.5, 1.5), (np.array([0.2, math.nan]), 0.3)])
+    def test_bad_eta_raises(self, pair):
+        with pytest.raises(DomainError):
+            minimize_delta_S_over_r(*pair)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 6.0), (2.0, 1.0), (1e-3, math.inf),
+                                        (math.nan, 6.0)])
+    def test_bad_r_range_raises(self, bounds):
+        with pytest.raises(DomainError):
+            minimize_delta_S_over_r(0.6, 0.3, r_min=bounds[0], r_max=bounds[1])
+
+
 class TestDhoAmplitude:
     def test_initial_conditions(self):
         (t0, c0, cd0), = dho_amplitude(RESONANT, [0.0])
@@ -277,6 +399,101 @@ class TestDhoAmplitude:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             dho_amplitude(RESONANT, [1.0, 2.0])
+        for bad in ([0.0, 1.0, math.inf], [0.0, math.nan], [math.nan, 1.0]):
+            with pytest.raises(DomainError):
+                dho_amplitude(RESONANT, bad)
+
+    def test_reads_as_tuples(self):
+        amp = dho_amplitude(RESONANT, np.linspace(0.0, 2.0, 21))
+        assert isinstance(amp, DhoAmplitude) and len(amp) == 21
+        tuples = list(amp)
+        assert tuples == [amp[k] for k in range(21)]
+        for (t, c, cd), k in zip(tuples, range(21)):
+            assert type(t) is float and type(c) is complex and type(cd) is complex
+            assert (t, c, cd) == (amp.times[k], amp.c[k], amp.c_dot[k])
+        assert amp[-1] == tuples[-1]
+
+
+def phase_per_call(times, cs, cds, omega, k):
+    """Reference: Phi at grid index k by truncated interpolation and quadrature."""
+    ok = np.abs(cs[: k + 1]) > 1e-12
+    g = -(cds[: k + 1][ok] + 1j * omega * cs[: k + 1][ok]) / cs[: k + 1][ok]
+    omega_s = omega + np.interp(times[: k + 1], times[: k + 1][ok], g.imag)
+    return float(np.trapezoid(omega_s, times[: k + 1])) if k > 0 else 0.0
+
+
+# off resonance omega_t moves with t, so the phase is not just omega * t
+DETUNED = DhoParams(g2=1.0, kappa=0.25, omega=1.0, omega_big=1.6)
+
+
+class TestDhoPhase:
+    @pytest.mark.parametrize("params", [RESONANT, DETUNED])
+    def test_matches_per_call_quadrature(self, params):
+        amp = dho_amplitude(params, np.linspace(0.0, 20.0, 4001))
+        ref = [phase_per_call(amp.times, amp.c, amp.c_dot, params.omega, k)
+               for k in range(len(amp))]
+        assert amp.phase[0] == 0.0
+        assert np.abs(amp.phase - ref).max() <= 1e-12
+        if params is DETUNED:
+            assert np.abs(amp.phase - params.omega * amp.times).max() > 0.1
+
+    @pytest.mark.parametrize("params", [RESONANT, DETUNED])
+    def test_vanishing_amplitude_grid(self, params):
+        amp = dho_amplitude(params, np.linspace(0.0, 6.0, 601))
+        cs = amp.c.copy()
+        cs[[0, 1, 37, 38, 39, 250, 600]] = 0.0   # zeros at the start, inside and at the end
+        points = list(zip(amp.times.tolist(), cs.tolist(), amp.c_dot.tolist()))
+        fake = DhoAmplitude.from_arrays(amp.times, cs, amp.c_dot, params.omega)
+        for k in np.flatnonzero(np.abs(cs) > 1e-12):
+            ref = phase_per_call(amp.times, cs, amp.c_dot, params.omega, k)
+            assert abs(fake.phase[k] - ref) <= 1e-12
+            t = float(amp.times[k])
+            from_list = dho_channel(points, params, t)
+            assert np.array_equal(from_list.m, dho_channel(fake, params, t).m)
+        assert np.isnan(DhoAmplitude.from_arrays([0.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
+                        .phase).all()
+
+    def test_channel_reads_phase_at_t(self):
+        amp = dho_amplitude(RESONANT, np.linspace(0.0, 5.0, 501))
+        for k in (0, 1, 250, 500):
+            ch = dho_channel(amp, RESONANT, float(amp.times[k]))
+            phi = amp.phase[k]
+            rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+            assert np.abs(ch.m - abs(amp.c[k]) * rot).max() <= 1e-14
+
+
+class TestFirstLossReversal:
+    def test_noise_margin(self):
+        assert first_loss_reversal([0.0, 0.5, 0.5 - 0.5e-9, 0.5 - 0.9e-9]) is None
+        assert first_loss_reversal([0.0, 0.5, 0.5 - 2e-9, 0.5 - 0.9e-9]) == (1, 2)
+
+    def test_plateau_maximum(self):
+        # a plateau counts at its first point; the pair ends at the first minimum
+        assert first_loss_reversal([0.0, 0.3, 0.3, 0.3, 0.1, 0.2, 0.1]) == (1, 4)
+        # a maximum the loss never drops below is skipped
+        assert first_loss_reversal([0.0, 0.3, 0.3, 0.6, 0.4]) == (3, 4)
+
+    def test_monotone_loss(self):
+        assert first_loss_reversal(np.linspace(0.0, 1.0, 50)) is None
+        assert first_loss_reversal(np.linspace(1.0, 0.0, 50)) is None
+        assert first_loss_reversal(np.zeros(10)) is None
+        assert first_loss_reversal([0.3, 0.1]) is None
+
+    def test_matches_scan_loop(self, rng):
+        def loop(etas):
+            for k in range(1, len(etas) - 1):
+                if etas[k] >= etas[k - 1] and etas[k] >= etas[k + 1]:
+                    later = int(np.argmin(etas[k:])) + k
+                    if etas[later] < etas[k] - 1e-9:
+                        return (k, later)
+            return None
+
+        amp = dho_amplitude(RESONANT, np.linspace(0.0, 20.0, 2001))
+        curves = [np.clip(1.0 - np.abs(amp.c) ** 2, 0.0, 1.0)]
+        curves += [np.round(rng.uniform(size=40), 1) for _ in range(30)]
+        curves += [np.cumsum(rng.choice([-1e-9, 0.0, 2e-9], size=50)) for _ in range(30)]
+        for etas in curves:
+            assert first_loss_reversal(etas) == loop(etas)
 
 
 class TestDhoCoefficients:
@@ -345,6 +562,8 @@ class TestDhoChannel:
         amp = dho_amplitude(RESONANT, np.linspace(0.0, 1.0, 11))
         with pytest.raises(DomainError):
             dho_channel(amp, RESONANT, 0.55)
+        with pytest.raises(DomainError):
+            dho_channel(amp, RESONANT, math.nan)
 
     def test_vanishing_amplitude_paths(self):
         fake = [(0.0, 1.0 + 0.0j, -1j), (0.5, 0.0 + 0.0j, -1j)]

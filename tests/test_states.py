@@ -43,6 +43,15 @@ class TestDensityMatrix:
         dm = DensityMatrix(m, (2,))
         assert dm.dim == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(np.full((2, 2), bad), (2,))
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(m, (2,))
+
 
 class TestMaxEntangledState:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -25,6 +25,7 @@ from qmemwitness import (
     witness_from_trajectory,
     witness_qudit_model,
 )
+from qmemwitness.optimize import golden_section
 from qmemwitness.witness import _interior_extrema
 from oracles import (
     apply_kraus_choi,
@@ -222,6 +223,64 @@ class TestVectorizedScansMatchLoops:
             expected = ordering_check_loops(traj)
             assert ordering_check(traj) == expected
             assert ordering_check(EntropyTrajectory.from_triples(traj)) == expected
+
+
+def golden_loop(f, a, b, tol):
+    """Reference: scalar golden-section search; final (a, b, c, d, fc, fd) and probe count."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    probes = 2
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        probes += 1
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = f(d)
+    return (a, b, c, d, fc, fd), probes
+
+
+class TestGoldenSection:
+    FUNCTIONS = (lambda x: (x - 0.3) ** 2, lambda x: math.cos(3.0 * x),
+                 lambda x: abs(x - 1.0), lambda x: 0.0)
+
+    def test_single_bracket_takes_the_scalar_steps(self):
+        for f in self.FUNCTIONS:
+            for a, b, tol in ((0.0, 1.0, 1e-9), (-2.0, 3.0, 1e-4), (0.9, 1.2, 1e-12)):
+                calls = []
+
+                def g(x, idx):
+                    calls.append(x.size)
+                    return np.array([f(float(v)) for v in x])
+
+                got = golden_section(g, a, b, tol)
+                ref, probes = golden_loop(f, a, b, tol)
+                assert [float(v[0]) for v in got] == list(ref)
+                assert sum(calls) == probes
+
+    def test_brackets_searched_together_match_one_by_one(self, rng):
+        shifts = rng.uniform(-1.0, 2.0, size=40)
+        a = rng.uniform(-1.0, 0.5, size=40)
+        b = a + rng.uniform(1e-6, 2.0, size=40)
+        evaluated = []
+
+        def quartic(u):   # +, -, * only, so arrays and scalars round alike
+            return u * u * (1.0 + u * u) - 0.5 * u
+
+        def g(x, idx):
+            evaluated.append(idx.size)
+            return quartic(x - shifts[idx])
+
+        got = golden_section(g, a, b, 1e-9)
+        for i in range(40):
+            ref, _ = golden_loop(lambda x: quartic(x - float(shifts[i])), float(a[i]),
+                                 float(b[i]), 1e-9)
+            assert [float(arr[i]) for arr in got] == list(ref)
+        assert evaluated[-1] < 40   # finished searches are not evaluated again
 
 
 class TestOrderingCheck:
