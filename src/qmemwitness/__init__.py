@@ -55,9 +55,7 @@ from .states import (
     CONVENTIONS,
     DEFAULT_CONVENTION,
     DensityMatrix,
-    EntropyTriple,
     entropy_arrays,
-    entropy_triple,
     ladder_operators,
     max_entangled_state,
     partial_trace,

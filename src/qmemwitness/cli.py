@@ -130,6 +130,19 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+# memory a qudit command may plan for: its (points, d^2, d^2) complex
+# trajectory plus the (4d^2, 4d^2) Liouvillian, 16 d^4 (points + 16) bytes
+_QUDIT_MEMORY_BUDGET = 2 * 1024 ** 3
+
+
+def _require_qudit_budget(d: int, points: int) -> None:
+    need = 16 * d ** 4 * (points + 16)
+    _require(need <= _QUDIT_MEMORY_BUDGET,
+             f"d={d} with {points} points needs about {need / 1024 ** 3:.3g} GiB "
+             f"(16 d^4 (points + 16) bytes), over the "
+             f"{_QUDIT_MEMORY_BUDGET // 1024 ** 3} GiB budget")
+
+
 # ---------------------------------------------------------------------------
 # qudit-trace
 
@@ -152,8 +165,9 @@ def _cmd_qudit_trace(cfg: dict) -> int:
     _require(d >= 2, "d must be >= 2")
     _require(math.isfinite(ratio) and ratio >= 0, "gamma_over_omega must be finite and >= 0")
     _require(convention in CONVENTIONS, f"convention must be one of {CONVENTIONS}")
-    _require(t_max > 0, "t_max must be > 0")
+    _require(math.isfinite(t_max) and t_max > 0, "t_max must be finite and > 0")
     _require(points >= 3, "points must be >= 3")
+    _require_qudit_budget(d, points)
 
     model = LindbladModel(d=d, omega=1.0, gamma=ratio, convention=convention)
     _progress(f"qudit-trace: d={d} gamma/omega={ratio:g}")
@@ -205,8 +219,10 @@ def _cmd_qudit_scan(cfg: dict) -> int:
              "need 0 <= ratio_min < ratio_max < inf")
     _require(int(cfg["ratio_points"]) >= 1, "ratio_points must be >= 1")
     _require(cfg["convention"] in CONVENTIONS, f"convention must be one of {CONVENTIONS}")
-    _require(float(cfg["t_max"]) > 0, "t_max must be > 0")
+    _require(math.isfinite(float(cfg["t_max"])) and float(cfg["t_max"]) > 0,
+             "t_max must be finite and > 0")
     _require(int(cfg["points"]) >= 3, "points must be >= 3")
+    _require_qudit_budget(max(int(d) for d in d_list), int(cfg["points"]))
 
     ratios = np.linspace(float(cfg["ratio_min"]), float(cfg["ratio_max"]),
                          int(cfg["ratio_points"]))
@@ -247,13 +263,15 @@ def _cmd_gauss_lossy(cfg: dict) -> int:
     n = int(cfg["eta_points"])
     r_min, r_max = float(cfg["r_min"]), float(cfg["r_max"])
     _require(n >= 2, "eta_points must be >= 2")
-    _require(0 < r_min < r_max < math.inf, "need 0 < r_min < r_max < inf")
+    r_bound = gaussian.SQUEEZING_MAX
+    _require(0 < r_min < r_max <= r_bound,
+             f"need 0 < r_min < r_max <= {r_bound:.6g} (cosh r overflows above)")
     fixed_r = cfg["fixed_r"]
     if isinstance(fixed_r, str):
         fixed_r = _parse_list(fixed_r, float)
     if fixed_r is not None:
-        _require(all(0 < float(r) < math.inf for r in fixed_r),
-                 "fixed r values must be finite and > 0")
+        _require(all(0 < float(r) <= r_bound for r in fixed_r),
+                 f"fixed r values must lie in (0, {r_bound:.6g}] (cosh r overflows above)")
 
     _progress(f"gauss-lossy: {n}x{n} grid")
     etas = np.linspace(0.0, 1.0, n)
@@ -299,7 +317,8 @@ def _cmd_gauss_dho(cfg: dict) -> int:
     _require(kappa > 0, "kappa must be > 0")
     _require(t_max > 0, "t_max must be > 0")
     _require(points >= 3, "points must be >= 3")
-    _require(r_probe > 0, "r must be > 0")
+    _require(0 < r_probe <= gaussian.SQUEEZING_MAX,
+             f"r must lie in (0, {gaussian.SQUEEZING_MAX:.6g}] (cosh r overflows above)")
 
     params = gaussian.DhoParams(g2=g2, kappa=kappa, omega=omega, omega_big=omega_big)
     _progress(f"gauss-dho: g2={g2:g} kappa={kappa:g}")

@@ -9,7 +9,9 @@ so the vacuum covariance matrix is I/2. States are zero-mean throughout
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +31,9 @@ from .optimize import golden_section
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 AMPLITUDE_CUTOFF = 1e-12
+
+#: Largest squeezing parameter with a finite cosh(r), acosh(float max) ~ 710.48.
+SQUEEZING_MAX = math.acosh(sys.float_info.max)
 
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-12
@@ -149,9 +154,11 @@ def h(x):
 
         h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2),
 
-    continuously extended by h(1/2) = 0. Accepts scalars or arrays;
-    values within 1e-9 below 1/2 are clamped to 1/2. Non-finite input
-    raises DomainError.
+    continuously extended by h(1/2) = 0. Evaluated as
+    log1p(m) + m log1p(1/m) with m = x - 1/2, which avoids the
+    cancellation of the two terms at large x (relative error about 1e-16
+    for every finite x). Accepts scalars or arrays; values within 1e-9
+    below 1/2 are clamped to 1/2. Non-finite input raises DomainError.
     """
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
@@ -159,10 +166,9 @@ def h(x):
     if (arr < 0.5 - 1e-9).any():
         raise DomainError(f"h(x) requires x >= 1/2, got min {arr.min()}")
     arr = np.maximum(arr, 0.5)
-    minus = arr - 0.5
-    out = (arr + 0.5) * np.log(arr + 0.5)
-    nz = minus > 0.0
-    out = np.where(nz, out - minus * np.log(np.where(nz, minus, 1.0)), out)
+    m = arr - 0.5
+    nz = m > 0.0
+    out = np.log1p(m) + np.where(nz, m * np.log1p(1.0 / np.where(nz, m, 1.0)), 0.0)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -239,15 +245,18 @@ def delta_S_lossy(eta1, eta2, r):
           - h(cosh(r)/2).
 
     Vectorizes over any of the arguments; NaN or out-of-range input
-    raises DomainError.
+    raises DomainError, and so does r > SQUEEZING_MAX, where cosh r
+    overflows.
     """
     e1 = np.asarray(eta1, dtype=float)
     e2 = np.asarray(eta2, dtype=float)
     if not (((e1 >= 0) & (e1 <= 1)).all() and ((e2 >= 0) & (e2 <= 1)).all()):
         raise DomainError("loss parameters must lie in [0, 1]")
     rr = np.asarray(r, dtype=float)
-    if not ((rr > 0) & np.isfinite(rr)).all():
-        raise DomainError("squeezing parameter must be finite and > 0")
+    bad = ~((rr > 0) & (rr <= SQUEEZING_MAX))
+    if bad.any():
+        raise DomainError(f"squeezing parameter r must lie in (0, {SQUEEZING_MAX:.6g}], "
+                          f"where cosh r is finite; got r = {rr[bad].flat[0]}")
     c = np.cosh(rr)
     out = h((e1 + (1.0 - e1) * c) / 2.0) + h((1.0 - e2 + e2 * c) / 2.0) - h(c / 2.0)
     if all(np.ndim(a) == 0 for a in (eta1, eta2, r)):
@@ -265,12 +274,14 @@ def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0,
     floats for scalar input. The minimum is never positive-biased:
     values below the coarse grid's best are always explored around it.
     """
-    if not 0.0 < r_min < r_max < math.inf:
-        raise DomainError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
+    if not 0.0 < r_min < r_max <= SQUEEZING_MAX:
+        raise DomainError(f"need 0 < r_min < r_max <= {SQUEEZING_MAX:.6g} (cosh r overflows "
+                          f"above), got r_min = {r_min}, r_max = {r_max}")
     e1, e2 = np.broadcast_arrays(np.asarray(eta1, dtype=float), np.asarray(eta2, dtype=float))
     shape, e1, e2 = e1.shape, e1.ravel(), e2.ravel()
     grid = np.linspace(math.log(r_min), math.log(r_max), coarse_points)
-    vals = delta_S_lossy(e1[:, None], e2[:, None], np.exp(grid))
+    # exp(ln r_max) can round one ulp above r_max
+    vals = delta_S_lossy(e1[:, None], e2[:, None], np.minimum(np.exp(grid), r_max))
     k = np.argmin(vals, axis=1)
     _, _, c, d, fc, fd = golden_section(
         lambda u, idx: delta_S_lossy(e1[idx], e2[idx], np.exp(u)),
@@ -364,8 +375,11 @@ def dho_coefficients(
         gamma_t = 2 Re G,   omega_t = omega + Im G.
 
     Raises AmplitudeVanishingError when |c| is below the cutoff, since
-    the coefficients diverge at amplitude zeros.
+    the coefficients diverge at amplitude zeros, and DomainError when c or
+    c_dot is not finite.
     """
+    if not (cmath.isfinite(c) and cmath.isfinite(c_dot)):
+        raise DomainError(f"amplitude and its derivative must be finite, got {c}, {c_dot}")
     if abs(c) <= AMPLITUDE_CUTOFF:
         raise AmplitudeVanishingError(f"amplitude magnitude {abs(c):.3e} below cutoff")
     g = -(c_dot + 1j * params.omega * c) / c

@@ -31,12 +31,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidDimensionError, InvalidSubsystemError
-from .states import (
-    DEFAULT_CONVENTION,
-    CONVENTIONS,
-    DensityMatrix,
-    ladder_operators,
-)
+from .states import DEFAULT_CONVENTION, CONVENTIONS, ladder_operators
 
 # grid steps stepped before each batched trace-out; bounds the joint
 # S (x) M states held at once to this many copies of the matrix units
@@ -144,7 +139,8 @@ class ChoiEvolution:
     Produced by `evolve_choi`. `states[k]` (array of shape (T, d^2, d^2))
     is the state obtained by sending half of |Phi+>_SA through the map at
     `times[k]`, with S (x) A ordering; `state_at` answers any time in the
-    span exactly.
+    span exactly. The states are not validated here: `entropy_arrays`
+    validates them where their entropies are taken.
     """
 
     def __init__(self, model, times, states, generator, units):
@@ -154,8 +150,8 @@ class ChoiEvolution:
         self._generator = generator
         self._units = units
 
-    def state_at(self, t: float) -> DensityMatrix:
-        """S-A joint state (dims (d, d)) at any time within the grid span."""
+    def state_at(self, t: float) -> np.ndarray:
+        """S-A joint state, shape (d^2, d^2), at any time within the grid span."""
         t = float(t)
         if not -1e-13 <= t <= self.times[-1] + 1e-13:
             raise InvalidSubsystemError(f"t={t} outside the evolved span")
@@ -163,9 +159,9 @@ class ChoiEvolution:
         k = np.searchsorted(self.times, t)
         for kk in (k - 1, k):
             if 0 <= kk < self.times.size and abs(self.times[kk] - t) < 1e-12:
-                return DensityMatrix(self.states[kk], (d, d))
+                return self.states[kk].copy()
         joint = expm(self._generator * t) @ self._units
-        return DensityMatrix(_choi(_trace_out_memory(joint, d), d), (d, d))
+        return _choi(_trace_out_memory(joint, d), d)
 
 
 def evolve_choi(

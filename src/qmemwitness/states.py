@@ -4,7 +4,10 @@ All entropies are in nats (natural logarithm) throughout the package.
 
 Tolerances follow a single policy: Hermiticity is required to 1e-10,
 unit trace to 1e-9, and eigenvalues may undershoot zero by at most 1e-9
-(eigensolver noise); anything worse is rejected as an invalid state.
+(eigensolver noise); anything worse, NaN and inf included, is rejected as
+an invalid state. `_check_trace` and `_hermitian_spectra` hold these
+checks; `DensityMatrix` and `entropy_arrays` both validate through them,
+and a state is validated once, where its entropies are taken.
 """
 
 from __future__ import annotations
@@ -61,17 +64,8 @@ class DensityMatrix:
             raise InvalidSubsystemError(
                 f"subsystem dimensions {dims} do not factor a {arr.shape[0]}-dim space"
             )
-        if not np.isfinite(arr).all():
-            raise InvalidStateError("matrix has non-finite entries")
-        herm = np.abs(arr - arr.conj().T).max()
-        if herm > HERMITICITY_TOL:
-            raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm:.3e}")
-        tr = arr.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        lo = np.linalg.eigvalsh((arr + arr.conj().T) / 2).min()
-        if lo < EIGENVALUE_FLOOR:
-            raise InvalidStateError(f"negative eigenvalue {lo:.3e} below tolerance")
+        _check_trace(arr)
+        _hermitian_spectra(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "dims", dims)
@@ -91,35 +85,8 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()), tuple(dims))
 
 
-@dataclass(frozen=True)
-class EntropyTriple:
-    """Entropies (nats) of a bipartite state and its reduced states.
-
-    `s_system` and `s_ancilla` refer to the first and second tensor factor.
-    The conditional entropies follow as S(S|A) = s_joint - s_ancilla and
-    S(A|S) = s_joint - s_system.
-    """
-
-    s_system: float
-    s_ancilla: float
-    s_joint: float
-
-    def __post_init__(self):
-        _check_entropies(self.s_system, self.s_ancilla, self.s_joint)
-
-    @property
-    def neg_cond_sa(self) -> float:
-        """-S(S|A) = s_ancilla - s_joint; positive only for entangled states."""
-        return self.s_ancilla - self.s_joint
-
-    @property
-    def neg_cond_as(self) -> float:
-        """-S(A|S) = s_system - s_joint."""
-        return self.s_system - self.s_joint
-
-
 def _check_entropies(s_sys, s_anc, s_joint) -> None:
-    """Non-negativity, Araki-Lieb and subadditivity, on scalars or arrays; NaN fails."""
+    """Non-negativity, Araki-Lieb and subadditivity of entropy arrays; NaN fails."""
     lowest = np.minimum(np.minimum(s_sys, s_anc), s_joint)
     if not np.all(lowest >= -1e-9):
         raise InvalidStateError(f"negative or undefined entropy (min {np.min(lowest):.3e})")
@@ -164,6 +131,16 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(data.reshape(side, side), kept_dims)
 
 
+def _check_trace(stack: np.ndarray) -> None:
+    """Rejects a matrix, or a stack of them, with non-finite entries or a
+    trace off 1 by more than 1e-9."""
+    if not np.isfinite(stack).all():
+        raise InvalidStateError("matrix has non-finite entries")
+    err = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
+    if not err <= TRACE_TOL:
+        raise InvalidStateError(f"trace deviates from 1 by {err:.3e}")
+
+
 def _hermitian_spectra(stack: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a stack of (near-)Hermitian matrices.
 
@@ -203,12 +180,11 @@ def entropy_arrays(
     """Entropies (s_system, s_ancilla, s_joint) of a stack of bipartite states.
 
     `states` has shape (T, n, n) with n = dims[0] * dims[1]. The whole
-    stack is validated at once, with the tolerances of `DensityMatrix`
-    and `EntropyTriple`: Hermiticity, unit trace and the eigenvalue floor
-    for the joint state and both marginals, then non-negative entropies,
-    Araki-Lieb and subadditivity. The joint eigenvalue floor comes from
-    the spectrum the entropy needs, so each time point costs one
-    eigensolve per subsystem.
+    stack is validated at once, through the checks of `DensityMatrix`:
+    Hermiticity, unit trace and the eigenvalue floor for the joint state
+    and both marginals, then non-negative entropies, Araki-Lieb and
+    subadditivity. The joint eigenvalue floor comes from the spectrum the
+    entropy needs, so each time point costs one eigensolve per subsystem.
     """
     arr = np.asarray(states, dtype=complex)
     if len(dims) != 2:
@@ -218,25 +194,13 @@ def entropy_arrays(
         raise InvalidSubsystemError(
             f"state stack shape {arr.shape} incompatible with dims ({dS}, {dA})"
         )
-    tr_err = np.abs(np.trace(arr, axis1=1, axis2=2) - 1.0).max(initial=0.0)
-    if not tr_err <= TRACE_TOL:
-        raise InvalidStateError(f"trace deviates from 1 by {tr_err:.3e}")
+    _check_trace(arr)
     block = arr.reshape(-1, dS, dA, dS, dA)
     s_sys = _entropies_from_spectra(_hermitian_spectra(np.trace(block, axis1=2, axis2=4)))
     s_anc = _entropies_from_spectra(_hermitian_spectra(np.trace(block, axis1=1, axis2=3)))
     s_joint = _entropies_from_spectra(_hermitian_spectra(arr))
     _check_entropies(s_sys, s_anc, s_joint)
     return s_sys, s_anc, s_joint
-
-
-def entropy_triple(rho_sa: DensityMatrix) -> EntropyTriple:
-    """Joint and reduced entropies of a bipartite state."""
-    if len(rho_sa.dims) != 2:
-        raise InvalidSubsystemError(f"expected bipartite dims, got {rho_sa.dims}")
-    s_sys, s_anc, s_joint = entropy_arrays(rho_sa.data[None], rho_sa.dims)
-    return EntropyTriple(
-        s_system=float(s_sys[0]), s_ancilla=float(s_anc[0]), s_joint=float(s_joint[0])
-    )
 
 
 def ladder_operators(

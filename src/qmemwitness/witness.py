@@ -25,13 +25,7 @@ from . import gaussian as _gaussian
 from .errors import ExtremumNotFoundError, InvalidSubsystemError, QmemError
 from .lindblad import ChoiEvolution, LindbladModel, evolve_choi
 from .optimize import golden_section
-from .states import (
-    DEFAULT_CONVENTION,
-    DensityMatrix,
-    EntropyTriple,
-    entropy_arrays,
-    entropy_triple,
-)
+from .states import DEFAULT_CONVENTION, DensityMatrix, entropy_arrays
 
 #: delta_s must undershoot zero by more than this before detection is
 #: declared, so rounding noise never produces a false positive.
@@ -92,6 +86,12 @@ def _report(s_sys_t1, neg_sa, neg_as, t1, t2) -> WitnessReport:
     )
 
 
+def _report_on_pair(s_sys, s_anc, s_joint, t1, t2) -> WitnessReport:
+    """Witness from the entropy arrays of two snapshots, the earlier one first."""
+    return _report(float(s_sys[0]), float(s_anc[1] - s_joint[1]),
+                   float(s_sys[1] - s_joint[1]), t1, t2)
+
+
 def evaluate_criterion(
     rho_t1: DensityMatrix,
     rho_t2: DensityMatrix,
@@ -103,9 +103,8 @@ def evaluate_criterion(
         raise InvalidSubsystemError(
             f"snapshots must share bipartite dims, got {rho_t1.dims} and {rho_t2.dims}"
         )
-    trip1 = entropy_triple(rho_t1)
-    trip2 = entropy_triple(rho_t2)
-    return _report(trip1.s_system, trip2.neg_cond_sa, trip2.neg_cond_as, t1, t2)
+    pair = entropy_arrays(np.array([rho_t1.data, rho_t2.data]), rho_t1.dims)
+    return _report_on_pair(*pair, t1, t2)
 
 
 def evaluate_criterion_gaussian(
@@ -126,8 +125,9 @@ def evaluate_criterion_gaussian(
 class EntropyTrajectory:
     """Entropies (nats) of a bipartite state along a time grid, as arrays.
 
-    The array form of a sequence of (time, EntropyTriple) pairs; the
-    conditional entropies follow as in `EntropyTriple`.
+    `s_system` and `s_ancilla` refer to the first and second tensor
+    factor. The conditional entropies follow as
+    S(S|A) = s_joint - s_ancilla and S(A|S) = s_joint - s_system.
     """
 
     times: np.ndarray
@@ -135,30 +135,16 @@ class EntropyTrajectory:
     s_ancilla: np.ndarray
     s_joint: np.ndarray
 
-    @classmethod
-    def from_triples(cls, traj: Sequence[tuple[float, EntropyTriple]]) -> "EntropyTrajectory":
-        return cls(
-            times=np.array([p[0] for p in traj], dtype=float),
-            s_system=np.array([p[1].s_system for p in traj], dtype=float),
-            s_ancilla=np.array([p[1].s_ancilla for p in traj], dtype=float),
-            s_joint=np.array([p[1].s_joint for p in traj], dtype=float),
-        )
-
     @property
     def neg_cond_sa(self) -> np.ndarray:
-        """-S(S|A) = s_ancilla - s_joint at every grid time."""
+        """-S(S|A) = s_ancilla - s_joint at every grid time; positive only for
+        entangled states."""
         return self.s_ancilla - self.s_joint
 
     @property
     def neg_cond_as(self) -> np.ndarray:
         """-S(A|S) = s_system - s_joint at every grid time."""
         return self.s_system - self.s_joint
-
-
-def _as_trajectory(traj) -> EntropyTrajectory:
-    if isinstance(traj, EntropyTrajectory):
-        return traj
-    return EntropyTrajectory.from_triples(traj)
 
 
 def _interior_extrema(values: np.ndarray, kind: str, noise_floor: float) -> np.ndarray:
@@ -174,8 +160,8 @@ def _interior_extrema(values: np.ndarray, kind: str, noise_floor: float) -> np.n
 
 
 def find_witness_times(
-    traj: EntropyTrajectory | Sequence[tuple[float, EntropyTriple]],
-    evaluate: Callable[[float], EntropyTriple] | None = None,
+    traj: EntropyTrajectory,
+    evaluate: Callable[[np.ndarray], EntropyTrajectory] | None = None,
     noise_floor: float = _EXTREMUM_NOISE_FLOOR,
     time_tolerance: float | None = None,
 ) -> tuple[float, float]:
@@ -183,16 +169,15 @@ def find_witness_times(
 
     t1 is the first interior local minimum of s_system, t2 the first
     local maximum of -S(S|A) after t1. When `evaluate` is given (a map
-    from time to EntropyTriple, typically backed by exact off-grid states),
-    both times are refined by golden-section search on re-evaluated
-    states down to `time_tolerance` (default 1e-4 of the grid span);
-    otherwise a parabolic fit through the three bracketing grid points
-    is used.
+    from an array of times to their EntropyTrajectory, typically backed by
+    exact off-grid states), both times are refined by golden-section
+    search on re-evaluated states down to `time_tolerance` (default 1e-4
+    of the grid span); otherwise a parabolic fit through the three
+    bracketing grid points is used.
 
     Raises ExtremumNotFoundError when either extremum is missing, e.g.
     on monotone trajectories (callers may extend the grid).
     """
-    traj = _as_trajectory(traj)
     times = traj.times
     if times.size < 3:
         raise ExtremumNotFoundError("trajectory too short to contain extrema")
@@ -223,10 +208,10 @@ def _refine_extremum(times, values, i, kind, evaluate, tol):
     a, b = times[i - 1], times[i + 1]
     if evaluate is not None:
         if kind == "min":
-            f = lambda t: evaluate(t).s_system
+            f = lambda x, _: evaluate(x).s_system
         else:
-            f = lambda t: -evaluate(t).neg_cond_sa
-        a, b, *_ = golden_section(lambda x, _: np.array([f(float(x[0]))]), a, b, tol)
+            f = lambda x, _: -evaluate(x).neg_cond_sa
+        a, b, *_ = golden_section(f, a, b, tol)
         return float(0.5 * (a[0] + b[0]))
     # parabola through the three grid points
     y0, y1, y2 = values[i - 1], values[i], values[i + 1]
@@ -241,16 +226,13 @@ def _refine_extremum(times, values, i, kind, evaluate, tol):
     return float(vertex)
 
 
-def ordering_check(
-    traj: EntropyTrajectory | Sequence[tuple[float, EntropyTriple]], tol: float = 1e-9
-) -> bool:
+def ordering_check(traj: EntropyTrajectory, tol: float = 1e-9) -> bool:
     """True iff -S(S|A) >= -S(A|S) - tol at every grid time.
 
     Meaningful for trajectories started from a maximally entangled
     system-ancilla probe, where the ancilla marginal stays maximally
     mixed.
     """
-    traj = _as_trajectory(traj)
     return bool(np.all(traj.neg_cond_sa >= traj.neg_cond_as - tol))
 
 
@@ -273,15 +255,6 @@ class QuditWitnessResult:
     revival_maxima: tuple[tuple[float, float], ...]
     ordering_ok: bool
 
-    @property
-    def triples(self) -> tuple[tuple[float, EntropyTriple], ...]:
-        """The trajectory as (time, EntropyTriple) pairs, one per grid point."""
-        tr = self.trajectory
-        return tuple(
-            (float(t), EntropyTriple(float(s), float(a), float(j)))
-            for t, s, a, j in zip(tr.times, tr.s_system, tr.s_ancilla, tr.s_joint)
-        )
-
 
 def witness_from_trajectory(
     ev: ChoiEvolution,
@@ -297,14 +270,20 @@ def witness_from_trajectory(
     interior local maximum of -S(S|A) after t1 as (time, value) pairs;
     entries beyond the first show whether later revivals could still
     detect. Raises ExtremumNotFoundError like `find_witness_times`.
+    Every probe state is validated once, by the `entropy_arrays` call
+    that takes its entropies.
     """
+    dims = (ev.model.d, ev.model.d)
 
-    def evaluate(t: float) -> EntropyTriple:
-        return entropy_triple(ev.state_at(t))
+    def states_at(ts) -> np.ndarray:
+        return np.array([ev.state_at(t) for t in ts])
+
+    def evaluate(ts: np.ndarray) -> EntropyTrajectory:
+        return EntropyTrajectory(ts, *entropy_arrays(states_at(ts), dims))
 
     tol = 1e-6 * float(traj.times[-1]) if time_tolerance is None else time_tolerance
     t1, t2 = find_witness_times(traj, evaluate=evaluate, time_tolerance=tol)
-    report = evaluate_criterion(ev.state_at(t1), ev.state_at(t2), t1=t1, t2=t2)
+    report = _report_on_pair(*entropy_arrays(states_at((t1, t2)), dims), t1, t2)
     neg_sa = traj.neg_cond_sa
     revivals = tuple(
         (float(traj.times[i]), float(neg_sa[i]))

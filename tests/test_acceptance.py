@@ -229,7 +229,7 @@ def test_criterion_9_conditional_entropy_ordering():
         "criteria 4 and 5 must run first"
     full, half = _SHARED["criterion4"]
     rows_d2, collected = _SHARED["criterion5"]
-    ok = ordering_check(full.triples) and ordering_check(half.triples)
+    ok = ordering_check(full.trajectory) and ordering_check(half.trajectory)
     ok &= full.ordering_ok and half.ordering_ok
     ok &= all(row.ordering_ok for row in rows_d2)
     ok &= all(res.ordering_ok for res in collected)

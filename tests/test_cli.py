@@ -95,6 +95,20 @@ class TestQuditTrace:
         code = run(["qudit-trace", "--t-max", 0, "--output", tmp_path / "x.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("t_max", ["inf", "nan"])
+    def test_non_finite_t_max_is_config_error(self, tmp_path, t_max, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["qudit-trace", "--t-max", t_max, "--output", out]) == 2
+        assert "t_max must be finite" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+    def test_over_memory_budget_is_config_error(self, tmp_path, capsys):
+        # 16 d^4 (points + 16) bytes: d=200 would need 453 GiB
+        out = tmp_path / "x.csv"
+        assert run(["qudit-trace", "--d", 200, "--points", 3, "--output", out]) == 2
+        assert "needs about 453 GiB" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["qudit-trace", "--d", 2, "--gamma-over-omega", 0.1,
                 "--t-max", 6, "--points", 201]
@@ -147,6 +161,23 @@ class TestQuditScan:
         assert run(["qudit-scan", "--d-list", "", "--output",
                     tmp_path / "scan.csv"]) == 2
 
+    @pytest.mark.parametrize("t_max", ["inf", "nan"])
+    def test_non_finite_t_max_is_config_error(self, tmp_path, t_max, capsys):
+        out = tmp_path / "scan.csv"
+        assert run(["qudit-scan", "--d-list", "2", "--ratio-points", 1,
+                    "--t-max", t_max, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert "t_max must be finite" in err and "Warning" not in err
+        assert not out.exists()
+
+    def test_over_memory_budget_is_config_error(self, tmp_path, capsys):
+        # the largest d of the list sets the budget
+        out = tmp_path / "scan.csv"
+        assert run(["qudit-scan", "--d-list", "2,90", "--points", 2001,
+                    "--output", out]) == 2
+        assert "d=90 with 2001 points" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGaussLossy:
     def test_grid_and_fixed_r(self, tmp_path):
@@ -186,6 +217,13 @@ class TestGaussLossy:
     def test_non_finite_flags_are_config_errors(self, tmp_path, flags):
         out = tmp_path / "x.csv"
         assert run(["gauss-lossy", "--eta-points", 3, *flags, "--output", out]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--r-max", "1000"], ["--fixed-r", "1,711"]])
+    def test_squeezing_above_cosh_overflow_is_config_error(self, tmp_path, flags, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["gauss-lossy", "--eta-points", 3, *flags, "--output", out]) == 2
+        assert "cosh r overflows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rows_match_per_cell_minimization(self, tmp_path):

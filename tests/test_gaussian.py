@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from qmemwitness import (
     minimize_delta_S_over_r,
     two_mode_squeezed,
 )
+from qmemwitness.gaussian import SQUEEZING_MAX
+from qmemwitness.witness import DETECTION_THRESHOLD
 from oracles import (
     dho_closed_form,
     h_reference,
@@ -106,6 +109,29 @@ class TestEntropyFunctions:
         assert h(0.5 - 5e-10) == 0.0   # clamped
         with pytest.raises(DomainError):
             h(0.4)
+
+    def test_h_matches_high_precision_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(x):
+            # enough digits to survive the cancellation of the two terms
+            with mpmath.workdps(40 + max(0, int(math.log10(x)))):
+                x = mpmath.mpf(x)
+                return float((x + 0.5) * mpmath.log(x + 0.5) - (x - 0.5) * mpmath.log(x - 0.5))
+
+        xs = np.concatenate([0.5 + np.logspace(-15, 0, 31), np.logspace(0, 300, 61),
+                             np.cosh([15.0, 20.0, 30.0]) / 2.0])
+        refs = np.array([reference(float(x)) for x in xs])
+        assert np.all(np.abs(h(xs) - refs) <= 1e-15 * refs)
+        for x, ref in zip(xs, refs):
+            assert abs(h(float(x)) - ref) <= 1e-15 * ref
+
+    def test_h_large_x_series(self):
+        # h(x) = ln x + 1 - 1/(24 x^2) + O(x^-4); the two-term form is off
+        # by 3.8e-9 at x = cosh(20)/2 and by 4e-3 at cosh(30)/2
+        xs = np.concatenate([np.logspace(4, 300, 60), np.cosh([20.0, 30.0, 700.0]) / 2.0])
+        series = np.log(xs) + 1.0 - 1.0 / (24.0 * xs) / xs
+        assert np.all(np.abs(h(xs) - series) <= 1e-15 * series)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, np.array([1.0, math.nan])])
     def test_h_rejects_non_finite(self, x):
@@ -238,6 +264,28 @@ class TestLossyWitness:
     def test_non_finite_rejected(self, args):
         with pytest.raises(DomainError):
             delta_S_lossy(*args)
+
+    @pytest.mark.parametrize("eta1, r", [(1e-11, 19.7), (1.0668537e-10, 26.96489864)])
+    def test_no_false_positive_at_large_squeezing(self, eta1, r):
+        # a loss of eta1 reversed to 0 gives delta_S = -eta1 to first
+        # order, far above the detection threshold; cancellation in h
+        # used to report -2.4e-7 and -4.9e-4 here
+        ds = delta_S_lossy(eta1, 0.0, r)
+        assert abs(ds + eta1) <= 1e-3 * eta1
+        assert ds > DETECTION_THRESHOLD
+
+    def test_squeezing_above_cosh_overflow_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (711.0, 1000.0, np.array([1.0, 1e4])):
+                with pytest.raises(DomainError, match="got r = "):
+                    delta_S_lossy(0.5, 0.2, r)
+            with pytest.raises(DomainError, match="r_max = 1000"):
+                minimize_delta_S_over_r(0.5, 0.2, r_max=1000.0)
+            # the bound itself is accepted, its coarse-grid end point included
+            assert math.isfinite(delta_S_lossy(0.5, 0.2, SQUEEZING_MAX))
+            r_star, ds = minimize_delta_S_over_r(0.5, 0.2, r_max=SQUEEZING_MAX)
+            assert 0 < r_star <= SQUEEZING_MAX and math.isfinite(ds)
 
 
 class TestMinimizeOverR:
@@ -521,6 +569,12 @@ class TestDhoCoefficients:
     def test_vanishing_amplitude_raises(self):
         with pytest.raises(AmplitudeVanishingError):
             dho_coefficients(0.0 + 0.0j, -1j, RESONANT)
+
+    @pytest.mark.parametrize("c, c_dot", [(math.nan, 0.0), (complex(math.inf, 0.0), -1j),
+                                          (1.0, complex(0.0, math.nan)), (1.0, math.inf)])
+    def test_rejects_non_finite(self, c, c_dot):
+        with pytest.raises(DomainError):
+            dho_coefficients(c, c_dot, RESONANT)
 
 
 class TestDhoChannel:

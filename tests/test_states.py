@@ -5,18 +5,23 @@ import pytest
 
 from qmemwitness import (
     DensityMatrix,
-    EntropyTriple,
     InvalidDimensionError,
     InvalidStateError,
     InvalidSubsystemError,
     entropy_arrays,
-    entropy_triple,
     ladder_operators,
     max_entangled_state,
     partial_trace,
     von_neumann_entropy,
 )
+from qmemwitness.states import _check_entropies
 from oracles import random_density_matrix, random_pure_vector, random_unitary
+
+
+def entropies(rho: DensityMatrix) -> tuple[float, float, float]:
+    """(s_system, s_ancilla, s_joint) of one bipartite state, via a stack of one."""
+    s_sys, s_anc, s_joint = entropy_arrays(rho.data[None], rho.dims)
+    return float(s_sys[0]), float(s_anc[0]), float(s_joint[0])
 
 
 class TestDensityMatrix:
@@ -68,8 +73,8 @@ class TestMaxEntangledState:
             assert np.abs(red.data - np.eye(2) / 2).max() < 1e-12
 
     def test_d4_system_entropy_is_ln4(self):
-        trip = entropy_triple(max_entangled_state(4))
-        assert abs(trip.s_system - math.log(4)) < 1e-12
+        s_sys, _, _ = entropies(max_entangled_state(4))
+        assert abs(s_sys - math.log(4)) < 1e-12
 
     def test_rejects_small_d(self):
         with pytest.raises(InvalidDimensionError):
@@ -155,45 +160,47 @@ class TestVonNeumannEntropy:
 
 
 class TestEntropyTriple:
+    """Entropies of single bipartite states and the checks on them."""
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_max_entangled(self, d):
-        trip = entropy_triple(max_entangled_state(d))
-        assert abs(trip.s_system - math.log(d)) < 1e-10
-        assert abs(trip.s_ancilla - math.log(d)) < 1e-10
-        assert trip.s_joint < 1e-10
-        assert abs(trip.neg_cond_sa - math.log(d)) < 1e-10
+        s_sys, s_anc, s_joint = entropies(max_entangled_state(d))
+        assert abs(s_sys - math.log(d)) < 1e-10
+        assert abs(s_anc - math.log(d)) < 1e-10
+        assert s_joint < 1e-10
+        assert abs((s_anc - s_joint) - math.log(d)) < 1e-10
 
     def test_product_of_maximally_mixed_qubits(self):
-        trip = entropy_triple(DensityMatrix(np.eye(4) / 4, (2, 2)))
-        assert abs(trip.s_system - math.log(2)) < 1e-12
-        assert abs(trip.s_ancilla - math.log(2)) < 1e-12
-        assert abs(trip.s_joint - 2 * math.log(2)) < 1e-12
+        s_sys, s_anc, s_joint = entropies(DensityMatrix(np.eye(4) / 4, (2, 2)))
+        assert abs(s_sys - math.log(2)) < 1e-12
+        assert abs(s_anc - math.log(2)) < 1e-12
+        assert abs(s_joint - 2 * math.log(2)) < 1e-12
 
     def test_rejects_non_bipartite(self, rng):
         rho = DensityMatrix(random_density_matrix(rng, [2, 2, 2]), (2, 2, 2))
         with pytest.raises(InvalidSubsystemError):
-            entropy_triple(rho)
+            entropies(rho)
 
     def test_schmidt_symmetry_on_pure_states(self, rng):
         for _ in range(20):
             rho = DensityMatrix.from_vector(random_pure_vector(rng, 12), (3, 4))
-            trip = entropy_triple(rho)
-            assert abs(trip.s_system - trip.s_ancilla) < 1e-9
-            assert trip.s_joint < 1e-10
+            s_sys, s_anc, s_joint = entropies(rho)
+            assert abs(s_sys - s_anc) < 1e-9
+            assert s_joint < 1e-10
 
     def test_subadditivity_on_random_states(self, rng):
         for _ in range(20):
             rho = DensityMatrix(random_density_matrix(rng, [2, 3]), (2, 3))
-            trip = entropy_triple(rho)   # EntropyTriple validates both bounds
-            assert trip.s_joint <= trip.s_system + trip.s_ancilla + 1e-8
+            s_sys, s_anc, s_joint = entropies(rho)   # entropy_arrays validates both bounds
+            assert s_joint <= s_sys + s_anc + 1e-8
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(InvalidStateError):
-            EntropyTriple(s_system=1.0, s_ancilla=0.0, s_joint=0.1)
+            _check_entropies(np.array([1.0]), np.array([0.0]), np.array([0.1]))
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidStateError):
-            EntropyTriple(s_system=math.nan, s_ancilla=0.5, s_joint=0.5)
+            _check_entropies(np.array([math.nan]), np.array([0.5]), np.array([0.5]))
 
 
 class TestEntropyArrays:

@@ -6,7 +6,6 @@ import pytest
 from qmemwitness import (
     DensityMatrix,
     EntropyTrajectory,
-    EntropyTriple,
     ExtremumNotFoundError,
     InvalidSubsystemError,
     LindbladModel,
@@ -25,6 +24,7 @@ from qmemwitness import (
     witness_from_trajectory,
     witness_qudit_model,
 )
+from qmemwitness import states
 from qmemwitness.optimize import golden_section
 from qmemwitness.witness import _interior_extrema
 from oracles import (
@@ -140,25 +140,26 @@ class TestEvaluateCriterionGaussian:
 def synthetic_trajectory(ts):
     """Dip of s_system at t=1.0 and peak of -S(S|A) at t=1.5."""
 
-    def triple(t):
-        s_sys = 1.0 - 0.3 * math.exp(-((t - 1.0) ** 2) / 0.08)
-        s_joint = 1.0 - 0.4 * math.exp(-((t - 1.5) ** 2) / 0.08)
-        return EntropyTriple(s_system=s_sys, s_ancilla=1.0, s_joint=s_joint)
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        s_sys = 1.0 - 0.3 * np.exp(-((t - 1.0) ** 2) / 0.08)
+        s_joint = 1.0 - 0.4 * np.exp(-((t - 1.5) ** 2) / 0.08)
+        return EntropyTrajectory(t, s_sys, np.ones_like(t), s_joint)
 
-    return [(float(t), triple(float(t))) for t in ts], triple
+    return evaluate(ts), evaluate
 
 
 class TestFindWitnessTimes:
     def test_monotone_trajectory_raises(self):
-        traj = [(float(t), EntropyTriple(1.5 - 0.1 * t, 1.5, 1.0))
-                for t in np.linspace(0, 3, 31)]
+        ts = np.linspace(0, 3, 31)
+        traj = EntropyTrajectory(ts, 1.5 - 0.1 * ts, np.full_like(ts, 1.5), np.ones_like(ts))
         with pytest.raises(ExtremumNotFoundError):
             find_witness_times(traj)
 
     def test_synthetic_extrema_with_refinement(self):
         ts = np.linspace(0.0, 3.0, 61)
-        traj, triple = synthetic_trajectory(ts)
-        t1, t2 = find_witness_times(traj, evaluate=triple)
+        traj, evaluate = synthetic_trajectory(ts)
+        t1, t2 = find_witness_times(traj, evaluate=evaluate)
         assert abs(t1 - 1.0) < 3e-4
         assert abs(t2 - 1.5) < 3e-4
 
@@ -188,8 +189,8 @@ def interior_extrema_loops(values, kind, noise_floor):
     return out
 
 
-def ordering_check_loops(traj, tol=1e-9):
-    return all(p[1].neg_cond_sa >= p[1].neg_cond_as - tol for p in traj)
+def ordering_check_loops(s_sys, s_anc, s_joint, tol=1e-9):
+    return all(a - j >= s - j - tol for s, a, j in zip(s_sys, s_anc, s_joint))
 
 
 class TestVectorizedScansMatchLoops:
@@ -218,11 +219,8 @@ class TestVectorizedScansMatchLoops:
             s_anc = np.round(rng.uniform(0.5, 1.0, size=n), 2)
             s_sys = s_anc + rng.choice([-2e-9, 0.0, 5e-10, 1e-9, 1e-3], size=n)
             s_joint = np.round(rng.uniform(0.01, 0.4, size=n), 2)
-            traj = [(float(k), EntropyTriple(float(a), float(b), float(c)))
-                    for k, (a, b, c) in enumerate(zip(s_sys, s_anc, s_joint))]
-            expected = ordering_check_loops(traj)
-            assert ordering_check(traj) == expected
-            assert ordering_check(EntropyTrajectory.from_triples(traj)) == expected
+            traj = EntropyTrajectory(np.arange(n, dtype=float), s_sys, s_anc, s_joint)
+            assert ordering_check(traj) == ordering_check_loops(s_sys, s_anc, s_joint)
 
 
 def golden_loop(f, a, b, tol):
@@ -287,11 +285,11 @@ class TestOrderingCheck:
     def test_max_entangled_probe_ordering(self):
         res = witness_qudit_model(LindbladModel(d=2, omega=1.0, gamma=0.1),
                                   t_max=6.0, n_points=301)
-        assert ordering_check(res.triples)
+        assert ordering_check(res.trajectory)
 
     def test_violation_detected(self):
-        traj = [(0.0, EntropyTriple(1.0, 0.6, 0.5)),
-                (1.0, EntropyTriple(1.0, 0.6, 0.5))]
+        traj = EntropyTrajectory(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
+                                 np.array([0.6, 0.6]), np.array([0.5, 0.5]))
         # neg_sa = 0.1 < neg_as = 0.5
         assert not ordering_check(traj)
 
@@ -315,8 +313,37 @@ class TestQuditPipeline:
         ref = witness_qudit_model(model, t_max=6.0, n_points=301)
         assert res.report == ref.report
         assert res.revival_maxima == ref.revival_maxima
-        for (t, a), (u, b) in zip(res.triples, ref.triples):
-            assert t == u and a == b
+        for field in ("times", "s_system", "s_ancilla", "s_joint"):
+            assert np.array_equal(getattr(res.trajectory, field), getattr(ref.trajectory, field))
+
+    def test_each_probe_state_is_diagonalized_once(self, monkeypatch):
+        # every refinement probe costs one stacked eigvalsh per subsystem
+        # (joint, system, ancilla), the report's two states three more,
+        # and no state is validated a second time as a DensityMatrix
+        ev, traj = qudit_entropy_trajectory(LindbladModel(d=3, omega=1.0, gamma=0.2),
+                                            t_max=6.0, n_points=301)
+        probes, stacks = [], []
+        state_at, eigvalsh = ev.state_at, np.linalg.eigvalsh
+
+        def counted_state_at(t):
+            probes.append(t)
+            return state_at(t)
+
+        def counted_eigvalsh(a):
+            stacks.append(a.shape[:-2])
+            return eigvalsh(a)
+
+        def no_density_matrix(self):
+            raise AssertionError("probe state wrapped in a DensityMatrix")
+
+        monkeypatch.setattr(ev, "state_at", counted_state_at)
+        monkeypatch.setattr(states.np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(states.DensityMatrix, "__post_init__", no_density_matrix)
+        rep = witness_from_trajectory(ev, traj).report
+        n_refine = len(probes) - 2
+        assert n_refine > 0
+        assert probes[-2:] == [rep.t1, rep.t2]
+        assert stacks == [(1,)] * (3 * n_refine) + [(2,)] * 3
 
     def test_scan_rows_ordered_and_complete(self):
         rows = scan_qudit([2], [0.5, 0.25], t_max=8.0, n_points=401)
