@@ -33,7 +33,6 @@ from .gaussian import (
     delta_S_lossy,
     dho_amplitude,
     dho_channel,
-    dho_coefficients,
     entropy_single_mode,
     entropy_two_mode,
     first_loss_reversal,

@@ -130,17 +130,26 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-# memory a qudit command may plan for: its (points, d^2, d^2) complex
-# trajectory plus the (4d^2, 4d^2) Liouvillian, 16 d^4 (points + 16) bytes
-_QUDIT_MEMORY_BUDGET = 2 * 1024 ** 3
+# Memory a command may plan for. Each command estimates its peak above
+# import from its size flags (fitted to ru_maxrss with one BLAS thread)
+# and is rejected before computing when the estimate exceeds the budget.
+_MEMORY_BUDGET = 2 * 1024 ** 3
+_KIB, _MIB = 1024, 1024 ** 2
+
+
+def _require_memory(need: int, what: str, formula: str) -> None:
+    _require(need <= _MEMORY_BUDGET,
+             f"{what} needs about {need / 1024 ** 3:.3g} GiB (estimated as {formula}), over the "
+             f"{_MEMORY_BUDGET // 1024 ** 3} GiB budget")
 
 
 def _require_qudit_budget(d: int, points: int) -> None:
-    need = 16 * d ** 4 * (points + 16)
-    _require(need <= _QUDIT_MEMORY_BUDGET,
-             f"d={d} with {points} points needs about {need / 1024 ** 3:.3g} GiB "
-             f"(16 d^4 (points + 16) bytes), over the "
-             f"{_QUDIT_MEMORY_BUDGET // 1024 ** 3} GiB budget")
+    # the (points, d^2, d^2) complex trajectory plus about 1024 matrices of
+    # that size (stepping batch, propagators, Liouvillian, expm workspace)
+    # and the output rows
+    _require_memory(16 * d ** 4 * (points + 1024) + _KIB * points + 8 * _MIB,
+                    f"d={d} with {points} points",
+                    "16 d^4 (points + 1024) + 1 KiB points + 8 MiB")
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +281,12 @@ def _cmd_gauss_lossy(cfg: dict) -> int:
     if fixed_r is not None:
         _require(all(0 < float(r) <= r_bound for r in fixed_r),
                  f"fixed r values must lie in (0, {r_bound:.6g}] (cosh r overflows above)")
+    # per cell: the minimizer's (cells, 40) coarse-grid temporaries, and
+    # for each fixed r its witness values and output rows
+    n_r = len(fixed_r or ())
+    _require_memory(n * n * (3 + n_r) * _KIB + 8 * _MIB,
+                    f"eta_points={n} with {n_r} fixed r values",
+                    "eta_points^2 (3 + fixed r values) KiB + 8 MiB")
 
     _progress(f"gauss-lossy: {n}x{n} grid")
     etas = np.linspace(0.0, 1.0, n)
@@ -319,31 +334,23 @@ def _cmd_gauss_dho(cfg: dict) -> int:
     _require(points >= 3, "points must be >= 3")
     _require(0 < r_probe <= gaussian.SQUEEZING_MAX,
              f"r must lie in (0, {gaussian.SQUEEZING_MAX:.6g}] (cosh r overflows above)")
+    # the integrator's samples, the amplitude arrays and the output rows
+    _require_memory(points * _KIB + 8 * _MIB, f"points={points}", "1 KiB points + 8 MiB")
 
     params = gaussian.DhoParams(g2=g2, kappa=kappa, omega=omega, omega_big=omega_big)
     _progress(f"gauss-dho: g2={g2:g} kappa={kappa:g}")
     grid = np.linspace(0.0, t_max, points)
-    amplitude = gaussian.dho_amplitude(params, grid)
-
-    rows = []
-    etas = np.empty(len(amplitude))
-    for k, (t, c, c_dot) in enumerate(amplitude):
-        abs_sq = abs(c) ** 2
-        # |c| may overshoot 1 by integrator noise; the loss stays in [0, 1]
-        eta = min(max(1.0 - abs_sq, 0.0), 1.0)
-        etas[k] = eta
-        try:
-            _, gamma_t, omega_t = gaussian.dho_coefficients(c, c_dot, params)
-            vanished = False
-        except QmemError:
-            gamma_t = omega_t = float("nan")
-            vanished = True
-        rows.append([t, c.real, c.imag, abs_sq, eta, gamma_t, omega_t, vanished])
+    amp = gaussian.dho_amplitude(params, grid)
+    abs_sq = np.abs(amp.c) ** 2
+    # |c| may overshoot 1 by integrator noise; the loss stays in [0, 1]
+    etas = np.clip(1.0 - abs_sq, 0.0, 1.0)
+    columns = (amp.times, amp.c.real, amp.c.imag, abs_sq, etas, amp.gamma_t, amp.omega_t,
+               np.isnan(amp.gamma_t))
     _write_csv(
         cfg["output"],
         ["t", "re_c", "im_c", "abs_c_sq", "eta", "gamma_t", "omega_t",
          "amplitude_vanished"],
-        rows,
+        list(zip(*(col.tolist() for col in columns))),
     )
 
     pair = gaussian.first_loss_reversal(etas)

@@ -9,7 +9,6 @@ so the vacuum covariance matrix is I/2. States are zero-mean throughout
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -34,6 +33,9 @@ AMPLITUDE_CUTOFF = 1e-12
 
 #: Largest squeezing parameter with a finite cosh(r), acosh(float max) ~ 710.48.
 SQUEEZING_MAX = math.acosh(sys.float_info.max)
+
+# points of the ln r grid that warm-starts the lossy-witness minimization
+_COARSE_POINTS = 40
 
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-12
@@ -129,10 +131,10 @@ class DhoParams:
             raise DomainError(f"kappa must be > 0, got {self.kappa}")
 
 
-def cp_check(ch: GaussianChannel, tol: float = PHYSICALITY_TOL) -> bool:
-    """True iff N + (i/2) Omega - (i/2) M^T Omega M >= -tol."""
+def cp_check(ch: GaussianChannel) -> bool:
+    """True iff N + (i/2) Omega - (i/2) M^T Omega M >= -1e-9."""
     cond = ch.n + 0.5j * OMEGA_1 - 0.5j * (ch.m.T @ OMEGA_1 @ ch.m)
-    return bool(np.linalg.eigvalsh(cond).min() >= -tol)
+    return bool(np.linalg.eigvalsh(cond).min() >= -PHYSICALITY_TOL)
 
 
 def apply_channel(state: TwoModeBlocks, ch: GaussianChannel) -> TwoModeBlocks:
@@ -213,12 +215,14 @@ def entropy_two_mode(state: TwoModeBlocks) -> float:
 
 
 def two_mode_squeezed(r: float) -> TwoModeBlocks:
-    """Pure two-mode squeezed state with squeezing parameter r > 0:
+    """Pure two-mode squeezed state with squeezing parameter
+    0 < r <= SQUEEZING_MAX (DomainError otherwise):
 
         alpha = beta = cosh(r) I / 2,   gamma = sinh(r) sigma_z / 2.
     """
-    if not r > 0:
-        raise DomainError(f"squeezing parameter must be > 0, got {r}")
+    if not 0 < r <= SQUEEZING_MAX:
+        raise DomainError(f"squeezing parameter must lie in (0, {SQUEEZING_MAX:.6g}], "
+                          f"where cosh r is finite; got {r}")
     ch, sh = math.cosh(r), math.sinh(r)
     return TwoModeBlocks(
         alpha=0.5 * ch * np.eye(2),
@@ -264,11 +268,10 @@ def delta_S_lossy(eta1, eta2, r):
     return out
 
 
-def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0,
-                            coarse_points: int = 40):
+def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0):
     """Minimize the lossy-channel witness over the squeezing parameter.
 
-    Golden-section search on ln r, warm-started from a coarse grid, for
+    Golden-section search on ln r, warm-started from a 40-point grid, for
     every cell of the broadcast (eta1, eta2) at once. Returns
     (r_star, delta_S_star) as arrays of the broadcast shape, or as two
     floats for scalar input. The minimum is never positive-biased:
@@ -279,13 +282,13 @@ def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0,
                           f"above), got r_min = {r_min}, r_max = {r_max}")
     e1, e2 = np.broadcast_arrays(np.asarray(eta1, dtype=float), np.asarray(eta2, dtype=float))
     shape, e1, e2 = e1.shape, e1.ravel(), e2.ravel()
-    grid = np.linspace(math.log(r_min), math.log(r_max), coarse_points)
+    grid = np.linspace(math.log(r_min), math.log(r_max), _COARSE_POINTS)
     # exp(ln r_max) can round one ulp above r_max
     vals = delta_S_lossy(e1[:, None], e2[:, None], np.minimum(np.exp(grid), r_max))
     k = np.argmin(vals, axis=1)
     _, _, c, d, fc, fd = golden_section(
         lambda u, idx: delta_S_lossy(e1[idx], e2[idx], np.exp(u)),
-        grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, coarse_points - 1)], 1e-9,
+        grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, _COARSE_POINTS - 1)], 1e-9,
     )
     best_grid = vals[np.arange(k.size), k]
     on_grid = best_grid < np.minimum(fc, fd)
@@ -298,39 +301,42 @@ def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0,
 
 @dataclass(frozen=True)
 class DhoAmplitude:
-    """Oscillator amplitude c_t, its derivative c_dot and the accumulated
-    phase Phi_t = int_0^t omega_s ds (cumulative trapezoid; omega_s from
-    `dho_coefficients`, interpolated across points with |c| below the
-    cutoff) at `times`. Iterates and indexes as (t, c, c_dot) tuples.
+    """Oscillator amplitude c_t and its derivative c_dot at `times`, with
+    the master-equation coefficients of the amplitude flow
+
+        G = -(c_dot + i omega c) / c,
+        gamma_t = 2 Re G,   omega_t = omega + Im G,
+
+    (NaN where |c| is at or below the cutoff, since they diverge at
+    amplitude zeros) and the accumulated phase Phi_t = int_0^t omega_s ds
+    (cumulative trapezoid, omega_s interpolated across those points).
     """
 
     times: np.ndarray
     c: np.ndarray
     c_dot: np.ndarray
     phase: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times.size
-
-    def __getitem__(self, k: int) -> tuple[float, complex, complex]:
-        return float(self.times[k]), complex(self.c[k]), complex(self.c_dot[k])
-
-    def __iter__(self):
-        return zip(self.times.tolist(), self.c.tolist(), self.c_dot.tolist())
+    gamma_t: np.ndarray
+    omega_t: np.ndarray
 
     @classmethod
     def from_arrays(cls, times, c, c_dot, omega: float) -> "DhoAmplitude":
-        """Amplitude samples on a grid plus the phase they give at frequency omega."""
+        """Amplitude samples on a grid plus the coefficients and phase they give
+        at frequency omega; non-finite c or c_dot raises DomainError."""
         times = np.asarray(times, dtype=float)
         c, c_dot = np.asarray(c, dtype=complex), np.asarray(c_dot, dtype=complex)
+        if not (np.isfinite(c).all() and np.isfinite(c_dot).all()):
+            raise DomainError("amplitude and its derivative must be finite")
         ok = np.abs(c) > AMPLITUDE_CUTOFF
-        phase = np.full(times.shape, np.nan)
+        gamma_t, omega_t, phase = (np.full(times.shape, np.nan) for _ in range(3))
         if ok.any():
             g = -(c_dot[ok] + 1j * omega * c[ok]) / c[ok]
+            gamma_t[ok] = 2.0 * g.real
+            omega_t[ok] = omega + g.imag
             omega_s = omega + np.interp(times, times[ok], g.imag)
             steps = np.diff(times) * (omega_s[1:] + omega_s[:-1]) / 2.0
             phase = np.concatenate([[0.0], np.cumsum(steps)])
-        return cls(times, c, c_dot, phase)
+        return cls(times, c, c_dot, phase, gamma_t, omega_t)
 
 
 def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
@@ -342,8 +348,7 @@ def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
             + [g2 + i omega (kappa + i omega_big)] c = 0
 
     with c(0) = 1, c'(0) = -i omega, which encodes an exponentially
-    decaying bath memory kernel. Returns a `DhoAmplitude`, which also
-    reads as [(t, c, c_dot), ...].
+    decaying bath memory kernel. Returns a `DhoAmplitude`.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or abs(grid[0]) > 1e-14 or not np.isfinite(grid).all():
@@ -364,26 +369,6 @@ def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
     if not sol.success:
         raise IntegrationFailureError(sol.message)
     return DhoAmplitude.from_arrays(grid, sol.y[0], sol.y[1], params.omega)
-
-
-def dho_coefficients(
-    c: complex, c_dot: complex, params: DhoParams
-) -> tuple[complex, float, float]:
-    """Master-equation coefficients at one instant of the amplitude flow:
-
-        G = -(c_dot + i omega c) / c,
-        gamma_t = 2 Re G,   omega_t = omega + Im G.
-
-    Raises AmplitudeVanishingError when |c| is below the cutoff, since
-    the coefficients diverge at amplitude zeros, and DomainError when c or
-    c_dot is not finite.
-    """
-    if not (cmath.isfinite(c) and cmath.isfinite(c_dot)):
-        raise DomainError(f"amplitude and its derivative must be finite, got {c}, {c_dot}")
-    if abs(c) <= AMPLITUDE_CUTOFF:
-        raise AmplitudeVanishingError(f"amplitude magnitude {abs(c):.3e} below cutoff")
-    g = -(c_dot + 1j * params.omega * c) / c
-    return g, 2.0 * g.real, params.omega + g.imag
 
 
 def dho_channel(

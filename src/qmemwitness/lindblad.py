@@ -10,12 +10,13 @@ D[1_S (x) sigma_-].
 
 The generator does not depend on time, so the reduced map on S is exact:
 
-    Lambda_t(X) = Tr_M exp(L t) (X (x) rho_M),
+    Lambda_t(X) = Tr_M exp(L t) (X (x) |0><0|_M),
 
-with L the Liouvillian on S (x) M (size 4d^2 x 4d^2, row-major vec).
+with the memory starting in its ground state and L the Liouvillian on
+S (x) M (size 4d^2 x 4d^2, row-major vec).
 Propagators come from `scipy.linalg.expm` (scaling and squaring, Al-Mohy
 & Higham, SIAM J. Matrix Anal. Appl. 31, 2009). On an output grid the d^2
-matrix units |i><j| (x) rho_M are stepped with one propagator per
+matrix units |i><j| (x) |0><0|_M are stepped with one propagator per
 distinct step and traced over M in batches; off-grid queries apply
 exp(L t) to the matrix units directly. L is never diagonalized: under the
 spin convention it is (nearly) defective.
@@ -102,24 +103,17 @@ def _validate_grid(t_grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
-def _matrix_units(d: int, memory_state: np.ndarray | None) -> np.ndarray:
-    """Columns vec(|i><j| (x) rho_M) for column i*d + j, shape (4d^2, d^2)."""
-    if memory_state is None:
-        mem = np.zeros((2, 2), dtype=complex)
-        mem[0, 0] = 1.0
-    else:
-        mem = np.asarray(memory_state, dtype=complex)
-        if mem.shape != (2, 2):
-            raise InvalidSubsystemError("memory state must be a 2x2 density matrix")
-    eye = np.eye(d)
-    units = np.einsum("si,tj,mn->smtnij", eye, eye, mem)
+def _matrix_units(d: int) -> np.ndarray:
+    """Columns vec(|i><j| (x) |0><0|_M) for column i*d + j, shape (4d^2, d^2)."""
+    units = np.zeros((d, 2, d, 2, d * d), dtype=complex)
+    units[:, 0, :, 0] = np.eye(d * d).reshape(d, d, d * d)
     return units.reshape(4 * d * d, d * d)
 
 
 def _trace_out_memory(joint: np.ndarray, d: int) -> np.ndarray:
     """Superoperators from evolved matrix units: (..., 4d^2, d^2) -> (..., d^2, d^2).
 
-    Column i*d + j of the result holds vec Tr_M of the evolved |i><j| (x) rho_M.
+    Column i*d + j of the result holds vec Tr_M of the evolved |i><j| (x) |0><0|_M.
     """
     lead = joint.shape[:-2]
     r = joint.reshape(lead + (d, 2, d, 2, d * d))
@@ -164,21 +158,16 @@ class ChoiEvolution:
         return _choi(_trace_out_memory(joint, d), d)
 
 
-def evolve_choi(
-    model: LindbladModel,
-    t_grid: Sequence[float],
-    memory_state: np.ndarray | None = None,
-) -> ChoiEvolution:
-    """Evolve |Phi+>_SA (x) rho_M and trace out M on the grid.
+def evolve_choi(model: LindbladModel, t_grid: Sequence[float]) -> ChoiEvolution:
+    """Evolve |Phi+>_SA (x) |0><0|_M and trace out M on the grid.
 
     The S-A state at time t equals the channel at time t applied to one
-    half of the maximally entangled pair. `memory_state` overrides the
-    default |0><0| initial memory (expert use).
+    half of the maximally entangled pair.
     """
     d = model.d
     grid = _validate_grid(t_grid)
     generator = model.liouvillian()
-    units = _matrix_units(d, memory_state)
+    units = _matrix_units(d)
     steps, which = np.unique(np.diff(grid), return_inverse=True)
     propagators = [expm(generator * dt) for dt in steps]
     states = np.empty((grid.size, d * d, d * d), dtype=complex)
@@ -195,21 +184,17 @@ def evolve_choi(
     return ChoiEvolution(model, grid, states, generator, units)
 
 
-def channel_superoperator(
-    model: LindbladModel,
-    t: float,
-    memory_state: np.ndarray | None = None,
-) -> np.ndarray:
+def channel_superoperator(model: LindbladModel, t: float) -> np.ndarray:
     """Superoperator matrix of the reduced map on S at time t.
 
     Row-major vectorization: column i*d + j holds vec of the image of the
-    matrix unit |i><j|, evolved jointly with the memory (no ancilla) and
-    traced over M. At t = 0 this is the identity on d^2 components.
+    matrix unit |i><j|, evolved jointly with the memory (no ancilla, memory
+    starting in |0><0|) and traced over M. At t = 0 this is the identity on d^2 components.
     """
     t = float(t)
     if not (math.isfinite(t) and t >= 0):
         raise InvalidSubsystemError(f"t must be finite and >= 0, got {t}")
-    joint = expm(model.liouvillian() * t) @ _matrix_units(model.d, memory_state)
+    joint = expm(model.liouvillian() * t) @ _matrix_units(model.d)
     return _trace_out_memory(joint, model.d)
 
 

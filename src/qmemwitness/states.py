@@ -29,6 +29,9 @@ TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 EIGENVALUE_CLIP = 1e-12
 
+# matrices checked and diagonalized per step in `_hermitian_spectra`
+_SPECTRA_BLOCK = 64
+
 #: Ladder-operator conventions for a d-level system.
 CONVENTION_SPIN = "spin"
 CONVENTION_TRUNCATED = "truncated-oscillator"
@@ -142,16 +145,23 @@ def _check_trace(stack: np.ndarray) -> None:
 
 
 def _hermitian_spectra(stack: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of (near-)Hermitian matrices.
+    """Ascending eigenvalues of a matrix or a stack of (near-)Hermitian matrices.
 
     Rejects Hermiticity defects above 1e-10 and eigenvalues below -1e-9;
     the matrices are symmetrized before diagonalizing to absorb roundoff.
+    Works in blocks of 64 matrices, so its temporaries stay a fixed size
+    however long the stack.
     """
-    adj = stack.conj().swapaxes(-1, -2)
-    herm = np.abs(stack - adj).max(initial=0.0)
-    if not herm <= HERMITICITY_TOL:
-        raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm:.3e}")
-    w = np.linalg.eigvalsh((stack + adj) / 2)
+    flat = stack.reshape((-1,) + stack.shape[-2:])
+    w = np.empty(flat.shape[:-1])
+    for start in range(0, len(flat), _SPECTRA_BLOCK):
+        block = flat[start:start + _SPECTRA_BLOCK]
+        adj = block.conj().swapaxes(-1, -2)
+        herm = np.abs(block - adj).max(initial=0.0)
+        if not herm <= HERMITICITY_TOL:
+            raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm:.3e}")
+        w[start:start + _SPECTRA_BLOCK] = np.linalg.eigvalsh((block + adj) / 2)
+    w = w.reshape(stack.shape[:-1])
     lo = w[..., 0].min(initial=np.inf)
     if lo < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"negative eigenvalue {lo:.3e} below tolerance")

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import gaussian as _gaussian
-from .errors import ExtremumNotFoundError, InvalidSubsystemError, QmemError
+from .errors import ExtremumNotFoundError, InvalidStateError, InvalidSubsystemError, QmemError
 from .lindblad import ChoiEvolution, LindbladModel, evolve_choi
 from .optimize import golden_section
 from .states import DEFAULT_CONVENTION, DensityMatrix, entropy_arrays
@@ -31,7 +31,10 @@ from .states import DEFAULT_CONVENTION, DensityMatrix, entropy_arrays
 #: declared, so rounding noise never produces a false positive.
 DETECTION_THRESHOLD = -1e-9
 
+# extrema less prominent than this are noise; witness times are refined
+# to this fraction of the grid span
 _EXTREMUM_NOISE_FLOOR = 1e-10
+_TIME_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,8 @@ class WitnessReport:
     `neg_cond_sa_t2` is -S(S|A) and `neg_cond_as_t2` is -S(A|S), both at
     the later snapshot; `delta_s` combines them with `s_sys_t1` as in the
     module docstring. Times are optional (None when the snapshots do not
-    come from a trajectory).
+    come from a trajectory). Every field must be finite
+    (InvalidStateError otherwise).
     """
 
     s_sys_t1: float
@@ -53,6 +57,11 @@ class WitnessReport:
     t2: float | None = None
 
     def __post_init__(self):
+        values = (self.s_sys_t1, self.neg_cond_sa_t2, self.neg_cond_as_t2, self.delta_s)
+        times = tuple(t for t in (self.t1, self.t2) if t is not None)
+        if not all(map(math.isfinite, values + times)):
+            # a NaN delta_s would read as "not detected"
+            raise InvalidStateError(f"witness report fields must be finite, got {self}")
         expected = self.s_sys_t1 - max(self.neg_cond_sa_t2, self.neg_cond_as_t2)
         if abs(self.delta_s - expected) > 1e-12:
             raise ValueError("delta_s inconsistent with its parts")
@@ -161,19 +170,16 @@ def _interior_extrema(values: np.ndarray, kind: str, noise_floor: float) -> np.n
 
 def find_witness_times(
     traj: EntropyTrajectory,
-    evaluate: Callable[[np.ndarray], EntropyTrajectory] | None = None,
-    noise_floor: float = _EXTREMUM_NOISE_FLOOR,
-    time_tolerance: float | None = None,
+    evaluate: Callable[[np.ndarray], EntropyTrajectory],
 ) -> tuple[float, float]:
     """Select the witness times on an entropy trajectory.
 
     t1 is the first interior local minimum of s_system, t2 the first
-    local maximum of -S(S|A) after t1. When `evaluate` is given (a map
-    from an array of times to their EntropyTrajectory, typically backed by
-    exact off-grid states), both times are refined by golden-section
-    search on re-evaluated states down to `time_tolerance` (default 1e-4
-    of the grid span); otherwise a parabolic fit through the three
-    bracketing grid points is used.
+    local maximum of -S(S|A) after t1 (extrema less prominent than 1e-10
+    are noise). Both times are refined by golden-section search down to
+    1e-6 of the grid span on the entropies `evaluate` returns, a map from
+    an array of times to their EntropyTrajectory (typically backed by
+    exact off-grid states).
 
     Raises ExtremumNotFoundError when either extremum is missing, e.g.
     on monotone trajectories (callers may extend the grid).
@@ -181,59 +187,39 @@ def find_witness_times(
     times = traj.times
     if times.size < 3:
         raise ExtremumNotFoundError("trajectory too short to contain extrema")
-    s_sys = traj.s_system
-    neg_sa = traj.neg_cond_sa
-    span = times[-1] - times[0]
-    tol = time_tolerance if time_tolerance is not None else 1e-4 * span
+    tol = _TIME_TOLERANCE * (times[-1] - times[0])
 
-    i_mins = _interior_extrema(s_sys, "min", noise_floor)
+    i_mins = _interior_extrema(traj.s_system, "min", _EXTREMUM_NOISE_FLOOR)
     if i_mins.size == 0:
         raise ExtremumNotFoundError("no interior local minimum of s_system")
-    i1 = i_mins[0]
-    t1 = _refine_extremum(times, s_sys, i1, "min", evaluate, tol)
+    t1 = _refine(times, i_mins[0], lambda x, _: evaluate(x).s_system, tol)
 
-    i_maxs = _interior_extrema(neg_sa, "max", noise_floor)
+    i_maxs = _interior_extrema(traj.neg_cond_sa, "max", _EXTREMUM_NOISE_FLOOR)
     i_maxs = i_maxs[times[i_maxs] > t1]
     if i_maxs.size == 0:
         raise ExtremumNotFoundError("no local maximum of -S(S|A) after t1")
     i2 = i_maxs[0]
-    t2 = _refine_extremum(times, neg_sa, i2, "max", evaluate, tol)
+    t2 = _refine(times, i2, lambda x, _: -evaluate(x).neg_cond_sa, tol)
     if not t2 > t1:
         # adjacent extrema refined across each other; keep the grid value
         t2 = float(times[i2])
-    return float(t1), float(t2)
+    return t1, t2
 
 
-def _refine_extremum(times, values, i, kind, evaluate, tol):
-    a, b = times[i - 1], times[i + 1]
-    if evaluate is not None:
-        if kind == "min":
-            f = lambda x, _: evaluate(x).s_system
-        else:
-            f = lambda x, _: -evaluate(x).neg_cond_sa
-        a, b, *_ = golden_section(f, a, b, tol)
-        return float(0.5 * (a[0] + b[0]))
-    # parabola through the three grid points
-    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
-    t0, t1_, t2_ = times[i - 1], times[i], times[i + 1]
-    denom = (y0 - y1) * (t1_ - t2_) - (y1 - y2) * (t0 - t1_)
-    if abs(denom) < 1e-300:
-        return float(t1_)
-    num = (y0 - y1) * (t1_ - t2_) * (t1_ + t2_) - (y1 - y2) * (t0 - t1_) * (t0 + t1_)
-    vertex = 0.5 * num / denom
-    if not (t0 < vertex < t2_):
-        return float(t1_)
-    return float(vertex)
+def _refine(times, i, f, tol) -> float:
+    """Minimum of f on the grid bracket around index i, by golden-section search."""
+    a, b, *_ = golden_section(f, times[i - 1], times[i + 1], tol)
+    return float(0.5 * (a[0] + b[0]))
 
 
-def ordering_check(traj: EntropyTrajectory, tol: float = 1e-9) -> bool:
-    """True iff -S(S|A) >= -S(A|S) - tol at every grid time.
+def ordering_check(traj: EntropyTrajectory) -> bool:
+    """True iff -S(S|A) >= -S(A|S) - 1e-9 at every grid time.
 
     Meaningful for trajectories started from a maximally entangled
     system-ancilla probe, where the ancilla marginal stays maximally
     mixed.
     """
-    return bool(np.all(traj.neg_cond_sa >= traj.neg_cond_as - tol))
+    return bool(np.all(traj.neg_cond_sa >= traj.neg_cond_as - 1e-9))
 
 
 def qudit_entropy_trajectory(
@@ -256,20 +242,15 @@ class QuditWitnessResult:
     ordering_ok: bool
 
 
-def witness_from_trajectory(
-    ev: ChoiEvolution,
-    traj: EntropyTrajectory,
-    time_tolerance: float | None = None,
-) -> QuditWitnessResult:
+def witness_from_trajectory(ev: ChoiEvolution, traj: EntropyTrajectory) -> QuditWitnessResult:
     """Select (t1, t2) on a computed qudit trajectory and evaluate the witness.
 
     `ev` and `traj` come from `qudit_entropy_trajectory`. The witness
-    times are refined on exact off-grid states down to `time_tolerance`
-    (default 1e-6 of the grid span, so the reported delta_s is
-    insensitive to the output grid). `revival_maxima` lists every
-    interior local maximum of -S(S|A) after t1 as (time, value) pairs;
-    entries beyond the first show whether later revivals could still
-    detect. Raises ExtremumNotFoundError like `find_witness_times`.
+    times are refined on exact off-grid states down to 1e-6 of the grid
+    span, so the reported delta_s is insensitive to the output grid.
+    `revival_maxima` lists every interior local maximum of -S(S|A) after
+    t1 as (time, value) pairs; entries beyond the first show whether
+    later revivals could still detect. Raises ExtremumNotFoundError like `find_witness_times`.
     Every probe state is validated once, by the `entropy_arrays` call
     that takes its entropies.
     """
@@ -281,8 +262,7 @@ def witness_from_trajectory(
     def evaluate(ts: np.ndarray) -> EntropyTrajectory:
         return EntropyTrajectory(ts, *entropy_arrays(states_at(ts), dims))
 
-    tol = 1e-6 * float(traj.times[-1]) if time_tolerance is None else time_tolerance
-    t1, t2 = find_witness_times(traj, evaluate=evaluate, time_tolerance=tol)
+    t1, t2 = find_witness_times(traj, evaluate)
     report = _report_on_pair(*entropy_arrays(states_at((t1, t2)), dims), t1, t2)
     neg_sa = traj.neg_cond_sa
     revivals = tuple(
@@ -302,7 +282,6 @@ def witness_qudit_model(
     model: LindbladModel,
     t_max: float = 12.0,
     n_points: int = 2001,
-    time_tolerance: float | None = None,
 ) -> QuditWitnessResult:
     """Run the full pipeline for one qudit model.
 
@@ -310,9 +289,7 @@ def witness_qudit_model(
     `n_points` over [0, t_max], selects (t1, t2) and evaluates the
     witness (see `witness_from_trajectory`).
     """
-    return witness_from_trajectory(
-        *qudit_entropy_trajectory(model, t_max, n_points), time_tolerance=time_tolerance
-    )
+    return witness_from_trajectory(*qudit_entropy_trajectory(model, t_max, n_points))
 
 
 @dataclass(frozen=True)
@@ -374,10 +351,10 @@ def find_critical_ratio(
     convention: str = DEFAULT_CONVENTION,
     t_max: float = 12.0,
     n_points: int = 2001,
-    rel_tol: float = 0.02,
     collect: list | None = None,
 ) -> float:
-    """Damping ratio at which the witness changes sign, by log-bisection.
+    """Damping ratio at which the witness changes sign, by log-bisection
+    down to a ratio bracket of 1.02.
 
     delta_s must be negative at ratio_lo and positive at ratio_hi.
     When `collect` is given, every evaluated QuditWitnessResult is
@@ -397,7 +374,7 @@ def find_critical_ratio(
         raise ExtremumNotFoundError(
             f"no sign change on [{lo}, {hi}]: delta_s = {f_lo:.4g}, {f_hi:.4g}"
         )
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.02:
         mid = math.sqrt(lo * hi)
         if delta_at(mid) < 0.0:
             lo = mid

@@ -147,7 +147,7 @@ def test_criterion_6_damped_oscillator_oracle():
     t0 = time.perf_counter()
     ts = np.linspace(0.0, 20.0, 2001)
     amp = dho_amplitude(RESONANT, ts)
-    c_num = np.array([p[1] for p in amp])
+    c_num = amp.c
     c_ref, _ = dho_closed_form(RESONANT.g2, RESONANT.kappa, RESONANT.omega, RESONANT.omega_big, ts)
     oracle_ok = np.abs(c_num - c_ref).max() <= 1e-8
 
@@ -155,8 +155,7 @@ def test_criterion_6_damped_oscillator_oracle():
     # amplitude zero (the rate has a non-integrable pole at each zero)
     ts_q = np.linspace(0.0, 1.5, 6001)
     amp_q = dho_amplitude(RESONANT, ts_q)
-    cs = np.array([p[1] for p in amp_q])
-    cds = np.array([p[2] for p in amp_q])
+    cs, cds = amp_q.c, amp_q.c_dot
     g_re = (-(cds + 1j * RESONANT.omega * cs) / cs).real
     gamma_acc = np.concatenate(
         [[0.0], np.cumsum((g_re[1:] + g_re[:-1]) * np.diff(ts_q))]

@@ -103,10 +103,17 @@ class TestQuditTrace:
         assert not out.exists() and not out.with_suffix(".json").exists()
 
     def test_over_memory_budget_is_config_error(self, tmp_path, capsys):
-        # 16 d^4 (points + 16) bytes: d=200 would need 453 GiB
+        # 16 d^4 (points + 1024) + 1 KiB points + 8 MiB: d=200 would need 2.45e4 GiB
         out = tmp_path / "x.csv"
         assert run(["qudit-trace", "--d", 200, "--points", 3, "--output", out]) == 2
-        assert "needs about 453 GiB" in capsys.readouterr().err
+        assert "needs about 2.45e+04 GiB" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_budget_counts_more_than_the_trajectory(self, tmp_path, capsys):
+        # the trajectory alone (1.97 GiB) would fit, the run's working set would not
+        out = tmp_path / "x.csv"
+        assert run(["qudit-trace", "--d", 16, "--points", 2001, "--output", out]) == 2
+        assert "d=16 with 2001 points needs about 2.96 GiB" in capsys.readouterr().err
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -226,6 +233,16 @@ class TestGaussLossy:
         assert "cosh r overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, need", [(["--eta-points", 1000], "2.87 GiB"),
+                                             (["--eta-points", 600, "--fixed-r", "1,2,3"],
+                                              "2.07 GiB")])
+    def test_over_memory_budget_is_config_error(self, tmp_path, flags, need, capsys):
+        # eta_points^2 (3 + fixed r values) KiB + 8 MiB; 600 points alone would fit
+        out = tmp_path / "x.csv"
+        assert run(["gauss-lossy", *flags, "--output", out]) == 2
+        assert f"needs about {need}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rows_match_per_cell_minimization(self, tmp_path):
         out = tmp_path / "lossy.csv"
         assert run(["gauss-lossy", "--eta-points", 4, "--r-min", 0.01, "--r-max", 5,
@@ -284,6 +301,13 @@ class TestGaussDho:
 
     def test_bad_kappa(self, tmp_path):
         assert run(["gauss-dho", "--kappa", 0, "--output", tmp_path / "x.csv"]) == 2
+
+    def test_over_memory_budget_is_config_error(self, tmp_path, capsys):
+        # 1 KiB per point + 8 MiB
+        out = tmp_path / "x.csv"
+        assert run(["gauss-dho", "--points", 10 ** 7, "--output", out]) == 2
+        assert "points=10000000 needs about 9.54 GiB" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
 
     @pytest.mark.parametrize("flag", ["--g2", "--kappa", "--omega", "--omega-big",
                                       "--t-max", "--r"])

@@ -18,7 +18,6 @@ from qmemwitness import (
     delta_S_lossy,
     dho_amplitude,
     dho_channel,
-    dho_coefficients,
     entropy_single_mode,
     entropy_two_mode,
     evaluate_criterion_gaussian,
@@ -185,6 +184,11 @@ class TestTwoModeSqueezed:
         with pytest.raises(DomainError):
             two_mode_squeezed(0.0)
 
+    @pytest.mark.parametrize("r", [800.0, math.inf, math.nan])
+    def test_squeezing_above_cosh_overflow_rejected(self, r):
+        with pytest.raises(DomainError):
+            two_mode_squeezed(r)
+
 
 class TestChannels:
     def test_cp_check(self):
@@ -334,13 +338,13 @@ class TestMinimizeOverR:
                     assert ds_small < 0
 
 
-def minimize_loop(eta1, eta2, r_min=1e-3, r_max=6.0, coarse_points=40):
+def minimize_loop(eta1, eta2, r_min=1e-3, r_max=6.0):
     """Reference: one scalar golden-section search on ln r for one cell."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    grid = np.linspace(math.log(r_min), math.log(r_max), coarse_points)
+    grid = np.linspace(math.log(r_min), math.log(r_max), 40)
     vals = delta_S_lossy(eta1, eta2, np.exp(grid))
     k = int(np.argmin(vals))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, coarse_points - 1)]
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, 39)]
 
     def f(u):
         return delta_S_lossy(eta1, eta2, math.exp(u))
@@ -381,7 +385,7 @@ class TestVectorizedMinimizerMatchesLoop:
     def test_random_interior_points(self, rng):
         e1, e2 = rng.uniform(0.0, 1.0, size=(2, 60))
         self.check(e1, e2)
-        self.check(e1[:10], e2[:10], r_min=0.05, r_max=3.0, coarse_points=17)
+        self.check(e1[:10], e2[:10], r_min=0.05, r_max=3.0)
 
     def test_edge_brackets(self):
         # the coarse minimum on the first (k=0) and the last (k=39) grid point
@@ -423,15 +427,15 @@ class TestVectorizedMinimizerMatchesLoop:
 
 class TestDhoAmplitude:
     def test_initial_conditions(self):
-        (t0, c0, cd0), = dho_amplitude(RESONANT, [0.0])
-        assert t0 == 0.0 and c0 == 1.0 + 0.0j
-        assert cd0 == -1j * RESONANT.omega
+        amp = dho_amplitude(RESONANT, [0.0])
+        assert amp.times.tolist() == [0.0] and amp.c.tolist() == [1.0 + 0.0j]
+        assert amp.c_dot.tolist() == [-1j * RESONANT.omega]
 
     def test_decoupled_limit(self):
         params = DhoParams(g2=0.0, kappa=0.25, omega=1.0, omega_big=1.0)
         ts = np.linspace(0.0, 5.0, 51)
         amp = dho_amplitude(params, ts)
-        for t, c, _ in amp:
+        for t, c in zip(amp.times, amp.c):
             assert abs(c - np.exp(-1j * t)) < 1e-9
             assert abs(abs(c) - 1.0) < 1e-9
 
@@ -439,10 +443,8 @@ class TestDhoAmplitude:
         ts = np.linspace(0.0, 5.0, 501)
         amp = dho_amplitude(RESONANT, ts)
         c_ref, cd_ref = dho_closed_form(1.0, 0.25, 1.0, 1.0, ts)
-        c_num = np.array([p[1] for p in amp])
-        cd_num = np.array([p[2] for p in amp])
-        assert np.abs(c_num - c_ref).max() < 1e-8
-        assert np.abs(cd_num - cd_ref).max() < 1e-8
+        assert np.abs(amp.c - c_ref).max() < 1e-8
+        assert np.abs(amp.c_dot - cd_ref).max() < 1e-8
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -450,16 +452,6 @@ class TestDhoAmplitude:
         for bad in ([0.0, 1.0, math.inf], [0.0, math.nan], [math.nan, 1.0]):
             with pytest.raises(DomainError):
                 dho_amplitude(RESONANT, bad)
-
-    def test_reads_as_tuples(self):
-        amp = dho_amplitude(RESONANT, np.linspace(0.0, 2.0, 21))
-        assert isinstance(amp, DhoAmplitude) and len(amp) == 21
-        tuples = list(amp)
-        assert tuples == [amp[k] for k in range(21)]
-        for (t, c, cd), k in zip(tuples, range(21)):
-            assert type(t) is float and type(c) is complex and type(cd) is complex
-            assert (t, c, cd) == (amp.times[k], amp.c[k], amp.c_dot[k])
-        assert amp[-1] == tuples[-1]
 
 
 def phase_per_call(times, cs, cds, omega, k):
@@ -479,7 +471,7 @@ class TestDhoPhase:
     def test_matches_per_call_quadrature(self, params):
         amp = dho_amplitude(params, np.linspace(0.0, 20.0, 4001))
         ref = [phase_per_call(amp.times, amp.c, amp.c_dot, params.omega, k)
-               for k in range(len(amp))]
+               for k in range(amp.times.size)]
         assert amp.phase[0] == 0.0
         assert np.abs(amp.phase - ref).max() <= 1e-12
         if params is DETUNED:
@@ -544,37 +536,56 @@ class TestFirstLossReversal:
             assert first_loss_reversal(etas) == loop(etas)
 
 
+def rate_g(amp, omega):
+    """G = gamma_t / 2 + i (omega_t - omega), from the amplitude's coefficient arrays."""
+    return amp.gamma_t / 2.0 + 1j * (amp.omega_t - omega)
+
+
 class TestDhoCoefficients:
     def test_zero_at_t0(self):
-        g, gamma_t, omega_t = dho_coefficients(1.0 + 0.0j, -1j * RESONANT.omega, RESONANT)
-        assert abs(g) < 1e-15
-        assert gamma_t == 0.0
-        assert abs(omega_t - RESONANT.omega) < 1e-15
+        amp = DhoAmplitude.from_arrays([0.0], [1.0 + 0.0j], [-1j * RESONANT.omega],
+                                       RESONANT.omega)
+        assert abs(rate_g(amp, RESONANT.omega)[0]) < 1e-15
+        assert amp.gamma_t[0] == 0.0
+        assert abs(amp.omega_t[0] - RESONANT.omega) < 1e-15
 
     def test_decoupled_limit_vanishes(self):
         params = DhoParams(g2=0.0, kappa=0.25, omega=1.0, omega_big=1.0)
         amp = dho_amplitude(params, np.linspace(0.0, 4.0, 41))
-        for _, c, cd in amp:
-            g, _, _ = dho_coefficients(c, cd, params)
-            assert abs(g) < 1e-8
+        assert np.abs(rate_g(amp, params.omega)).max() < 1e-8
 
     def test_negative_rate_window_exists(self):
         amp = dho_amplitude(RESONANT, np.linspace(0.0, 4.0, 801))
-        rates = []
-        for _, c, cd in amp:
-            if abs(c) > 1e-6:
-                rates.append(dho_coefficients(c, cd, RESONANT)[1])
-        assert min(rates) < 0.0
+        assert amp.gamma_t[np.abs(amp.c) > 1e-6].min() < 0.0
+
+    def test_matches_scalar_formula(self):
+        # G = -(c_dot + i omega c) / c point by point, in Python complex arithmetic
+        for params in (RESONANT, DETUNED):
+            amp = dho_amplitude(params, np.linspace(0.0, 20.0, 4001))
+            for c, cd, gamma_t, omega_t in zip(amp.c.tolist(), amp.c_dot.tolist(),
+                                               amp.gamma_t, amp.omega_t):
+                if abs(c) <= 1e-12:
+                    assert math.isnan(gamma_t) and math.isnan(omega_t)
+                    continue
+                g = -(cd + 1j * params.omega * c) / c
+                tol = 1e-15 * max(1.0, abs(g))   # complex division rounds differently
+                assert abs(gamma_t - 2.0 * g.real) <= tol
+                assert abs(omega_t - (params.omega + g.imag)) <= tol
 
     def test_vanishing_amplitude_raises(self):
+        # the rates are NaN at an amplitude zero, and the channel there raises
+        amp = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0 + 0.0j], [-1j, -1j],
+                                       RESONANT.omega)
+        assert np.isnan(amp.gamma_t[1]) and np.isnan(amp.omega_t[1])
+        assert amp.gamma_t[0] == 0.0 and amp.omega_t[0] == RESONANT.omega
         with pytest.raises(AmplitudeVanishingError):
-            dho_coefficients(0.0 + 0.0j, -1j, RESONANT)
+            dho_channel(amp, RESONANT, 0.5)
 
     @pytest.mark.parametrize("c, c_dot", [(math.nan, 0.0), (complex(math.inf, 0.0), -1j),
                                           (1.0, complex(0.0, math.nan)), (1.0, math.inf)])
     def test_rejects_non_finite(self, c, c_dot):
         with pytest.raises(DomainError):
-            dho_coefficients(c, c_dot, RESONANT)
+            DhoAmplitude.from_arrays([0.0, 0.5], [1.0, c], [-1j, c_dot], RESONANT.omega)
 
 
 class TestDhoChannel:
@@ -588,8 +599,7 @@ class TestDhoChannel:
         # -ln |c_t|^2 must equal the accumulated damping rate
         ts = np.linspace(0.0, 1.5, 6001)
         amp = dho_amplitude(RESONANT, ts)
-        cs = np.array([p[1] for p in amp])
-        cds = np.array([p[2] for p in amp])
+        cs, cds = amp.c, amp.c_dot
         g = -(cds + 1j * RESONANT.omega * cs) / cs
         gamma_acc = np.concatenate(
             [[0.0], np.cumsum((g.real[1:] + g.real[:-1]) * np.diff(ts))]
@@ -607,7 +617,7 @@ class TestDhoChannel:
     def test_loss_is_nonmonotonic(self):
         ts = np.linspace(0.0, 8.0, 1601)
         amp = dho_amplitude(RESONANT, ts)
-        eta = 1.0 - np.abs([p[1] for p in amp]) ** 2
+        eta = 1.0 - np.abs(amp.c) ** 2
         i_max = int(np.argmax(eta))
         assert 0 < i_max < len(ts) - 1
         assert eta[i_max] > eta[i_max:].min() + 0.05

@@ -96,13 +96,6 @@ class TestGenerator:
         step = expm(model.liouvillian() * 2.5) @ ground_sm.ravel()
         assert np.abs(step - ground_sm.ravel()).max() < 1e-12
 
-    def test_rejects_wrong_shape(self):
-        model = LindbladModel(d=2)
-        with pytest.raises(InvalidSubsystemError):
-            evolve_choi(model, [0.0, 1.0], memory_state=np.eye(4) / 4)
-        with pytest.raises(InvalidSubsystemError):
-            channel_superoperator(model, 1.0, memory_state=np.eye(4) / 4)
-
 
 class TestEvolve:
     def test_t0_returns_initial_state_exactly(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qmemwitness import (
     partial_trace,
     von_neumann_entropy,
 )
-from qmemwitness.states import _check_entropies
+from qmemwitness.states import _check_entropies, _hermitian_spectra
 from oracles import random_density_matrix, random_pure_vector, random_unitary
 
 
@@ -231,6 +232,27 @@ class TestEntropyArrays:
         stack = np.array([good, np.kron(bad, np.eye(2) / 2), good], dtype=complex)
         with pytest.raises(InvalidStateError):
             entropy_arrays(stack, (2, 2))
+
+    def test_temporaries_stay_below_half_the_stack(self, rng):
+        stack = np.array([random_density_matrix(rng, [4, 4], rank=3) for _ in range(2001)])
+        tracemalloc.start()
+        try:
+            entropy_arrays(stack, (4, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * stack.nbytes
+
+    def test_blocks_match_one_stacked_eigensolve(self, rng):
+        stack = np.array([random_density_matrix(rng, [2, 3], rank=r % 6 + 1)
+                          for r in range(150)])
+        adj = stack.conj().swapaxes(-1, -2)
+        assert np.array_equal(_hermitian_spectra(stack),
+                              np.linalg.eigvalsh((stack + adj) / 2))
+        # a bad state past the first block of 64 still rejects the stack
+        stack[130] = np.diag([1.2, -0.2, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(InvalidStateError):
+            entropy_arrays(stack, (2, 3))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidSubsystemError):
