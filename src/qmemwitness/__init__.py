@@ -14,7 +14,6 @@ from .errors import (
     AmplitudeVanishingError,
     DomainError,
     ExtremumNotFoundError,
-    IntegrationFailureError,
     InvalidChannelError,
     InvalidDimensionError,
     InvalidStateError,

@@ -19,10 +19,12 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -63,10 +65,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+# rows formatted and written per block, so no run holds its whole CSV
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable) -> None:
+    rows = iter(rows)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+            fh.write("".join(",".join(_fmt(v) for v in row) + "\n" for row in block)
+                     .encode("ascii"))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -197,7 +206,7 @@ def _cmd_qudit_trace(cfg: dict) -> int:
     except ExtremumNotFoundError as exc:
         # no witness pair on this window; still emit the entropy curves
         sidecar.update({"report": None, "error": str(exc)})
-    rows = list(zip(traj.times, traj.s_system, traj.neg_cond_sa, traj.neg_cond_as))
+    rows = zip(traj.times, traj.s_system, traj.neg_cond_sa, traj.neg_cond_as)
     _write_csv(cfg["output"], ["t", "S_S", "neg_S_cond_SA", "neg_S_cond_AS"], rows)
     _write_json(_sidecar_path(cfg["output"]), sidecar)
     return 0
@@ -281,26 +290,27 @@ def _cmd_gauss_lossy(cfg: dict) -> int:
     if fixed_r is not None:
         _require(all(0 < float(r) <= r_bound for r in fixed_r),
                  f"fixed r values must lie in (0, {r_bound:.6g}] (cosh r overflows above)")
-    # per cell: the minimizer's (cells, 40) coarse-grid temporaries, and
-    # for each fixed r its witness values and output rows
+    # per cell the minimizer's (cells, 40) coarse-grid temporaries; per
+    # fixed-r row its witness value and temporaries (rows are streamed)
     n_r = len(fixed_r or ())
-    _require_memory(n * n * (3 + n_r) * _KIB + 8 * _MIB,
+    _require_memory(n * n * (3 * _KIB + 64 * n_r) + 8 * _MIB,
                     f"eta_points={n} with {n_r} fixed r values",
-                    "eta_points^2 (3 + fixed r values) KiB + 8 MiB")
+                    "eta_points^2 (3 KiB + 64 B fixed r values) + 8 MiB")
 
     _progress(f"gauss-lossy: {n}x{n} grid")
     etas = np.linspace(0.0, 1.0, n)
     e1, e2 = np.repeat(etas, n), np.tile(etas, n)   # eta1-major rows
     r_star, ds = gaussian.minimize_delta_S_over_r(e1, e2, r_min=r_min, r_max=r_max)
-    rows = list(zip(e1.tolist(), e2.tolist(), ds.tolist(), r_star.tolist()))
+    e1_list, e2_list = e1.tolist(), e2.tolist()
+    rows = zip(e1_list, e2_list, ds.tolist(), r_star.tolist())
     _write_csv(cfg["output"], ["eta1", "eta2", "delta_S_min", "r_star"], rows)
 
     if fixed_r:
         rs = np.array(fixed_r, dtype=float)
         ds_r = gaussian.delta_S_lossy(e1, e2, rs[:, None])   # (r, cell)
-        rows_r = [[a, b, r, ds, ds < 0]
-                  for r, ds_row in zip(rs.tolist(), ds_r.tolist())
-                  for a, b, ds in zip(e1.tolist(), e2.tolist(), ds_row)]
+        rows_r = ((a, b, r, ds, ds < 0)
+                  for r, ds_row in zip(rs.tolist(), ds_r)
+                  for a, b, ds in zip(e1_list, e2_list, ds_row.tolist()))
         stem = Path(cfg["output"])
         path_r = str(stem.with_name(stem.stem + "_fixed_r" + stem.suffix))
         _write_csv(path_r, ["eta1", "eta2", "r", "delta_S", "negative"], rows_r)
@@ -334,7 +344,7 @@ def _cmd_gauss_dho(cfg: dict) -> int:
     _require(points >= 3, "points must be >= 3")
     _require(0 < r_probe <= gaussian.SQUEEZING_MAX,
              f"r must lie in (0, {gaussian.SQUEEZING_MAX:.6g}] (cosh r overflows above)")
-    # the integrator's samples, the amplitude arrays and the output rows
+    # the amplitude arrays and the output columns
     _require_memory(points * _KIB + 8 * _MIB, f"points={points}", "1 KiB points + 8 MiB")
 
     params = gaussian.DhoParams(g2=g2, kappa=kappa, omega=omega, omega_big=omega_big)
@@ -342,7 +352,7 @@ def _cmd_gauss_dho(cfg: dict) -> int:
     grid = np.linspace(0.0, t_max, points)
     amp = gaussian.dho_amplitude(params, grid)
     abs_sq = np.abs(amp.c) ** 2
-    # |c| may overshoot 1 by integrator noise; the loss stays in [0, 1]
+    # |c| may overshoot 1 by rounding; the loss stays in [0, 1]
     etas = np.clip(1.0 - abs_sq, 0.0, 1.0)
     columns = (amp.times, amp.c.real, amp.c.imag, abs_sq, etas, amp.gamma_t, amp.omega_t,
                np.isnan(amp.gamma_t))
@@ -350,7 +360,7 @@ def _cmd_gauss_dho(cfg: dict) -> int:
         cfg["output"],
         ["t", "re_c", "im_c", "abs_c_sq", "eta", "gamma_t", "omega_t",
          "amplitude_vanished"],
-        list(zip(*(col.tolist() for col in columns))),
+        zip(*(col.tolist() for col in columns)),
     )
 
     pair = gaussian.first_loss_reversal(etas)

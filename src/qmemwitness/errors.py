@@ -33,10 +33,6 @@ class NumericalDegeneracyError(QmemError, ArithmeticError):
     """An intermediate quantity left its valid range by more than noise."""
 
 
-class IntegrationFailureError(QmemError, RuntimeError):
-    """The ODE integrator could not meet its error contract."""
-
-
 class AmplitudeVanishingError(QmemError, ArithmeticError):
     """The oscillator amplitude crossed (numerical) zero.
 

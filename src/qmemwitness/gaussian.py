@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     AmplitudeVanishingError,
     DomainError,
-    IntegrationFailureError,
     InvalidChannelError,
     NumericalDegeneracyError,
     UnphysicalStateError,
@@ -36,9 +34,6 @@ SQUEEZING_MAX = math.acosh(sys.float_info.max)
 
 # points of the ln r grid that warm-starts the lossy-witness minimization
 _COARSE_POINTS = 40
-
-INTEGRATOR_RTOL = 1e-10
-INTEGRATOR_ATOL = 1e-12
 
 #: Single-mode symplectic form.
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -308,47 +303,50 @@ class DhoAmplitude:
         gamma_t = 2 Re G,   omega_t = omega + Im G,
 
     (NaN where |c| is at or below the cutoff, since they diverge at
-    amplitude zeros) and the accumulated phase Phi_t = int_0^t omega_s ds
-    (cumulative trapezoid, omega_s interpolated across those points).
+    amplitude zeros).
     """
 
     times: np.ndarray
     c: np.ndarray
     c_dot: np.ndarray
-    phase: np.ndarray
     gamma_t: np.ndarray
     omega_t: np.ndarray
 
     @classmethod
     def from_arrays(cls, times, c, c_dot, omega: float) -> "DhoAmplitude":
-        """Amplitude samples on a grid plus the coefficients and phase they give
-        at frequency omega; non-finite c or c_dot raises DomainError."""
+        """Amplitude samples on a grid plus the coefficients they give at
+        frequency omega; non-finite c or c_dot raises DomainError."""
         times = np.asarray(times, dtype=float)
         c, c_dot = np.asarray(c, dtype=complex), np.asarray(c_dot, dtype=complex)
         if not (np.isfinite(c).all() and np.isfinite(c_dot).all()):
             raise DomainError("amplitude and its derivative must be finite")
         ok = np.abs(c) > AMPLITUDE_CUTOFF
-        gamma_t, omega_t, phase = (np.full(times.shape, np.nan) for _ in range(3))
-        if ok.any():
-            g = -(c_dot[ok] + 1j * omega * c[ok]) / c[ok]
-            gamma_t[ok] = 2.0 * g.real
-            omega_t[ok] = omega + g.imag
-            omega_s = omega + np.interp(times, times[ok], g.imag)
-            steps = np.diff(times) * (omega_s[1:] + omega_s[:-1]) / 2.0
-            phase = np.concatenate([[0.0], np.cumsum(steps)])
-        return cls(times, c, c_dot, phase, gamma_t, omega_t)
+        gamma_t, omega_t = np.full(times.shape, np.nan), np.full(times.shape, np.nan)
+        g = -(c_dot[ok] + 1j * omega * c[ok]) / c[ok]
+        gamma_t[ok] = 2.0 * g.real
+        omega_t[ok] = omega + g.imag
+        return cls(times, c, c_dot, gamma_t, omega_t)
 
 
 def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
-    """Oscillator amplitude c_t, its derivative and phase on the output grid.
+    """Oscillator amplitude c_t and its derivative on the output grid.
 
-    Integrates the time-local equation
+    Solves the time-local equation
 
         c'' + (kappa + i omega + i omega_big) c'
             + [g2 + i omega (kappa + i omega_big)] c = 0
 
     with c(0) = 1, c'(0) = -i omega, which encodes an exponentially
-    decaying bath memory kernel. Returns a `DhoAmplitude`.
+    decaying bath memory kernel, in closed form: (c, c') at t is
+    exp(A t) (1, -i omega) for the companion matrix A = [[0, 1], [-c0, -b]].
+    With s = tr A / 2, mu = sqrt(s^2 - det A) (principal root, Re mu >= 0)
+    and phi(z) = (1 - e^{-z}) / z, phi(0) = 1,
+
+        exp(A t) = e^{lambda_+ t} [(1 + e^{-2 mu t}) / 2 I + t phi(2 mu t) (A - s I)],
+
+    where lambda_+ = s + mu = det A / (s - mu). The form needs no branch
+    at degenerate roots (mu = 0) and has no factor that overflows under
+    strong damping. Returns a `DhoAmplitude`.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or abs(grid[0]) > 1e-14 or not np.isfinite(grid).all():
@@ -357,60 +355,52 @@ def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
         raise DomainError("time grid must be strictly increasing")
     b = params.kappa + 1j * (params.omega + params.omega_big)
     c0 = params.g2 + 1j * params.omega * (params.kappa + 1j * params.omega_big)
-    y0 = np.array([1.0, -1j * params.omega], dtype=complex)
-    if grid.size == 1:
-        return DhoAmplitude.from_arrays(grid, y0[:1], y0[1:], params.omega)
+    s = -b / 2.0
+    mu = np.sqrt(complex(s * s - c0))
+    z = 2.0 * mu * grid
+    nz = z != 0.0
+    t_phi = np.where(nz, -np.expm1(-z) / np.where(nz, z, 1.0), 1.0) * grid
+    half_sum = (1.0 + np.exp(-z)) / 2.0
+    # lambda_+ = s + mu cancels when |det A| << |s|^2 (strong damping);
+    # det A / lambda_- does not, since Re s < 0 <= Re mu
+    lam = s + mu if abs(s + mu) >= abs(s) / 2.0 else c0 / (s - mu)
+    growth = np.exp(lam * grid)
+    # (A - s I) (1, -i omega) = (-i omega - s, -c0 - i omega s)
+    w = -1j * params.omega
+    c = growth * (half_sum + t_phi * (w - s))
+    c_dot = growth * (half_sum * w + t_phi * (-c0 + w * s))
+    return DhoAmplitude.from_arrays(grid, c, c_dot, params.omega)
 
-    def rhs(t, y):
-        return np.array([y[1], -b * y[1] - c0 * y[0]])
 
-    sol = solve_ivp(rhs, (0.0, float(grid[-1])), y0, t_eval=grid, method="DOP853",
-                    rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
-    if not sol.success:
-        raise IntegrationFailureError(sol.message)
-    return DhoAmplitude.from_arrays(grid, sol.y[0], sol.y[1], params.omega)
-
-
-def dho_channel(
-    amplitude: DhoAmplitude | Sequence[tuple[float, complex, complex]],
-    params: DhoParams,
-    t: float,
-    on_vanishing: str = "raise",
-) -> GaussianChannel:
+def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
+                on_vanishing: str = "raise") -> GaussianChannel:
     """Gaussian channel of the damped oscillator at grid time t:
 
-        M_t = e^{-Gamma_t/2} R(Phi_t),   N_t = (1 - e^{-Gamma_t}) I / 2,
+        M_t = |c_t| R(Phi_t) = [[Re c_t, Im c_t], [-Im c_t, Re c_t]],
+        N_t = (1 - |c_t|^2) I / 2,
 
-    with Gamma_t = -ln |c_t|^2 and the accumulated phase
-    Phi_t = int_0^t omega_s ds evaluated by trapezoidal quadrature over
-    the amplitude grid (the rotation never affects the witness).
-
-    `amplitude` is the output of `dho_amplitude`, whose phase is read at
-    t, or a list of (t, c, c_dot) tuples; t must coincide with one of
-    its grid times. With on_vanishing="full-loss" an amplitude
-    zero at t yields the full-loss channel (M = 0, N = I/2) instead of
-    raising.
+    where the accumulated phase Phi_t = int_0^t omega_s ds equals
+    -arg c_t, so M_t follows c_t through its zeros (the rotation never
+    affects the witness). `amplitude` is the output of `dho_amplitude`
+    for `params`; t must coincide with one of its grid times. With
+    on_vanishing="full-loss" an amplitude zero at t yields the full-loss
+    channel (M = 0, N = I/2) instead of raising.
     """
-    amp = (amplitude if isinstance(amplitude, DhoAmplitude)
-           else DhoAmplitude.from_arrays(*zip(*amplitude), params.omega))
-    times = amp.times
+    times = amplitude.times
     span = max(times[-1], 1.0)
     k = int(np.argmin(np.abs(times - t)))
     if not abs(times[k] - t) <= 1e-9 * span:
         raise DomainError(f"t={t} is not a grid time of the amplitude trajectory")
-    c_t = amp.c[k]
+    c_t = complex(amplitude.c[k])
     if abs(c_t) <= AMPLITUDE_CUTOFF:
         if on_vanishing == "full-loss":
             return GaussianChannel(m=np.zeros((2, 2)), n=0.5 * np.eye(2))
         raise AmplitudeVanishingError(
             f"amplitude vanished at t={times[k]:.6g}", time=float(times[k])
         )
-    gamma_big = -math.log(abs(c_t) ** 2)
-    scale = math.exp(-gamma_big / 2.0)
-    cs, sn = math.cos(amp.phase[k]), math.sin(amp.phase[k])
     return GaussianChannel(
-        m=scale * np.array([[cs, -sn], [sn, cs]]),
-        n=0.5 * (1.0 - math.exp(-gamma_big)) * np.eye(2),
+        m=np.array([[c_t.real, c_t.imag], [-c_t.imag, c_t.real]]),
+        n=0.5 * (1.0 - abs(c_t) ** 2) * np.eye(2),
     )
 
 
@@ -419,7 +409,7 @@ def first_loss_reversal(eta) -> tuple[int, int] | None:
 
     k1 is the first interior local maximum of eta (>= both neighbours, so
     a plateau counts at its first point) after which eta drops by more
-    than 1e-9 (integrator noise); k2 is the first index of the minimum
+    than 1e-9 (a noise margin); k2 is the first index of the minimum
     of eta from k1 on. A monotone loss gives None.
     """
     e = np.asarray(eta, dtype=float)

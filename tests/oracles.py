@@ -140,6 +140,16 @@ def dho_closed_form(g2, kappa, omega, omega_big, ts):
     return c_t, cd_t
 
 
+def dho_expm(g2, kappa, omega, omega_big, ts):
+    """Amplitude and its derivative as exp(A t) (1, -i omega), one dense
+    matrix exponential per time, for any roots (degenerate ones too)."""
+    b = kappa + 1j * (omega + omega_big)
+    c = g2 + 1j * omega * (kappa + 1j * omega_big)
+    a = np.array([[0.0, 1.0], [-c, -b]])
+    y = np.array([expm(a * t) @ np.array([1.0, -1j * omega]) for t in ts])
+    return y[:, 0], y[:, 1]
+
+
 def random_unitary(rng, n: int) -> np.ndarray:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(g)

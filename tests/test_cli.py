@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmemwitness
 from qmemwitness import delta_S_lossy, max_entangled_state, minimize_delta_S_over_r
-from qmemwitness.cli import main
+from qmemwitness.cli import _write_csv, main
 
 
 def run(argv):
@@ -39,6 +44,24 @@ def write_cov_state(path, alpha, beta, gamma):
         "gamma": np.asarray(gamma).tolist(),
     }
     path.write_text(json.dumps(payload))
+
+
+def test_import_loads_no_ode_solver():
+    # importing scipy.integrate made importing the package about 430 ms slower
+    env = {**os.environ, "PYTHONPATH": str(Path(qmemwitness.__file__).resolve().parents[1])}
+    code = "import sys, qmemwitness.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_csv_rows_stream_in_blocks(tmp_path):
+    # a generator longer than one block gives the same bytes as joining every line
+    out = tmp_path / "x.csv"
+    _write_csv(out, ["k", "third", "odd"], ((k, k / 3, k % 2 == 1) for k in range(10000)))
+    lines = ["k,third,odd"] + [f"{k},{k / 3:.12g},{str(k % 2 == 1).lower()}"
+                               for k in range(10000)]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
 class TestQuditTrace:
@@ -233,11 +256,11 @@ class TestGaussLossy:
         assert "cosh r overflows" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, need", [(["--eta-points", 1000], "2.87 GiB"),
-                                             (["--eta-points", 600, "--fixed-r", "1,2,3"],
-                                              "2.07 GiB")])
+    @pytest.mark.parametrize("flags, need", [
+        (["--eta-points", 1000], "2.87 GiB"),
+        (["--eta-points", 600, "--fixed-r", ",".join(map(str, range(1, 51)))], "2.11 GiB")])
     def test_over_memory_budget_is_config_error(self, tmp_path, flags, need, capsys):
-        # eta_points^2 (3 + fixed r values) KiB + 8 MiB; 600 points alone would fit
+        # eta_points^2 (3 KiB + 64 B fixed r values) + 8 MiB; 600 points alone would fit
         out = tmp_path / "x.csv"
         assert run(["gauss-lossy", *flags, "--output", out]) == 2
         assert f"needs about {need}" in capsys.readouterr().err

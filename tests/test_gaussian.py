@@ -31,12 +31,15 @@ from qmemwitness.gaussian import SQUEEZING_MAX
 from qmemwitness.witness import DETECTION_THRESHOLD
 from oracles import (
     dho_closed_form,
+    dho_expm,
     h_reference,
     random_two_mode_sigma,
     two_mode_entropy_williamson,
 )
 
 RESONANT = DhoParams(g2=1.0, kappa=0.25, omega=1.0, omega_big=1.0)
+# off resonance omega_t moves with t, so the phase is not just omega * t
+DETUNED = DhoParams(g2=1.0, kappa=0.25, omega=1.0, omega_big=1.6)
 
 
 def blocks_from_sigma(sigma):
@@ -453,6 +456,53 @@ class TestDhoAmplitude:
             with pytest.raises(DomainError):
                 dho_amplitude(RESONANT, bad)
 
+    @pytest.mark.parametrize("params", [RESONANT, DETUNED, DhoParams(0.3, 1.0, 2.0, 0.5)])
+    def test_closed_form_matches_oracle_to_roundoff(self, params):
+        ts = np.linspace(0.0, 20.0, 4001)
+        amp = dho_amplitude(params, ts)
+        c_ref, cd_ref = dho_closed_form(params.g2, params.kappa, params.omega,
+                                        params.omega_big, ts)
+        assert np.abs(amp.c - c_ref).max() <= 1e-14
+        assert np.abs(amp.c_dot - cd_ref).max() <= 1e-14
+
+    def test_degenerate_roots_match_expm(self):
+        # a double characteristic root, where the root oracle does not apply
+        params = DhoParams(g2=1.0 / 16.0, kappa=0.5, omega=1.0, omega_big=1.0)
+        ts = np.linspace(0.0, 10.0, 201)
+        with pytest.raises(ValueError):
+            dho_closed_form(params.g2, params.kappa, params.omega, params.omega_big, ts)
+        amp = dho_amplitude(params, ts)
+        c_ref, cd_ref = dho_expm(params.g2, params.kappa, params.omega, params.omega_big, ts)
+        assert np.abs(amp.c - c_ref).max() <= 1e-14
+        assert np.abs(amp.c_dot - cd_ref).max() <= 1e-14
+
+    def test_strong_damping_is_finite(self):
+        # e^{st} cosh(mu t) would be 0 * inf here; the reference expm itself
+        # is about 1e-13 off the exact amplitude at kappa = 200
+        params = DhoParams(g2=1.0, kappa=200.0, omega=1.0, omega_big=1.0)
+        ts = np.linspace(0.0, 20.0, 401)
+        amp = dho_amplitude(params, ts)
+        assert np.isfinite(amp.c).all() and np.isfinite(amp.c_dot).all()
+        c_ref, cd_ref = dho_expm(params.g2, params.kappa, params.omega, params.omega_big, ts)
+        assert np.abs(amp.c - c_ref).max() <= 1e-12
+        assert np.abs(amp.c_dot - cd_ref).max() <= 1e-12
+        # the slow root s + mu loses about kappa t / 2 ulps to cancellation;
+        # the characteristic roots at 40 digits pin the amplitude to 1e-14
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            g2, kappa, omega, omega_big = map(mpmath.mpf, (params.g2, params.kappa,
+                                                           params.omega, params.omega_big))
+            b = kappa + 1j * (omega + omega_big)
+            disc = mpmath.sqrt(b * b - 4 * (g2 + 1j * omega * (kappa + 1j * omega_big)))
+            l1, l2 = (-b + disc) / 2, (-b - disc) / 2
+            for k in range(0, ts.size, 40):
+                t = mpmath.mpf(ts[k])
+                e1, e2 = mpmath.exp(l1 * t), mpmath.exp(l2 * t)
+                c = ((-1j * omega - l2) * e1 - (-1j * omega - l1) * e2) / (l1 - l2)
+                c_dot = ((-1j * omega - l2) * l1 * e1 - (-1j * omega - l1) * l2 * e2) / (l1 - l2)
+                assert abs(amp.c[k] - complex(c)) <= 1e-14
+                assert abs(amp.c_dot[k] - complex(c_dot)) <= 1e-14
+
 
 def phase_per_call(times, cs, cds, omega, k):
     """Reference: Phi at grid index k by truncated interpolation and quadrature."""
@@ -462,44 +512,70 @@ def phase_per_call(times, cs, cds, omega, k):
     return float(np.trapezoid(omega_s, times[: k + 1])) if k > 0 else 0.0
 
 
-# off resonance omega_t moves with t, so the phase is not just omega * t
-DETUNED = DhoParams(g2=1.0, kappa=0.25, omega=1.0, omega_big=1.6)
+def rotation(phi):
+    return np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
 
 
 class TestDhoPhase:
     @pytest.mark.parametrize("params", [RESONANT, DETUNED])
     def test_matches_per_call_quadrature(self, params):
+        # M_t = |c_t| R(Phi_t) with Phi_t the quadrature of omega_s, up to its
+        # error, before the first amplitude zero (DETUNED has none on [0, 20])
         amp = dho_amplitude(params, np.linspace(0.0, 20.0, 4001))
-        ref = [phase_per_call(amp.times, amp.c, amp.c_dot, params.omega, k)
-               for k in range(amp.times.size)]
-        assert amp.phase[0] == 0.0
-        assert np.abs(amp.phase - ref).max() <= 1e-12
+        mag = np.abs(amp.c)
+        dips = np.flatnonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:])
+                              & (mag[1:-1] < 1e-2)) + 1
+        stop = int(dips[0]) if dips.size else mag.size
+        ref = np.array([phase_per_call(amp.times, amp.c, amp.c_dot, params.omega, k)
+                        for k in range(stop)])
+        for k, phi in enumerate(ref):
+            m = dho_channel(amp, params, float(amp.times[k])).m
+            assert np.abs(m - mag[k] * rotation(phi)).max() <= 1e-5
         if params is DETUNED:
-            assert np.abs(amp.phase - params.omega * amp.times).max() > 0.1
+            assert stop == mag.size
+            assert np.abs(ref - params.omega * amp.times).max() > 0.1
+        else:
+            assert abs(amp.times[stop] - 1.71) < 0.01
 
     @pytest.mark.parametrize("params", [RESONANT, DETUNED])
     def test_vanishing_amplitude_grid(self, params):
+        # zeros elsewhere on the grid leave the channel at the other times alone
         amp = dho_amplitude(params, np.linspace(0.0, 6.0, 601))
         cs = amp.c.copy()
-        cs[[0, 1, 37, 38, 39, 250, 600]] = 0.0   # zeros at the start, inside and at the end
-        points = list(zip(amp.times.tolist(), cs.tolist(), amp.c_dot.tolist()))
+        zeros = [0, 1, 37, 38, 39, 250, 600]   # at the start, inside and at the end
+        cs[zeros] = 0.0
         fake = DhoAmplitude.from_arrays(amp.times, cs, amp.c_dot, params.omega)
-        for k in np.flatnonzero(np.abs(cs) > 1e-12):
-            ref = phase_per_call(amp.times, cs, amp.c_dot, params.omega, k)
-            assert abs(fake.phase[k] - ref) <= 1e-12
-            t = float(amp.times[k])
-            from_list = dho_channel(points, params, t)
-            assert np.array_equal(from_list.m, dho_channel(fake, params, t).m)
+        for k, t in enumerate(amp.times.tolist()):
+            if k in zeros:
+                assert np.isnan(fake.gamma_t[k]) and np.isnan(fake.omega_t[k])
+                with pytest.raises(AmplitudeVanishingError):
+                    dho_channel(fake, params, t)
+            else:
+                assert np.array_equal(dho_channel(fake, params, t).m,
+                                      dho_channel(amp, params, t).m)
         assert np.isnan(DhoAmplitude.from_arrays([0.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
-                        .phase).all()
+                        .gamma_t).all()
 
     def test_channel_reads_phase_at_t(self):
+        # Phi_t = -arg c_t, after the amplitude zeros at t = 1.71 and 4.88 too
         amp = dho_amplitude(RESONANT, np.linspace(0.0, 5.0, 501))
         for k in (0, 1, 250, 500):
             ch = dho_channel(amp, RESONANT, float(amp.times[k]))
-            phi = amp.phase[k]
-            rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+            rot = rotation(-np.angle(amp.c[k]))
             assert np.abs(ch.m - abs(amp.c[k]) * rot).max() <= 1e-14
+
+    def test_channel_follows_amplitude_across_resonant_zero(self):
+        # at resonance c_t = x_t e^{-i omega t} with x_t real, so M_t = x_t R(omega t)
+        # changes sign with x_t instead of jumping by a rotation of pi
+        ts = np.linspace(0.0, 20.0, 4001)
+        amp = dho_amplitude(RESONANT, ts)
+        c_ref, _ = dho_closed_form(RESONANT.g2, RESONANT.kappa, RESONANT.omega,
+                                   RESONANT.omega_big, ts)
+        x = (c_ref * np.exp(1j * RESONANT.omega * ts)).real
+        assert np.count_nonzero(np.diff(np.sign(x))) >= 6
+        for k, t in enumerate(ts.tolist()):
+            m = dho_channel(amp, RESONANT, t).m
+            assert np.abs(m - x[k] * rotation(RESONANT.omega * t)).max() <= 1e-13
 
 
 class TestFirstLossReversal:
@@ -630,7 +706,7 @@ class TestDhoChannel:
             dho_channel(amp, RESONANT, math.nan)
 
     def test_vanishing_amplitude_paths(self):
-        fake = [(0.0, 1.0 + 0.0j, -1j), (0.5, 0.0 + 0.0j, -1j)]
+        fake = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0], [-1j, -1j], RESONANT.omega)
         with pytest.raises(AmplitudeVanishingError) as err:
             dho_channel(fake, RESONANT, 0.5)
         assert err.value.time == 0.5
