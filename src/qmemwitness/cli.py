@@ -33,6 +33,7 @@ from .errors import ExtremumNotFoundError, QmemError
 from .lindblad import LindbladModel
 from .states import CONVENTIONS, DEFAULT_CONVENTION, DensityMatrix
 from .witness import (
+    DETECTION_THRESHOLD,
     evaluate_criterion,
     evaluate_criterion_gaussian,
     qudit_entropy_trajectory,
@@ -67,6 +68,13 @@ def _fmt(value) -> str:
 
 # rows formatted and written per block, so no run holds its whole CSV
 _CSV_BLOCK_ROWS = 4096
+
+
+def _column_rows(*columns: np.ndarray) -> Iterable[tuple]:
+    """Rows of equally long array columns, converted to Python scalars one
+    `_CSV_BLOCK_ROWS` slice at a time."""
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        yield from zip(*(col[start:start + _CSV_BLOCK_ROWS].tolist() for col in columns))
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable) -> None:
@@ -120,17 +128,21 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge_config(args: argparse.Namespace, spec: dict) -> dict:
-    """Layer defaults < config file < explicit flags."""
+    """Layer defaults < config file < explicit flags.
+
+    A file value becomes the text its flag would take (a list joined with
+    commas, a scalar through str), so both layers share each handler's
+    conversion; None (a null in the file, an absent flag) keeps the layer below.
+    """
     merged = {name: default for name, (default, _help) in spec.items()}
-    file_cfg = _load_config(getattr(args, "config", None))
-    for key, value in file_cfg.items():
+    for key, value in _load_config(getattr(args, "config", None)).items():
         if key not in merged:
             raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = value
+        if value is not None:
+            merged[key] = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     for name in spec:
-        cli_value = getattr(args, name.replace("-", "_"))
-        if cli_value is not None:
-            merged[name] = cli_value
+        if getattr(args, name) is not None:
+            merged[name] = getattr(args, name)
     return merged
 
 
@@ -154,7 +166,7 @@ def _require_memory(need: int, what: str, formula: str) -> None:
 
 def _require_qudit_budget(d: int, points: int) -> None:
     # the (points, d^2, d^2) complex trajectory plus about 1024 matrices of
-    # that size (stepping batch, propagators, Liouvillian, expm workspace)
+    # that size (stepping batch, propagator, Liouvillian, expm workspace)
     # and the output rows
     _require_memory(16 * d ** 4 * (points + 1024) + _KIB * points + 8 * _MIB,
                     f"d={d} with {points} points",
@@ -206,7 +218,7 @@ def _cmd_qudit_trace(cfg: dict) -> int:
     except ExtremumNotFoundError as exc:
         # no witness pair on this window; still emit the entropy curves
         sidecar.update({"report": None, "error": str(exc)})
-    rows = zip(traj.times, traj.s_system, traj.neg_cond_sa, traj.neg_cond_as)
+    rows = _column_rows(traj.times, traj.s_system, traj.neg_cond_sa, traj.neg_cond_as)
     _write_csv(cfg["output"], ["t", "S_S", "neg_S_cond_SA", "neg_S_cond_AS"], rows)
     _write_json(_sidecar_path(cfg["output"]), sidecar)
     return 0
@@ -216,7 +228,7 @@ def _cmd_qudit_trace(cfg: dict) -> int:
 # qudit-scan
 
 _SCAN_SPEC = {
-    "d_list": ([2, 3, 4, 5], "comma-separated system dimensions"),
+    "d_list": ("2,3,4,5", "comma-separated system dimensions"),
     "ratio_min": (0.01, "smallest gamma/omega (dimensionless)"),
     "ratio_max": (0.6, "largest gamma/omega"),
     "ratio_points": (60, "number of ratio grid points"),
@@ -228,9 +240,7 @@ _SCAN_SPEC = {
 
 
 def _cmd_qudit_scan(cfg: dict) -> int:
-    d_list = cfg["d_list"]
-    if isinstance(d_list, str):
-        d_list = _parse_list(d_list, int)
+    d_list = _parse_list(cfg["d_list"], int)
     _require(len(d_list) > 0, "d list must not be empty")
     _require(all(int(d) >= 2 for d in d_list), "all dimensions must be >= 2")
     _require(0 <= float(cfg["ratio_min"]) < float(cfg["ratio_max"]) < math.inf,
@@ -284,33 +294,28 @@ def _cmd_gauss_lossy(cfg: dict) -> int:
     r_bound = gaussian.SQUEEZING_MAX
     _require(0 < r_min < r_max <= r_bound,
              f"need 0 < r_min < r_max <= {r_bound:.6g} (cosh r overflows above)")
-    fixed_r = cfg["fixed_r"]
-    if isinstance(fixed_r, str):
-        fixed_r = _parse_list(fixed_r, float)
-    if fixed_r is not None:
-        _require(all(0 < float(r) <= r_bound for r in fixed_r),
-                 f"fixed r values must lie in (0, {r_bound:.6g}] (cosh r overflows above)")
+    fixed_r = _parse_list(cfg["fixed_r"] or "", float)
+    _require(all(0 < r <= r_bound for r in fixed_r),
+             f"fixed r values must lie in (0, {r_bound:.6g}] (cosh r overflows above)")
     # per cell the minimizer's (cells, 40) coarse-grid temporaries; per
     # fixed-r row its witness value and temporaries (rows are streamed)
-    n_r = len(fixed_r or ())
-    _require_memory(n * n * (3 * _KIB + 64 * n_r) + 8 * _MIB,
-                    f"eta_points={n} with {n_r} fixed r values",
+    _require_memory(n * n * (3 * _KIB + 64 * len(fixed_r)) + 8 * _MIB,
+                    f"eta_points={n} with {len(fixed_r)} fixed r values",
                     "eta_points^2 (3 KiB + 64 B fixed r values) + 8 MiB")
 
     _progress(f"gauss-lossy: {n}x{n} grid")
     etas = np.linspace(0.0, 1.0, n)
     e1, e2 = np.repeat(etas, n), np.tile(etas, n)   # eta1-major rows
     r_star, ds = gaussian.minimize_delta_S_over_r(e1, e2, r_min=r_min, r_max=r_max)
-    e1_list, e2_list = e1.tolist(), e2.tolist()
-    rows = zip(e1_list, e2_list, ds.tolist(), r_star.tolist())
-    _write_csv(cfg["output"], ["eta1", "eta2", "delta_S_min", "r_star"], rows)
+    _write_csv(cfg["output"], ["eta1", "eta2", "delta_S_min", "r_star"],
+               _column_rows(e1, e2, ds, r_star))
 
     if fixed_r:
         rs = np.array(fixed_r, dtype=float)
         ds_r = gaussian.delta_S_lossy(e1, e2, rs[:, None])   # (r, cell)
-        rows_r = ((a, b, r, ds, ds < 0)
-                  for r, ds_row in zip(rs.tolist(), ds_r)
-                  for a, b, ds in zip(e1_list, e2_list, ds_row.tolist()))
+        rows_r = itertools.chain.from_iterable(
+            _column_rows(e1, e2, np.full(e1.size, r), ds_row, ds_row < 0)
+            for r, ds_row in zip(rs, ds_r))
         stem = Path(cfg["output"])
         path_r = str(stem.with_name(stem.stem + "_fixed_r" + stem.suffix))
         _write_csv(path_r, ["eta1", "eta2", "r", "delta_S", "negative"], rows_r)
@@ -360,7 +365,7 @@ def _cmd_gauss_dho(cfg: dict) -> int:
         cfg["output"],
         ["t", "re_c", "im_c", "abs_c_sq", "eta", "gamma_t", "omega_t",
          "amplitude_vanished"],
-        zip(*(col.tolist() for col in columns)),
+        _column_rows(*columns),
     )
 
     pair = gaussian.first_loss_reversal(etas)
@@ -377,7 +382,7 @@ def _cmd_gauss_dho(cfg: dict) -> int:
         eta1, eta2 = float(etas[k1]), float(etas[k2])
         ds = gaussian.delta_S_lossy(eta1, eta2, r_probe)
         sidecar.update({
-            "detected": bool(ds < 0),
+            "detected": bool(ds < DETECTION_THRESHOLD),
             "pair": {
                 "t1": float(grid[k1]), "t2": float(grid[k2]),
                 "eta1": eta1, "eta2": eta2,

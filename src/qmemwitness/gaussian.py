@@ -303,7 +303,7 @@ class DhoAmplitude:
         gamma_t = 2 Re G,   omega_t = omega + Im G,
 
     (NaN where |c| is at or below the cutoff, since they diverge at
-    amplitude zeros).
+    amplitude zeros), for the oscillator `params`.
     """
 
     times: np.ndarray
@@ -311,21 +311,22 @@ class DhoAmplitude:
     c_dot: np.ndarray
     gamma_t: np.ndarray
     omega_t: np.ndarray
+    params: DhoParams
 
     @classmethod
-    def from_arrays(cls, times, c, c_dot, omega: float) -> "DhoAmplitude":
-        """Amplitude samples on a grid plus the coefficients they give at
-        frequency omega; non-finite c or c_dot raises DomainError."""
+    def from_arrays(cls, times, c, c_dot, params: DhoParams) -> "DhoAmplitude":
+        """Amplitude samples on a grid plus the coefficients they give for
+        `params`; non-finite c or c_dot raises DomainError."""
         times = np.asarray(times, dtype=float)
         c, c_dot = np.asarray(c, dtype=complex), np.asarray(c_dot, dtype=complex)
         if not (np.isfinite(c).all() and np.isfinite(c_dot).all()):
             raise DomainError("amplitude and its derivative must be finite")
         ok = np.abs(c) > AMPLITUDE_CUTOFF
         gamma_t, omega_t = np.full(times.shape, np.nan), np.full(times.shape, np.nan)
-        g = -(c_dot[ok] + 1j * omega * c[ok]) / c[ok]
+        g = -(c_dot[ok] + 1j * params.omega * c[ok]) / c[ok]
         gamma_t[ok] = 2.0 * g.real
-        omega_t[ok] = omega + g.imag
-        return cls(times, c, c_dot, gamma_t, omega_t)
+        omega_t[ok] = params.omega + g.imag
+        return cls(times, c, c_dot, gamma_t, omega_t, params)
 
 
 def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
@@ -369,7 +370,7 @@ def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
     w = -1j * params.omega
     c = growth * (half_sum + t_phi * (w - s))
     c_dot = growth * (half_sum * w + t_phi * (-c0 + w * s))
-    return DhoAmplitude.from_arrays(grid, c, c_dot, params.omega)
+    return DhoAmplitude.from_arrays(grid, c, c_dot, params)
 
 
 def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
@@ -381,11 +382,13 @@ def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
 
     where the accumulated phase Phi_t = int_0^t omega_s ds equals
     -arg c_t, so M_t follows c_t through its zeros (the rotation never
-    affects the witness). `amplitude` is the output of `dho_amplitude`
-    for `params`; t must coincide with one of its grid times. With
-    on_vanishing="full-loss" an amplitude zero at t yields the full-loss
-    channel (M = 0, N = I/2) instead of raising.
+    affects the witness). `amplitude` must have been computed for
+    `params` (DomainError otherwise), and t must coincide with one of its
+    grid times. With on_vanishing="full-loss" an amplitude zero at t
+    yields the full-loss channel (M = 0, N = I/2) instead of raising.
     """
+    if amplitude.params != params:
+        raise DomainError(f"amplitude was computed for {amplitude.params}, not {params}")
     times = amplitude.times
     span = max(times[-1], 1.0)
     k = int(np.argmin(np.abs(times - t)))

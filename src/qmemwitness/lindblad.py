@@ -15,9 +15,9 @@ The generator does not depend on time, so the reduced map on S is exact:
 with the memory starting in its ground state and L the Liouvillian on
 S (x) M (size 4d^2 x 4d^2, row-major vec).
 Propagators come from `scipy.linalg.expm` (scaling and squaring, Al-Mohy
-& Higham, SIAM J. Matrix Anal. Appl. 31, 2009). On an output grid the d^2
-matrix units |i><j| (x) |0><0|_M are stepped with one propagator per
-distinct step and traced over M in batches; off-grid queries apply
+& Higham, SIAM J. Matrix Anal. Appl. 31, 2009). On the uniform output
+grid the d^2 matrix units |i><j| (x) |0><0|_M are stepped with the one
+propagator exp(L dt) and traced over M in batches; off-grid queries apply
 exp(L t) to the matrix units directly. L is never diagonalized: under the
 spin convention it is (nearly) defective.
 """
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -35,7 +34,8 @@ from .errors import InvalidDimensionError, InvalidSubsystemError
 from .states import DEFAULT_CONVENTION, CONVENTIONS, ladder_operators
 
 # grid steps stepped before each batched trace-out; bounds the joint
-# S (x) M states held at once to this many copies of the matrix units
+# S (x) M states held at once to one more than this many copies of the
+# matrix units
 _STEP_BATCH = 64
 
 
@@ -88,19 +88,6 @@ class LindbladModel:
         return (-1j * (np.kron(h, one) - np.kron(one, h.T))
                 + self.gamma * (np.kron(x, x.conj())
                                 - 0.5 * (np.kron(xdx, one) + np.kron(one, xdx.T))))
-
-
-def _validate_grid(t_grid: Sequence[float]) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise InvalidSubsystemError("time grid must be a non-empty 1-d sequence")
-    if not np.isfinite(grid).all():
-        raise InvalidSubsystemError("time grid must be finite")
-    if abs(grid[0]) > 1e-14:
-        raise InvalidSubsystemError(f"time grid must start at 0, got {grid[0]}")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise InvalidSubsystemError("time grid must be strictly increasing")
-    return grid
 
 
 def _matrix_units(d: int) -> np.ndarray:
@@ -158,29 +145,35 @@ class ChoiEvolution:
         return _choi(_trace_out_memory(joint, d), d)
 
 
-def evolve_choi(model: LindbladModel, t_grid: Sequence[float]) -> ChoiEvolution:
-    """Evolve |Phi+>_SA (x) |0><0|_M and trace out M on the grid.
+def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolution:
+    """Evolve |Phi+>_SA (x) |0><0|_M on `n_points` uniform times over
+    [0, t_max] and trace out M.
 
     The S-A state at time t equals the channel at time t applied to one
-    half of the maximally entangled pair.
+    half of the maximally entangled pair. t_max must be finite and > 0
+    and n_points an integer >= 2 (InvalidSubsystemError otherwise).
     """
-    d = model.d
-    grid = _validate_grid(t_grid)
+    t_max = float(t_max)
+    if not (math.isfinite(t_max) and t_max > 0 and float(n_points).is_integer()
+            and n_points >= 2):
+        raise InvalidSubsystemError(
+            f"need finite t_max > 0 and integer n_points >= 2, got {t_max} and {n_points}")
+    d, n = model.d, int(n_points)
+    grid = np.linspace(0.0, t_max, n)
     generator = model.liouvillian()
     units = _matrix_units(d)
-    steps, which = np.unique(np.diff(grid), return_inverse=True)
-    propagators = [expm(generator * dt) for dt in steps]
-    states = np.empty((grid.size, d * d, d * d), dtype=complex)
-    batch = np.empty((min(grid.size, _STEP_BATCH),) + units.shape, dtype=complex)
-    x = units
-    for start in range(0, grid.size, _STEP_BATCH):
-        stop = min(start + _STEP_BATCH, grid.size)
-        for k in range(start, stop):
-            if k:
-                x = np.matmul(propagators[which[k - 1]], x, out=batch[k - start])
-            else:
-                batch[0] = x
-        states[start:stop] = _choi(_trace_out_memory(batch[:stop - start], d), d)
+    step = expm(generator * (t_max / (n - 1)))
+    states = np.empty((n, d * d, d * d), dtype=complex)
+    states[0] = _choi(_trace_out_memory(units, d), d)
+    # slot 0 carries the last state of the previous batch
+    batch = np.empty((min(n, _STEP_BATCH + 1),) + units.shape, dtype=complex)
+    batch[0] = units
+    for start in range(1, n, _STEP_BATCH):
+        m = min(_STEP_BATCH, n - start)
+        for k in range(m):
+            np.matmul(step, batch[k], out=batch[k + 1])
+        states[start:start + m] = _choi(_trace_out_memory(batch[1:m + 1], d), d)
+        batch[0] = batch[m]
     return ChoiEvolution(model, grid, states, generator, units)
 
 

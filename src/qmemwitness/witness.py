@@ -43,32 +43,34 @@ class WitnessReport:
 
     `neg_cond_sa_t2` is -S(S|A) and `neg_cond_as_t2` is -S(A|S), both at
     the later snapshot; `delta_s` combines them with `s_sys_t1` as in the
-    module docstring. Times are optional (None when the snapshots do not
-    come from a trajectory). Every field must be finite
+    module docstring, and quantum memory is detected when it lies below
+    DETECTION_THRESHOLD. Times are optional (None when the snapshots do
+    not come from a trajectory). Every field must be finite
     (InvalidStateError otherwise).
     """
 
     s_sys_t1: float
     neg_cond_sa_t2: float
     neg_cond_as_t2: float
-    delta_s: float
-    quantum_memory_detected: bool
     t1: float | None = None
     t2: float | None = None
 
     def __post_init__(self):
-        values = (self.s_sys_t1, self.neg_cond_sa_t2, self.neg_cond_as_t2, self.delta_s)
+        values = (self.s_sys_t1, self.neg_cond_sa_t2, self.neg_cond_as_t2)
         times = tuple(t for t in (self.t1, self.t2) if t is not None)
         if not all(map(math.isfinite, values + times)):
             # a NaN delta_s would read as "not detected"
             raise InvalidStateError(f"witness report fields must be finite, got {self}")
-        expected = self.s_sys_t1 - max(self.neg_cond_sa_t2, self.neg_cond_as_t2)
-        if abs(self.delta_s - expected) > 1e-12:
-            raise ValueError("delta_s inconsistent with its parts")
-        if self.quantum_memory_detected != (self.delta_s < DETECTION_THRESHOLD):
-            raise ValueError("detection flag inconsistent with delta_s")
         if self.t1 is not None and self.t2 is not None and not self.t1 < self.t2:
             raise ValueError(f"t1={self.t1} must precede t2={self.t2}")
+
+    @property
+    def delta_s(self) -> float:
+        return self.s_sys_t1 - max(self.neg_cond_sa_t2, self.neg_cond_as_t2)
+
+    @property
+    def quantum_memory_detected(self) -> bool:
+        return self.delta_s < DETECTION_THRESHOLD
 
     def to_dict(self) -> dict:
         return {
@@ -82,23 +84,10 @@ class WitnessReport:
         }
 
 
-def _report(s_sys_t1, neg_sa, neg_as, t1, t2) -> WitnessReport:
-    delta_s = s_sys_t1 - max(neg_sa, neg_as)
-    return WitnessReport(
-        s_sys_t1=s_sys_t1,
-        neg_cond_sa_t2=neg_sa,
-        neg_cond_as_t2=neg_as,
-        delta_s=delta_s,
-        quantum_memory_detected=delta_s < DETECTION_THRESHOLD,
-        t1=t1,
-        t2=t2,
-    )
-
-
 def _report_on_pair(s_sys, s_anc, s_joint, t1, t2) -> WitnessReport:
     """Witness from the entropy arrays of two snapshots, the earlier one first."""
-    return _report(float(s_sys[0]), float(s_anc[1] - s_joint[1]),
-                   float(s_sys[1] - s_joint[1]), t1, t2)
+    return WitnessReport(float(s_sys[0]), float(s_anc[1] - s_joint[1]),
+                         float(s_sys[1] - s_joint[1]), t1, t2)
 
 
 def evaluate_criterion(
@@ -127,7 +116,7 @@ def evaluate_criterion_gaussian(
     s_joint = _gaussian.entropy_two_mode(state_t2)
     neg_sa = _gaussian.entropy_single_mode(state_t2.beta) - s_joint
     neg_as = _gaussian.entropy_single_mode(state_t2.alpha) - s_joint
-    return _report(s_sys, neg_sa, neg_as, t1, t2)
+    return WitnessReport(s_sys, neg_sa, neg_as, t1, t2)
 
 
 @dataclass(frozen=True)
@@ -228,7 +217,7 @@ def qudit_entropy_trajectory(
     n_points: int = 2001,
 ) -> tuple[ChoiEvolution, EntropyTrajectory]:
     """Extended qudit evolution on a uniform grid and its entropy arrays."""
-    ev = evolve_choi(model, np.linspace(0.0, float(t_max), int(n_points)))
+    ev = evolve_choi(model, t_max, n_points)
     return ev, EntropyTrajectory(ev.times, *entropy_arrays(ev.states, (model.d, model.d)))
 
 

@@ -11,6 +11,7 @@ import pytest
 import qmemwitness
 from qmemwitness import delta_S_lossy, max_entangled_state, minimize_delta_S_over_r
 from qmemwitness.cli import _write_csv, main
+from qmemwitness.witness import DETECTION_THRESHOLD
 
 
 def run(argv):
@@ -171,8 +172,28 @@ class TestQuditTrace:
         assert run(["qudit-trace", "--config", cfg,
                     "--output", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("d", [2.9, True])
+    def test_config_non_integer_d_is_config_error(self, tmp_path, d):
+        # the file value takes the path of --d: int("2.9") fails instead of truncating
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "d": d}))
+        out = tmp_path / "x.csv"
+        assert run(["qudit-trace", "--config", cfg, "--points", 101, "--output", out]) == 2
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
 
 class TestQuditScan:
+    def test_config_scalar_d_list(self, tmp_path):
+        # a scalar reads as a one-element list, like --d-list 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "d_list": 3}))
+        out = tmp_path / "scan.csv"
+        assert run(["qudit-scan", "--config", cfg, "--ratio-min", 0.2, "--ratio-max", 0.5,
+                    "--ratio-points", 1, "--t-max", 8, "--points", 401,
+                    "--output", out]) == 0
+        _, rows = read_csv(out)
+        assert [row[0] for row in rows] == ["3"]
+
     def test_small_scan(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = run(["qudit-scan", "--d-list", "2", "--ratio-min", 0.2,
@@ -210,6 +231,15 @@ class TestQuditScan:
 
 
 class TestGaussLossy:
+    def test_config_scalar_fixed_r(self, tmp_path):
+        # a scalar reads as a one-element list, like --fixed-r 1.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "fixed_r": 1.0}))
+        out = tmp_path / "lossy.csv"
+        assert run(["gauss-lossy", "--config", cfg, "--eta-points", 3, "--output", out]) == 0
+        _, rows_r = read_csv(tmp_path / "lossy_fixed_r.csv")
+        assert len(rows_r) == 9 and {row[2] for row in rows_r} == {"1"}
+
     def test_grid_and_fixed_r(self, tmp_path):
         out = tmp_path / "lossy.csv"
         code = run(["gauss-lossy", "--eta-points", 6, "--fixed-r", "1,2",
@@ -320,6 +350,14 @@ class TestGaussDho:
                     "--output", out])
         assert code == 0
         sidecar = json.loads((tmp_path / "dho.json").read_text())
+        assert sidecar["detected"] is False
+
+    def test_rounding_level_reversal_not_detected(self, tmp_path):
+        # the loss reverses, but delta_s sits above the detection threshold
+        out = tmp_path / "dho.csv"
+        assert run(["gauss-dho", "--g2", "0.029798371355155395", "--output", out]) == 0
+        sidecar = json.loads((tmp_path / "dho.json").read_text())
+        assert DETECTION_THRESHOLD < sidecar["pair"]["delta_s"] < 0
         assert sidecar["detected"] is False
 
     def test_bad_kappa(self, tmp_path):

@@ -544,7 +544,7 @@ class TestDhoPhase:
         cs = amp.c.copy()
         zeros = [0, 1, 37, 38, 39, 250, 600]   # at the start, inside and at the end
         cs[zeros] = 0.0
-        fake = DhoAmplitude.from_arrays(amp.times, cs, amp.c_dot, params.omega)
+        fake = DhoAmplitude.from_arrays(amp.times, cs, amp.c_dot, params)
         for k, t in enumerate(amp.times.tolist()):
             if k in zeros:
                 assert np.isnan(fake.gamma_t[k]) and np.isnan(fake.omega_t[k])
@@ -553,7 +553,7 @@ class TestDhoPhase:
             else:
                 assert np.array_equal(dho_channel(fake, params, t).m,
                                       dho_channel(amp, params, t).m)
-        assert np.isnan(DhoAmplitude.from_arrays([0.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
+        assert np.isnan(DhoAmplitude.from_arrays([0.0, 1.0], [0.0, 0.0], [1.0, 1.0], RESONANT)
                         .gamma_t).all()
 
     def test_channel_reads_phase_at_t(self):
@@ -619,8 +619,7 @@ def rate_g(amp, omega):
 
 class TestDhoCoefficients:
     def test_zero_at_t0(self):
-        amp = DhoAmplitude.from_arrays([0.0], [1.0 + 0.0j], [-1j * RESONANT.omega],
-                                       RESONANT.omega)
+        amp = DhoAmplitude.from_arrays([0.0], [1.0 + 0.0j], [-1j * RESONANT.omega], RESONANT)
         assert abs(rate_g(amp, RESONANT.omega)[0]) < 1e-15
         assert amp.gamma_t[0] == 0.0
         assert abs(amp.omega_t[0] - RESONANT.omega) < 1e-15
@@ -650,8 +649,7 @@ class TestDhoCoefficients:
 
     def test_vanishing_amplitude_raises(self):
         # the rates are NaN at an amplitude zero, and the channel there raises
-        amp = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0 + 0.0j], [-1j, -1j],
-                                       RESONANT.omega)
+        amp = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0 + 0.0j], [-1j, -1j], RESONANT)
         assert np.isnan(amp.gamma_t[1]) and np.isnan(amp.omega_t[1])
         assert amp.gamma_t[0] == 0.0 and amp.omega_t[0] == RESONANT.omega
         with pytest.raises(AmplitudeVanishingError):
@@ -661,7 +659,7 @@ class TestDhoCoefficients:
                                           (1.0, complex(0.0, math.nan)), (1.0, math.inf)])
     def test_rejects_non_finite(self, c, c_dot):
         with pytest.raises(DomainError):
-            DhoAmplitude.from_arrays([0.0, 0.5], [1.0, c], [-1j, c_dot], RESONANT.omega)
+            DhoAmplitude.from_arrays([0.0, 0.5], [1.0, c], [-1j, c_dot], RESONANT)
 
 
 class TestDhoChannel:
@@ -698,6 +696,14 @@ class TestDhoChannel:
         assert 0 < i_max < len(ts) - 1
         assert eta[i_max] > eta[i_max:].min() + 0.05
 
+    def test_params_mismatch_rejected(self):
+        # an amplitude computed for RESONANT must not pass for DETUNED's channel
+        amp = dho_amplitude(RESONANT, np.linspace(0.0, 1.0, 11))
+        with pytest.raises(DomainError):
+            dho_channel(amp, DETUNED, 0.5)
+        assert np.array_equal(dho_channel(amp, DhoParams(**vars(RESONANT)), 0.5).m,
+                              dho_channel(amp, RESONANT, 0.5).m)
+
     def test_off_grid_time_rejected(self):
         amp = dho_amplitude(RESONANT, np.linspace(0.0, 1.0, 11))
         with pytest.raises(DomainError):
@@ -706,7 +712,7 @@ class TestDhoChannel:
             dho_channel(amp, RESONANT, math.nan)
 
     def test_vanishing_amplitude_paths(self):
-        fake = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0], [-1j, -1j], RESONANT.omega)
+        fake = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0], [-1j, -1j], RESONANT)
         with pytest.raises(AmplitudeVanishingError) as err:
             dho_channel(fake, RESONANT, 0.5)
         assert err.value.time == 0.5

@@ -100,7 +100,7 @@ class TestGenerator:
 class TestEvolve:
     def test_t0_returns_initial_state_exactly(self):
         model = LindbladModel(d=2, gamma=0.1)
-        ev = evolve_choi(model, [0.0])
+        ev = evolve_choi(model, 1.0, 2)
         phi = choi_from_superoperator(np.eye(4))
         assert np.array_equal(ev.states[0], phi)
         assert np.array_equal(ev.state_at(0.0), phi)
@@ -109,8 +109,7 @@ class TestEvolve:
         # gamma = 0, d = 2: the single-excitation sector oscillates at
         # frequency omega; S population follows cos^2(omega t) / 2
         model = LindbladModel(d=2, omega=1.0, gamma=0.0)
-        ts = np.linspace(0.0, math.pi, 41)
-        ev = evolve_choi(model, ts)
+        ev = evolve_choi(model, math.pi, 41)
         mem = np.zeros((2, 2), dtype=complex)
         mem[0, 0] = 1.0
         rho0_sm = np.kron(np.eye(2) / 2, mem)
@@ -124,7 +123,7 @@ class TestEvolve:
     def test_trace_and_positivity_along_flow(self, rng):
         model = LindbladModel(d=3, omega=1.0, gamma=0.3)
         ts = np.linspace(0.0, 6.0, 61)
-        for state in evolve_choi(model, ts).states:
+        for state in evolve_choi(model, 6.0, 61).states:
             assert abs(np.trace(state) - 1.0) < 1e-8
             assert np.linalg.eigvalsh(state).min() > -1e-8
         rho_sm = random_density_matrix(rng, [3, 2])
@@ -135,13 +134,11 @@ class TestEvolve:
 
     def test_grid_validation(self):
         model = LindbladModel(d=2)
-        with pytest.raises(InvalidSubsystemError):
-            evolve_choi(model, [1.0, 2.0])
-        with pytest.raises(InvalidSubsystemError):
-            evolve_choi(model, [0.0, 2.0, 1.0])
-        with pytest.raises(InvalidSubsystemError):
-            evolve_choi(model, [0.0, math.nan])
-        ev = evolve_choi(model, [0.0, 2.0])
+        for t_max, n_points in ((0.0, 3), (-1.0, 3), (math.nan, 3), (math.inf, 3),
+                                (2.0, 1), (2.0, 2.5), (2.0, math.nan), (2.0, math.inf)):
+            with pytest.raises(InvalidSubsystemError):
+                evolve_choi(model, t_max, n_points)
+        ev = evolve_choi(model, 2.0, 2)
         with pytest.raises(InvalidSubsystemError):
             ev.state_at(2.5)
         with pytest.raises(InvalidSubsystemError):
@@ -158,9 +155,9 @@ class TestEvolve:
         # grid states and exact off-grid probes against an adaptive
         # Runge-Kutta integration of the kron-built generator
         model = LindbladModel(d=d, omega=1.0, gamma=0.15, convention=conv)
-        grid = np.linspace(0.0, 3.0, 31)
+        ev = evolve_choi(model, 3.0, 31)
+        grid = ev.times
         probes = [0.37, 1.555, 2.93]
-        ev = evolve_choi(model, grid)
         ts = np.sort(np.concatenate([grid, probes]))
         ref = qudit_dop853_states(d, 1.0, 0.15, conv, extended_initial(d).data, ts)
         ref_sa = {float(t): partial_trace_out_memory_loops(r, d) for t, r in zip(ts, ref)}
@@ -173,14 +170,14 @@ class TestEvolve:
 class TestReducedChoiTrajectory:
     def test_t0_is_max_entangled(self):
         model = LindbladModel(d=3, gamma=0.2)
-        ev = evolve_choi(model, [0.0])
+        ev = evolve_choi(model, 1.0, 2)
         assert ev.times[0] == 0.0
         assert np.abs(ev.states[0] - max_entangled_state(3).data).max() < 1e-12
 
     def test_trace_and_untouched_ancilla(self):
         d = 3
         model = LindbladModel(d=d, omega=1.0, gamma=0.15)
-        ev = evolve_choi(model, np.linspace(0.0, 5.0, 26))
+        ev = evolve_choi(model, 5.0, 26)
         for state in ev.states:
             assert abs(np.trace(state) - 1.0) < 1e-8
             anc = partial_trace(DensityMatrix(state, (d, d)), {1}).data
@@ -188,7 +185,7 @@ class TestReducedChoiTrajectory:
 
     def test_swap_revival_of_system_entropy(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.0)
-        ev = evolve_choi(model, np.linspace(0.0, math.pi, 81))
+        ev = evolve_choi(model, math.pi, 81)
         s_sys, _, _ = entropy_arrays(ev.states, (2, 2))
         assert s_sys[40] < 1e-6                      # dip at t = pi/2
         assert abs(s_sys[-1] - math.log(2)) < 1e-6   # revival at t = pi
@@ -198,9 +195,8 @@ class TestReducedChoiTrajectory:
         # exchange amplitude; entropies follow in closed form
         omega, gamma = 1.0, 0.2
         model = LindbladModel(d=2, omega=omega, gamma=gamma)
-        ts = np.linspace(0.0, 8.0, 81)
-        ev = evolve_choi(model, ts)
-        u = qubit_damping_amplitude(omega, gamma, ts)
+        ev = evolve_choi(model, 8.0, 81)
+        u = qubit_damping_amplitude(omega, gamma, ev.times)
         s_sys, s_anc, s_joint = entropy_arrays(ev.states, (2, 2))
         for k, ut in enumerate(u):
             s_sys_expected = binary_entropy(abs(ut) ** 2 / 2.0)
@@ -229,13 +225,13 @@ class TestReducedChoiTrajectory:
         loops = partial_trace_out_memory_loops(full, d)
         direct = partial_trace(DensityMatrix(full, (d, 2, d)), {0, 2}).data
         assert np.abs(direct - loops).max() < 1e-12
-        state = evolve_choi(model, [0.0, 1.7]).states[-1]
+        state = evolve_choi(model, 1.7, 2).states[-1]
         assert np.abs(state - loops).max() < 1e-9
 
     def test_dense_queries_match_grid(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.1)
-        grid = np.linspace(0.0, 4.0, 41)
-        ev = evolve_choi(model, grid)
+        ev = evolve_choi(model, 4.0, 41)
+        grid = ev.times
         assert ev.states.shape == (41, 4, 4)
         st_query = ev.state_at(grid[20])
         assert np.abs(ev.states[20] - st_query).max() == 0.0
@@ -246,13 +242,29 @@ class TestReducedChoiTrajectory:
         assert np.abs(st_mid - ev.states[20]).max() < 0.1
         assert np.abs(st_mid - ev.states[21]).max() < 0.1
 
-    def test_non_uniform_grid(self):
+    def test_grid_states_match_exact_map(self):
+        # 200 steps of the one propagator, across several stepping batches,
+        # stay on the exact map at every grid time
         model = LindbladModel(d=3, omega=1.0, gamma=0.2)
-        grid = np.array([0.0, 0.1, 0.35, 0.4, 1.3, 1.4])
-        ev = evolve_choi(model, grid)
-        for t, state in zip(grid, ev.states):
+        ev = evolve_choi(model, 10.0, 201)
+        assert np.array_equal(ev.times, np.linspace(0.0, 10.0, 201))
+        for t, state in zip(ev.times, ev.states):
             exact = choi_from_superoperator(channel_superoperator(model, t))
             assert np.abs(state - exact).max() < 1e-12
+
+    def test_one_propagator_per_evolution(self, monkeypatch):
+        from qmemwitness import lindblad
+
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(lindblad, "expm", counted)
+        ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=0.1), 12.0, 2001)
+        assert len(ev.states) == 2001
+        assert calls == [(16, 16)]
 
 
 class TestChannelSuperoperator:
@@ -288,7 +300,7 @@ class TestChannelSuperoperator:
         model = LindbladModel(d=d, omega=1.0, gamma=0.2)
         t = 1.1
         choi = choi_from_superoperator(channel_superoperator(model, t))
-        sa = evolve_choi(model, [0.0, t]).states[-1]
+        sa = evolve_choi(model, t, 2).states[-1]
         assert np.abs(choi - sa).max() < 1e-8
 
     def test_rejects_negative_time(self):
@@ -301,8 +313,8 @@ class TestChannelSuperoperator:
 class TestGridConvergence:
     def test_entropy_agrees_on_shared_points_under_refinement(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.05)
-        coarse = evolve_choi(model, np.linspace(0.0, 6.0, 31)).states
-        fine = evolve_choi(model, np.linspace(0.0, 6.0, 61)).states
+        coarse = evolve_choi(model, 6.0, 31).states
+        fine = evolve_choi(model, 6.0, 61).states
         for k, state in enumerate(coarse):
             s_c = von_neumann_entropy(partial_trace(DensityMatrix(state, (2, 2)), {0}))
             s_f = von_neumann_entropy(partial_trace(DensityMatrix(fine[2 * k], (2, 2)), {0}))

@@ -28,7 +28,7 @@ from qmemwitness import (
 )
 from qmemwitness import states
 from qmemwitness.optimize import golden_section
-from qmemwitness.witness import _interior_extrema
+from qmemwitness.witness import DETECTION_THRESHOLD, _interior_extrema
 from oracles import (
     apply_kraus_choi,
     random_density_matrix,
@@ -39,36 +39,32 @@ from oracles import (
 
 
 class TestWitnessReport:
-    def test_rejects_inconsistent_delta(self):
-        with pytest.raises(ValueError):
-            WitnessReport(s_sys_t1=1.0, neg_cond_sa_t2=0.5, neg_cond_as_t2=0.2,
-                          delta_s=0.3, quantum_memory_detected=False)
-
-    def test_rejects_wrong_flag(self):
-        with pytest.raises(ValueError):
-            WitnessReport(s_sys_t1=1.0, neg_cond_sa_t2=0.5, neg_cond_as_t2=0.2,
-                          delta_s=0.5, quantum_memory_detected=True)
-
     def test_rejects_unordered_times(self):
         with pytest.raises(ValueError):
             WitnessReport(s_sys_t1=1.0, neg_cond_sa_t2=0.5, neg_cond_as_t2=0.2,
-                          delta_s=0.5, quantum_memory_detected=False,
                           t1=2.0, t2=1.0)
 
     def test_to_dict_roundtrip(self):
         rep = WitnessReport(s_sys_t1=1.0, neg_cond_sa_t2=0.5, neg_cond_as_t2=0.2,
-                            delta_s=0.5, quantum_memory_detected=False,
                             t1=0.5, t2=1.5)
         d = rep.to_dict()
         assert d["delta_s"] == 0.5 and d["t2"] == 1.5
+        assert d["quantum_memory_detected"] is False
+
+    @pytest.mark.parametrize("neg_sa, neg_as", [(0.0, -1.0), (-1.0, 0.0)])
+    def test_verdict_flips_at_threshold(self, neg_sa, neg_as):
+        # delta_s = s_sys_t1 - max(-S(S|A), -S(A|S)), whichever part is larger
+        at = WitnessReport(DETECTION_THRESHOLD, neg_sa, neg_as)
+        assert at.delta_s == DETECTION_THRESHOLD and not at.quantum_memory_detected
+        below = WitnessReport(math.nextafter(DETECTION_THRESHOLD, -1.0), neg_sa, neg_as)
+        assert below.delta_s < DETECTION_THRESHOLD and below.quantum_memory_detected
 
     @pytest.mark.parametrize("field", ["s_sys_t1", "neg_cond_sa_t2", "neg_cond_as_t2",
-                                       "delta_s", "t1", "t2"])
+                                       "t1", "t2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, field, value):
         # NaN must never read as "not detected"; a numerical failure, not a config error
-        fields = dict(s_sys_t1=1.0, neg_cond_sa_t2=0.5, neg_cond_as_t2=0.2, delta_s=0.5,
-                      quantum_memory_detected=False, t1=0.5, t2=1.5)
+        fields = dict(s_sys_t1=1.0, neg_cond_sa_t2=0.5, neg_cond_as_t2=0.2, t1=0.5, t2=1.5)
         fields[field] = value
         with pytest.raises(QmemError) as err:
             WitnessReport(**fields)
