@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -52,17 +52,10 @@ def _fmt(value) -> str:
     """Fixed CSV formatting: 12 significant digits, lowercase booleans."""
     if value is None:
         return "nan"
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        if v == 0.0:
-            v = 0.0   # normalize -0.0
-        return format(v, ".12g")
+    if isinstance(value, float):
+        return format(value + 0.0, ".12g")   # + 0.0 turns -0.0 into 0.0
     return str(value)
 
 
@@ -91,6 +84,12 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_bytes((text + "\n").encode("ascii"))
 
 
+def _sidecar(command: str, cfg: dict) -> dict:
+    """Sidecar header: the command and its resolved configuration minus the output path."""
+    return {"schema_version": SCHEMA_VERSION, "command": command,
+            "params": {name: value for name, value in cfg.items() if name != "output"}}
+
+
 def _sidecar_path(csv_path: str) -> str:
     return str(Path(csv_path).with_suffix(".json"))
 
@@ -103,11 +102,35 @@ def _progress(message: str) -> None:
 # configuration handling
 
 
-def _parse_list(text: str, kind: type) -> list:
-    try:
-        return [kind(p) for p in str(text).replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated {kind.__name__} list: {text!r}") from exc
+def _checked(kind: type, domain: str, ok: Callable[[Any], bool]) -> Callable[[Any], Any]:
+    """Converter of a flag's text to a `kind` value for which `ok` holds;
+    any other text raises ValueError naming the flag's `domain`."""
+    def convert(text):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"must be {domain}, got {text!r}")
+    return convert
+
+
+def _at_least(low: int) -> Callable[[Any], int]:
+    return _checked(int, f"an integer >= {low}", lambda v: v >= low)
+
+
+def _list_of(item: Callable[[Any], Any]) -> Callable[[Any], list]:
+    """Converter of comma-separated text to a list of `item` values."""
+    return lambda text: [item(part) for part in str(text).replace(",", " ").split()]
+
+
+_FINITE = _checked(float, "finite", math.isfinite)
+_POSITIVE = _checked(float, "finite and > 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = _checked(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
+_SQUEEZING = _checked(float, f"in (0, {gaussian.SQUEEZING_MAX:.6g}] (cosh r overflows above)",
+                      lambda v: 0 < v <= gaussian.SQUEEZING_MAX)
+_CONVENTION = _checked(str, f"one of {CONVENTIONS}", CONVENTIONS.__contains__)
 
 
 def _load_config(path: str | None) -> dict:
@@ -128,14 +151,15 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge_config(args: argparse.Namespace, spec: dict) -> dict:
-    """Layer defaults < config file < explicit flags.
+    """Layer defaults < config file < explicit flags, then convert each value once.
 
     A file value becomes the text its flag would take (a list joined with
-    commas, a scalar through str), so both layers share each handler's
-    conversion; None (a null in the file, an absent flag) keeps the layer below.
+    commas, a scalar through str), so both layers pass through the flag's
+    converter; None (a null in the file, an absent flag) keeps the layer
+    below, and a None default stays None.
     """
-    merged = {name: default for name, (default, _help) in spec.items()}
-    for key, value in _load_config(getattr(args, "config", None)).items():
+    merged = {name: default for name, (default, _convert, _help) in spec.items()}
+    for key, value in _load_config(args.config).items():
         if key not in merged:
             raise ConfigError(f"unknown config key {key!r}")
         if value is not None:
@@ -143,7 +167,13 @@ def _merge_config(args: argparse.Namespace, spec: dict) -> dict:
     for name in spec:
         if getattr(args, name) is not None:
             merged[name] = getattr(args, name)
-    return merged
+    cfg = {}
+    for name, (_default, convert, _help) in spec.items():
+        try:
+            cfg[name] = None if merged[name] is None else convert(merged[name])
+        except ValueError as exc:
+            raise ConfigError(f"{name} {exc}") from None
+    return cfg
 
 
 def _require(cond: bool, message: str) -> None:
@@ -177,37 +207,23 @@ def _require_qudit_budget(d: int, points: int) -> None:
 # qudit-trace
 
 _TRACE_SPEC = {
-    "d": (4, "system dimension (>= 2)"),
-    "gamma_over_omega": (0.05, "memory damping over coupling (dimensionless)"),
-    "convention": (DEFAULT_CONVENTION, f"ladder convention, one of {CONVENTIONS}"),
-    "t_max": (12.0, "trajectory end time in units of 1/omega (> 0)"),
-    "points": (2001, "number of output grid points (>= 3)"),
-    "output": ("qudit_trace.csv", "CSV output path (JSON sidecar alongside)"),
+    "d": (4, _at_least(2), "system dimension (>= 2)"),
+    "gamma_over_omega": (0.05, _NON_NEGATIVE, "memory damping over coupling (dimensionless)"),
+    "convention": (DEFAULT_CONVENTION, _CONVENTION,
+                   f"ladder convention, one of {CONVENTIONS}"),
+    "t_max": (12.0, _POSITIVE, "trajectory end time in units of 1/omega (> 0)"),
+    "points": (2001, _at_least(3), "number of output grid points (>= 3)"),
+    "output": ("qudit_trace.csv", str, "CSV output path (JSON sidecar alongside)"),
 }
 
 
 def _cmd_qudit_trace(cfg: dict) -> int:
-    d = int(cfg["d"])
-    ratio = float(cfg["gamma_over_omega"])
-    convention = cfg["convention"]
-    t_max = float(cfg["t_max"])
-    points = int(cfg["points"])
-    _require(d >= 2, "d must be >= 2")
-    _require(math.isfinite(ratio) and ratio >= 0, "gamma_over_omega must be finite and >= 0")
-    _require(convention in CONVENTIONS, f"convention must be one of {CONVENTIONS}")
-    _require(math.isfinite(t_max) and t_max > 0, "t_max must be finite and > 0")
-    _require(points >= 3, "points must be >= 3")
-    _require_qudit_budget(d, points)
-
-    model = LindbladModel(d=d, omega=1.0, gamma=ratio, convention=convention)
-    _progress(f"qudit-trace: d={d} gamma/omega={ratio:g}")
-    sidecar: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "qudit-trace",
-        "params": {"d": d, "gamma_over_omega": ratio, "convention": convention,
-                   "t_max": t_max, "points": points},
-    }
-    ev, traj = qudit_entropy_trajectory(model, t_max=t_max, n_points=points)
+    _require_qudit_budget(cfg["d"], cfg["points"])
+    model = LindbladModel(d=cfg["d"], omega=1.0, gamma=cfg["gamma_over_omega"],
+                          convention=cfg["convention"])
+    _progress(f"qudit-trace: d={cfg['d']} gamma/omega={cfg['gamma_over_omega']:g}")
+    sidecar = _sidecar("qudit-trace", cfg)
+    ev, traj = qudit_entropy_trajectory(model, t_max=cfg["t_max"], n_points=cfg["points"])
     try:
         result = witness_from_trajectory(ev, traj)
         sidecar.update({
@@ -228,75 +244,49 @@ def _cmd_qudit_trace(cfg: dict) -> int:
 # qudit-scan
 
 _SCAN_SPEC = {
-    "d_list": ("2,3,4,5", "comma-separated system dimensions"),
-    "ratio_min": (0.01, "smallest gamma/omega (dimensionless)"),
-    "ratio_max": (0.6, "largest gamma/omega"),
-    "ratio_points": (60, "number of ratio grid points"),
-    "convention": (DEFAULT_CONVENTION, f"ladder convention, one of {CONVENTIONS}"),
-    "t_max": (12.0, "trajectory end time in units of 1/omega"),
-    "points": (2001, "output grid points per trajectory"),
-    "output": ("qudit_scan.csv", "CSV output path"),
+    "d_list": ("2,3,4,5", _list_of(_at_least(2)), "comma-separated system dimensions"),
+    "ratio_min": (0.01, _NON_NEGATIVE, "smallest gamma/omega (dimensionless)"),
+    "ratio_max": (0.6, _POSITIVE, "largest gamma/omega"),
+    "ratio_points": (60, _at_least(1), "number of ratio grid points"),
+    "convention": (DEFAULT_CONVENTION, _CONVENTION,
+                   f"ladder convention, one of {CONVENTIONS}"),
+    "t_max": (12.0, _POSITIVE, "trajectory end time in units of 1/omega"),
+    "points": (2001, _at_least(3), "output grid points per trajectory"),
+    "output": ("qudit_scan.csv", str, "CSV output path"),
 }
 
 
 def _cmd_qudit_scan(cfg: dict) -> int:
-    d_list = _parse_list(cfg["d_list"], int)
-    _require(len(d_list) > 0, "d list must not be empty")
-    _require(all(int(d) >= 2 for d in d_list), "all dimensions must be >= 2")
-    _require(0 <= float(cfg["ratio_min"]) < float(cfg["ratio_max"]) < math.inf,
-             "need 0 <= ratio_min < ratio_max < inf")
-    _require(int(cfg["ratio_points"]) >= 1, "ratio_points must be >= 1")
-    _require(cfg["convention"] in CONVENTIONS, f"convention must be one of {CONVENTIONS}")
-    _require(math.isfinite(float(cfg["t_max"])) and float(cfg["t_max"]) > 0,
-             "t_max must be finite and > 0")
-    _require(int(cfg["points"]) >= 3, "points must be >= 3")
-    _require_qudit_budget(max(int(d) for d in d_list), int(cfg["points"]))
+    _require(len(cfg["d_list"]) > 0, "d list must not be empty")
+    _require(cfg["ratio_min"] < cfg["ratio_max"], "ratio_min must be smaller than ratio_max")
+    _require_qudit_budget(max(cfg["d_list"]), cfg["points"])
 
-    ratios = np.linspace(float(cfg["ratio_min"]), float(cfg["ratio_max"]),
-                         int(cfg["ratio_points"]))
-    rows_out = []
-    rows = scan_qudit(
-        [int(d) for d in d_list], [float(r) for r in ratios],
-        convention=cfg["convention"], t_max=float(cfg["t_max"]),
-        n_points=int(cfg["points"]), progress=_progress,
-    )
-    n_failed = 0
-    for row in rows:
-        if row.error is not None:
-            n_failed += 1
-        message = "" if row.error is None else row.error.replace(",", ";")
-        rows_out.append([
-            row.d, row.gamma_over_omega, row.t1, row.t2, row.delta_s,
-            row.detected, message,
-        ])
+    ratios = np.linspace(cfg["ratio_min"], cfg["ratio_max"], cfg["ratio_points"])
+    rows = scan_qudit(cfg["d_list"], ratios.tolist(), convention=cfg["convention"],
+                      t_max=cfg["t_max"], n_points=cfg["points"], progress=_progress)
     _write_csv(cfg["output"],
                ["d", "gamma_over_omega", "t1", "t2", "delta_S", "detected", "error"],
-               rows_out)
-    return 3 if rows and n_failed == len(rows) else 0
+               ((row.d, row.gamma_over_omega, row.t1, row.t2, row.delta_s, row.detected,
+                 "" if row.error is None else row.error.replace(",", ";")) for row in rows))
+    return 3 if all(row.error is not None for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
 # gauss-lossy
 
 _LOSSY_SPEC = {
-    "eta_points": (101, "grid points per loss axis on [0, 1]"),
-    "r_min": (1e-3, "lower end of the squeezing search range (> 0)"),
-    "r_max": (6.0, "upper end of the squeezing search range"),
-    "fixed_r": (None, "optional comma-separated squeezing values for sign sweeps"),
-    "output": ("gauss_lossy.csv", "CSV output path"),
+    "eta_points": (101, _at_least(2), "grid points per loss axis on [0, 1]"),
+    "r_min": (1e-3, _SQUEEZING, "lower end of the squeezing search range (> 0)"),
+    "r_max": (6.0, _SQUEEZING, "upper end of the squeezing search range"),
+    "fixed_r": (None, _list_of(_SQUEEZING),
+                "optional comma-separated squeezing values for sign sweeps"),
+    "output": ("gauss_lossy.csv", str, "CSV output path"),
 }
 
 
 def _cmd_gauss_lossy(cfg: dict) -> int:
-    n = int(cfg["eta_points"])
-    r_min, r_max = float(cfg["r_min"]), float(cfg["r_max"])
-    _require(n >= 2, "eta_points must be >= 2")
-    r_bound = gaussian.SQUEEZING_MAX
-    _require(0 < r_min < r_max <= r_bound,
-             f"need 0 < r_min < r_max <= {r_bound:.6g} (cosh r overflows above)")
-    fixed_r = _parse_list(cfg["fixed_r"] or "", float)
-    _require(all(0 < r <= r_bound for r in fixed_r),
-             f"fixed r values must lie in (0, {r_bound:.6g}] (cosh r overflows above)")
+    n, fixed_r = cfg["eta_points"], cfg["fixed_r"] or []
+    _require(cfg["r_min"] < cfg["r_max"], "r_min must be smaller than r_max")
     # per cell the minimizer's (cells, 40) coarse-grid temporaries; per
     # fixed-r row its witness value and temporaries (rows are streamed)
     _require_memory(n * n * (3 * _KIB + 64 * len(fixed_r)) + 8 * _MIB,
@@ -306,7 +296,8 @@ def _cmd_gauss_lossy(cfg: dict) -> int:
     _progress(f"gauss-lossy: {n}x{n} grid")
     etas = np.linspace(0.0, 1.0, n)
     e1, e2 = np.repeat(etas, n), np.tile(etas, n)   # eta1-major rows
-    r_star, ds = gaussian.minimize_delta_S_over_r(e1, e2, r_min=r_min, r_max=r_max)
+    r_star, ds = gaussian.minimize_delta_S_over_r(e1, e2, r_min=cfg["r_min"],
+                                                  r_max=cfg["r_max"])
     _write_csv(cfg["output"], ["eta1", "eta2", "delta_S_min", "r_star"],
                _column_rows(e1, e2, ds, r_star))
 
@@ -326,35 +317,26 @@ def _cmd_gauss_lossy(cfg: dict) -> int:
 # gauss-dho
 
 _DHO_SPEC = {
-    "g2": (1.0, "coupling strength |g|^2 (1/time^2, >= 0)"),
-    "kappa": (0.25, "bath memory decay rate (1/time, > 0)"),
-    "omega": (1.0, "oscillator frequency (1/time)"),
-    "omega_big": (1.0, "bath central frequency (1/time)"),
-    "t_max": (20.0, "trajectory end time (> 0)"),
-    "points": (4001, "output grid points (>= 3)"),
-    "r": (1.0, "squeezing parameter for the sidecar witness value"),
-    "output": ("gauss_dho.csv", "CSV output path (JSON sidecar alongside)"),
+    "g2": (1.0, _NON_NEGATIVE, "coupling strength |g|^2 (1/time^2, >= 0)"),
+    "kappa": (0.25, _POSITIVE, "bath memory decay rate (1/time, > 0)"),
+    "omega": (1.0, _FINITE, "oscillator frequency (1/time)"),
+    "omega_big": (1.0, _FINITE, "bath central frequency (1/time)"),
+    "t_max": (20.0, _POSITIVE, "trajectory end time (> 0)"),
+    "points": (4001, _at_least(3), "output grid points (>= 3)"),
+    "r": (1.0, _SQUEEZING, "squeezing parameter for the sidecar witness value"),
+    "output": ("gauss_dho.csv", str, "CSV output path (JSON sidecar alongside)"),
 }
 
 
 def _cmd_gauss_dho(cfg: dict) -> int:
-    g2, kappa = float(cfg["g2"]), float(cfg["kappa"])
-    omega, omega_big = float(cfg["omega"]), float(cfg["omega_big"])
-    t_max, points, r_probe = float(cfg["t_max"]), int(cfg["points"]), float(cfg["r"])
-    _require(all(map(math.isfinite, (g2, kappa, omega, omega_big, t_max, r_probe))),
-             "g2, kappa, omega, omega_big, t_max and r must be finite")
-    _require(g2 >= 0, "g2 must be >= 0")
-    _require(kappa > 0, "kappa must be > 0")
-    _require(t_max > 0, "t_max must be > 0")
-    _require(points >= 3, "points must be >= 3")
-    _require(0 < r_probe <= gaussian.SQUEEZING_MAX,
-             f"r must lie in (0, {gaussian.SQUEEZING_MAX:.6g}] (cosh r overflows above)")
+    points, r_probe = cfg["points"], cfg["r"]
     # the amplitude arrays and the output columns
     _require_memory(points * _KIB + 8 * _MIB, f"points={points}", "1 KiB points + 8 MiB")
 
-    params = gaussian.DhoParams(g2=g2, kappa=kappa, omega=omega, omega_big=omega_big)
-    _progress(f"gauss-dho: g2={g2:g} kappa={kappa:g}")
-    grid = np.linspace(0.0, t_max, points)
+    params = gaussian.DhoParams(g2=cfg["g2"], kappa=cfg["kappa"], omega=cfg["omega"],
+                                omega_big=cfg["omega_big"])
+    _progress(f"gauss-dho: g2={cfg['g2']:g} kappa={cfg['kappa']:g}")
+    grid = np.linspace(0.0, cfg["t_max"], points)
     amp = gaussian.dho_amplitude(params, grid)
     abs_sq = np.abs(amp.c) ** 2
     # |c| may overshoot 1 by rounding; the loss stays in [0, 1]
@@ -369,12 +351,7 @@ def _cmd_gauss_dho(cfg: dict) -> int:
     )
 
     pair = gaussian.first_loss_reversal(etas)
-    sidecar: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "gauss-dho",
-        "params": {"g2": g2, "kappa": kappa, "omega": omega, "omega_big": omega_big,
-                   "t_max": t_max, "points": points, "r": r_probe},
-    }
+    sidecar = _sidecar("gauss-dho", cfg)
     if pair is None:
         sidecar.update({"detected": False, "pair": None})
     else:
@@ -397,38 +374,55 @@ def _cmd_gauss_dho(cfg: dict) -> int:
 # witness-eval
 
 _EVAL_SPEC = {
-    "state_t1": (None, "JSON file with the earlier snapshot"),
-    "state_t2": (None, "JSON file with the later snapshot"),
-    "t1": (None, "optional time label of the earlier snapshot"),
-    "t2": (None, "optional time label of the later snapshot"),
-    "output": (None, "optional JSON output path (default: stdout)"),
+    "state_t1": (None, str, "JSON file with the earlier snapshot"),
+    "state_t2": (None, str, "JSON file with the later snapshot"),
+    "t1": (None, _FINITE, "optional time label of the earlier snapshot"),
+    "t2": (None, _FINITE, "optional time label of the later snapshot"),
+    "output": (None, str, "optional JSON output path (default: stdout)"),
 }
 
 
+def _numbers(raw: dict, key: str, kinds: str = "iuf") -> np.ndarray:
+    """The array under `key`; KeyError when absent, ValueError unless every
+    entry is a number of one of the numpy `kinds` (integers or reals)."""
+    arr = np.array(raw[key])
+    if arr.dtype.kind not in kinds:
+        raise ValueError(f"{key} has entries of the wrong type")
+    return arr
+
+
 def _load_state(path: str):
+    """The snapshot in a state file.
+
+    A file that cannot be read as its kind is a ConfigError; a readable
+    snapshot that is not a physical state fails in its constructor with a
+    QmemError.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read state file {path}: {exc}") from exc
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"state file {path}: schema_version must be {SCHEMA_VERSION}")
+    if not isinstance(raw, dict) or raw.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"state file {path} must hold a JSON object with "
+                          f"schema_version {SCHEMA_VERSION}")
     kind = raw.get("kind")
-    if kind == "density_matrix":
-        try:
-            data = np.array(raw["real"], dtype=float) + 1j * np.array(raw["imag"], dtype=float)
-            dims = tuple(int(d) for d in raw["dims"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"state file {path}: malformed density matrix") from exc
-        return DensityMatrix(data, dims)
-    if kind == "covariance_blocks":
-        try:
-            return gaussian.TwoModeBlocks(
-                alpha=np.array(raw["alpha"], dtype=float),
-                beta=np.array(raw["beta"], dtype=float),
-                gamma_block=np.array(raw["gamma"], dtype=float),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"state file {path}: malformed covariance blocks") from exc
+    try:
+        if kind == "density_matrix":
+            real, imag = _numbers(raw, "real"), _numbers(raw, "imag")
+            dims = tuple(int(d) for d in _numbers(raw, "dims", "iu"))
+            n = math.prod(dims)
+            if min(dims, default=0) < 1 or real.shape != (n, n) or imag.shape != (n, n):
+                raise ValueError(f"real and imag must be {n}x{n} for dims {list(dims)}")
+            return DensityMatrix(real + 1j * imag, dims)
+        if kind == "covariance_blocks":
+            blocks = [_numbers(raw, key) for key in ("alpha", "beta", "gamma")]
+            if any(block.shape != (2, 2) for block in blocks):
+                raise ValueError("alpha, beta and gamma must be 2x2")
+            return gaussian.TwoModeBlocks(*blocks)
+    except QmemError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"state file {path}: malformed {kind}: {exc}") from exc
     raise ConfigError(
         f"state file {path}: kind must be 'density_matrix' or 'covariance_blocks'"
     )
@@ -437,10 +431,8 @@ def _load_state(path: str):
 def _cmd_witness_eval(cfg: dict) -> int:
     _require(cfg["state_t1"] is not None and cfg["state_t2"] is not None,
              "witness-eval requires --state-t1 and --state-t2")
-    t1 = None if cfg["t1"] is None else float(cfg["t1"])
-    t2 = None if cfg["t2"] is None else float(cfg["t2"])
-    if t1 is not None and t2 is not None:
-        _require(t1 < t2, "t1 must be smaller than t2")
+    t1, t2 = cfg["t1"], cfg["t2"]
+    _require(t1 is None or t2 is None or t1 < t2, "t1 must be smaller than t2")
     s1 = _load_state(cfg["state_t1"])
     s2 = _load_state(cfg["state_t2"])
     if isinstance(s1, DensityMatrix) != isinstance(s2, DensityMatrix):
@@ -485,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", default=None,
                        help="JSON config file (schema_version 1); flags override it")
-        for param, (default, help_str) in spec.items():
+        for param, (default, _convert, help_str) in spec.items():
             flag = "--" + param.replace("_", "-")
             p.add_argument(flag, default=None,
                            help=f"{help_str} [default: {default}]")
@@ -497,20 +489,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec, handler, _ = _COMMANDS[args.command]
     try:
-        cfg = _merge_config(args, spec)
-        return handler(cfg)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, QmemError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except QmemError as exc:
+        return handler(_merge_config(args, spec))
+    except (QmemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    except (ConfigError, ValueError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import qmemwitness
-from qmemwitness import delta_S_lossy, max_entangled_state, minimize_delta_S_over_r
-from qmemwitness.cli import _write_csv, main
+from qmemwitness import cli, delta_S_lossy, max_entangled_state, minimize_delta_S_over_r
+from qmemwitness.cli import _COMMANDS, _write_csv, main
+from qmemwitness.gaussian import SQUEEZING_MAX
 from qmemwitness.witness import DETECTION_THRESHOLD
 
 
@@ -447,3 +448,109 @@ class TestWitnessEval:
         write_dm_state(f1, max_entangled_state(2))
         assert run(["witness-eval", "--state-t1", f1, "--state-t2", f1,
                     "--t1", 2.0, "--t2", 1.0]) == 2
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"kind": "density_matrix", "dims": [2, 2], "real": [[1.0]], "imag": [[0.0]]},
+        {"kind": "density_matrix", "dims": [2], "real": [[1.0, 0.0]], "imag": [[0.0, 0.0]]},
+        {"kind": "density_matrix", "dims": [2], "real": [[0.5, "a"], [0.0, 0.5]],
+         "imag": [[0.0, 0.0], [0.0, 0.0]]},
+        {"kind": "density_matrix", "dims": [2], "real": [[0.5, 0.0], [0.0, 0.5]]},
+        {"kind": "density_matrix", "dims": "22", "real": (np.eye(4) / 4).tolist(),
+         "imag": np.zeros((4, 4)).tolist()},
+        {"kind": "density_matrix", "dims": [2.7, 2.2], "real": (np.eye(4) / 4).tolist(),
+         "imag": np.zeros((4, 4)).tolist()},
+        {"kind": "covariance_blocks", "alpha": np.eye(3).tolist(), "beta": np.eye(2).tolist(),
+         "gamma": np.zeros((2, 2)).tolist()},
+        {"kind": "covariance_blocks", "alpha": [[0.5, None], [None, 0.5]],
+         "beta": np.eye(2).tolist(), "gamma": np.zeros((2, 2)).tolist()},
+    ], ids=["not-an-object", "dims-mismatch", "not-square", "non-numeric", "missing-imag",
+            "dims-string", "dims-fraction", "block-3x3", "null-entry"])
+    def test_unreadable_snapshot_is_config_error(self, tmp_path, payload, capsys):
+        # a file that cannot be read as its kind is a bad request, not a failed computation
+        bad = tmp_path / "bad.json"
+        if isinstance(payload, dict):
+            payload = {"schema_version": 1, **payload}
+        bad.write_text(json.dumps(payload))
+        assert run(["witness-eval", "--state-t1", bad, "--state-t2", bad]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [0.1 * np.eye(2), np.full((2, 2), np.nan)],
+                             ids=["uncertainty-violated", "nan"])
+    def test_unphysical_covariance_is_numerical_failure(self, tmp_path, alpha, capsys):
+        # well-formed blocks that are no physical state fail like a bad density matrix
+        f1 = tmp_path / "s1.json"
+        write_cov_state(f1, alpha, np.eye(2) / 2, np.zeros((2, 2)))
+        assert run(["witness-eval", "--state-t1", f1, "--state-t2", f1]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_bad_time_label_rejected_before_reading_states(self, tmp_path, monkeypatch, capsys):
+        def unreachable(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "_load_state", unreachable)
+        f1 = tmp_path / "s1.json"
+        write_dm_state(f1, max_entangled_state(2))
+        assert run(["witness-eval", "--state-t1", f1, "--state-t2", f1, "--t1", "nan"]) == 2
+        assert "t1 must be finite" in capsys.readouterr().err
+
+
+# A value just past the domain of every flag whose converter rejects "nan";
+# flags without a bound beyond finiteness take -inf.
+PAST_BOUND = {
+    "d": 1, "gamma_over_omega": -5e-324, "convention": "bogus", "t_max": 0, "points": 2,
+    "d_list": [2, 1], "ratio_min": -5e-324, "ratio_max": 0, "ratio_points": 0,
+    "eta_points": 1, "r_min": 0, "r_max": float(np.nextafter(SQUEEZING_MAX, np.inf)),
+    "fixed_r": [1.0, float(np.nextafter(SQUEEZING_MAX, np.inf))],
+    "g2": -5e-324, "kappa": 0, "omega": -math.inf, "omega_big": -math.inf,
+    "r": float(np.nextafter(SQUEEZING_MAX, np.inf)), "t1": -math.inf, "t2": -math.inf,
+}
+
+# small sizes, so that a missed check fails fast instead of running a default scan
+SMALL = {
+    "qudit-trace": {"d": 2, "t_max": 2, "points": 21},
+    "qudit-scan": {"d_list": 2, "ratio_points": 1, "t_max": 2, "points": 21},
+    "gauss-lossy": {"eta_points": 2},
+    "gauss-dho": {"t_max": 1, "points": 11},
+    "witness-eval": {},
+}
+
+
+def _checked_flags():
+    for command, (spec, _handler, _help) in _COMMANDS.items():
+        for name, (_default, convert, _help) in spec.items():
+            try:
+                convert("nan")
+            except ValueError:
+                yield command, name
+
+
+def _flag_text(value):
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+class TestFlagDomains:
+    def test_every_checked_flag_has_a_bound_case(self):
+        assert {name for _command, name in _checked_flags()} == set(PAST_BOUND)
+
+    @pytest.mark.parametrize("command, name", list(_checked_flags()))
+    @pytest.mark.parametrize("case", ["nan", "inf", "past-bound"])
+    def test_out_of_domain_is_config_error(self, tmp_path, command, name, case, capsys):
+        value = PAST_BOUND[name] if case == "past-bound" else float(case)
+        state = tmp_path / "s.json"
+        write_dm_state(state, max_entangled_state(2))
+        out = tmp_path / ("out.json" if command == "witness-eval" else "out.csv")
+        small = {key: v for key, v in SMALL[command].items() if key != name}
+        base = [command, "--output", out]
+        if command == "witness-eval":
+            base += ["--state-t1", state, "--state-t2", state]
+        for key, v in small.items():
+            base += ["--" + key.replace("_", "-"), v]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, name: value}))
+        # --flag=value, since argparse reads "-inf" or "-5e-324" after a space as a flag
+        for argv in (base + ["--" + name.replace("_", "-") + "=" + _flag_text(value)],
+                     base + ["--config", cfg]):
+            assert run(argv) == 2, argv
+            assert f"{name} must be" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "s.json"]
