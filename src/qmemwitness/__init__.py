@@ -45,6 +45,7 @@ from .lindblad import (
     LindbladModel,
     channel_superoperator,
     choi_from_superoperator,
+    dense_choi,
     evolve_choi,
 )
 from .states import (
@@ -53,6 +54,7 @@ from .states import (
     CONVENTIONS,
     DEFAULT_CONVENTION,
     DensityMatrix,
+    choi_entropy_arrays,
     entropy_arrays,
     ladder_operators,
     max_entangled_state,

@@ -195,12 +195,11 @@ def _require_memory(need: int, what: str, formula: str) -> None:
 
 
 def _require_qudit_budget(d: int, points: int) -> None:
-    # the (points, d^2, d^2) complex trajectory plus about 1024 matrices of
-    # that size (stepping batch, propagator, Liouvillian, expm workspace)
-    # and the output rows
-    _require_memory(16 * d ** 4 * (points + 1024) + _KIB * points + 8 * _MIB,
-                    f"d={d} with {points} points",
-                    "16 d^4 (points + 1024) + 1 KiB points + 8 MiB")
+    # the (points, 2d-1, d, d) complex Choi blocks with their validation
+    # temporaries, the output rows, and the powers of a 4d-2 state sector
+    _require_memory(20 * (2 * d - 1) * d * d * points + _KIB * points + 48 * _KIB * d * d
+                    + 8 * _MIB, f"d={d} with {points} points",
+                    "20 (2d - 1) d^2 points + 1 KiB points + 48 KiB d^2 + 8 MiB")
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,19 @@
 """Qudit + damped-memory-qubit master equation and channel extraction.
 
-The model couples a d-level system S to a memory qubit M through an
-excitation-exchange Hamiltonian
+A d-level system S exchanges excitations with a memory qubit M,
+H = omega (J_- (x) sigma_+ + J_+ (x) sigma_-), and M is damped at rate gamma
+by D[1_S (x) sigma_-]; the reduced map Lambda_t(X) = Tr_M exp(L t)
+(X (x) |0><0|_M) is exact. L conserves the coherence order q = N_ket - N_bra,
+N = n_S + n_M, so it splits into blocks L_q of at most 4d - 2 states (Buca &
+Prosen, New J. Phys. 14, 073007 (2012)). |i><j| (x) |0><0|_M lies in sector
+i - j and the sectors q < 0 are the adjoints of q > 0, so only q = 0..d-1
+are evolved, with `scipy.linalg.expm` (Al-Mohy & Higham 2009): exp(L_q dt)
+on the uniform grid, exp(L_q t) off it. No L_q is diagonalized (L is nearly
+defective under the spin convention).
 
-    H = omega * (J_- (x) sigma_+ + J_+ (x) sigma_-),
-
-while M is damped at rate gamma by a single zero-temperature dissipator
-D[1_S (x) sigma_-].
-
-The generator does not depend on time, so the reduced map on S is exact:
-
-    Lambda_t(X) = Tr_M exp(L t) (X (x) |0><0|_M),
-
-with the memory starting in its ground state and L the Liouvillian on
-S (x) M (size 4d^2 x 4d^2, row-major vec).
-Propagators come from `scipy.linalg.expm` (scaling and squaring, Al-Mohy
-& Higham, SIAM J. Matrix Anal. Appl. 31, 2009). On the uniform output
-grid the d^2 matrix units |i><j| (x) |0><0|_M are stepped with the one
-propagator exp(L dt) and traced over M in batches; off-grid queries apply
-exp(L t) to the matrix units directly. L is never diagonalized: under the
-spin convention it is (nearly) defective.
+The map is phase covariant, so the S (x) A Choi state is block diagonal in
+k = n_S - n_A. It is kept as padded blocks (..., 2d-1, d, d): block k + d - 1
+holds <a, a-k| rho |b, b-k> at row a, column b <= a, and zeros elsewhere.
 """
 
 from __future__ import annotations
@@ -33,10 +27,9 @@ from scipy.linalg import expm
 from .errors import InvalidDimensionError, InvalidSubsystemError
 from .states import DEFAULT_CONVENTION, CONVENTIONS, ladder_operators
 
-# grid steps stepped before each batched trace-out; bounds the joint
-# S (x) M states held at once to one more than this many copies of the
-# matrix units
-_STEP_BATCH = 64
+# stacked propagator powers P^0 .. P^(_POWERS - 1) produce that many grid
+# states of a sector with one product
+_POWERS = 64
 
 
 @dataclass(frozen=True)
@@ -67,139 +60,141 @@ class LindbladModel:
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "gamma", float(self.gamma))
 
-    def hamiltonian_sm(self) -> np.ndarray:
-        """Exchange Hamiltonian on S (x) M, shape (2d, 2d)."""
-        j_plus, j_minus = ladder_operators(self.d, self.convention)
-        s_plus, s_minus = ladder_operators(2)
-        return self.omega * (np.kron(j_minus, s_plus) + np.kron(j_plus, s_minus))
-
-    def liouvillian(self) -> np.ndarray:
-        """Generator on S (x) M acting on row-major vec, shape (4d^2, 4d^2).
-
-        vec(d rho / dt) = L vec(rho) for
-        d rho / dt = -i [H, rho] + gamma * D[1_S (x) sigma_-] rho,
-        with D[X] rho = X rho X^dag - (X^dag X rho + rho X^dag X) / 2.
-        Row-major vec turns A rho B into (A (x) B^T) vec(rho).
-        """
-        h = self.hamiltonian_sm()
-        one = np.eye(h.shape[0])
-        x = np.kron(np.eye(self.d), ladder_operators(2)[1])
-        xdx = x.conj().T @ x
-        return (-1j * (np.kron(h, one) - np.kron(one, h.T))
-                + self.gamma * (np.kron(x, x.conj())
-                                - 0.5 * (np.kron(xdx, one) + np.kron(one, xdx.T))))
+    def sector(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ket, bra) pairs of basis indices 2 n_S + n_M in sector q, shape
+        (n, 2) in row-major vec order, and the generator L_q on them:
+        d rho / dt = -i [H, rho] + gamma (X rho X^dag - {X^dag X, rho} / 2)."""
+        d, n = self.d, 2 * self.d
+        s = np.arange(d - 1)
+        # H - i gamma/2 |1><1|_M, and the jump X = sum_s |s,0><s,1|
+        h_eff = np.diag(np.tile([0.0, -0.5j * self.gamma], d))
+        j_plus = ladder_operators(d, self.convention)[0]
+        h_eff[2 * s + 2, 2 * s + 1] = h_eff[2 * s + 1, 2 * s + 2] = self.omega * j_plus[s + 1, s]
+        jump = np.eye(n, k=1) * (np.arange(n) % 2 == 0)[:, None]
+        excitations = np.arange(n) // 2 + np.arange(n) % 2
+        ket, bra = np.nonzero(excitations[:, None] - excitations == q)
+        k, b = ket[:, None], bra[:, None]
+        return np.stack([ket, bra], axis=1), (
+            -1j * h_eff[k, ket] * (b == bra) + 1j * (k == ket) * h_eff[b, bra].conj()
+            + self.gamma * jump[k, ket] * jump[b, bra])
 
 
-def _matrix_units(d: int) -> np.ndarray:
-    """Columns vec(|i><j| (x) |0><0|_M) for column i*d + j, shape (4d^2, d^2)."""
-    units = np.zeros((d, 2, d, 2, d * d), dtype=complex)
-    units[:, 0, :, 0] = np.eye(d * d).reshape(d, d, d * d)
-    return units.reshape(4 * d * d, d * d)
+def _sectors(model: LindbladModel) -> list[tuple]:
+    """Per sector q = 0..d-1: L_q, the positions of |j+q,0><j,0| (the
+    evolved columns), of |a,0><a-q,0| and |a,1><a-q,1| (summed over M), and
+    of <a| Lambda(|j+q><j|) |a-q> in the flat padded blocks (rows a, columns j)."""
+    d = model.d
+    out = []
+    for q in range(d):
+        pairs, generator = model.sector(q)
+        pos = np.full((2 * d, 2 * d), -1)
+        pos[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
+        j, a = np.arange(d - q), np.arange(q, d)
+        row = a[:, None]
+        out.append((generator, pos[2 * (j + q), 2 * j],
+                    (pos[2 * a, 2 * (a - q)], pos[2 * a + 1, 2 * (a - q) + 1]),
+                    (((row - j - q + d - 1) * d + row) * d + row - q).ravel()))
+    return out
 
 
-def _trace_out_memory(joint: np.ndarray, d: int) -> np.ndarray:
-    """Superoperators from evolved matrix units: (..., 4d^2, d^2) -> (..., d^2, d^2).
+def _blocks_at(sectors, d: int, t: float) -> np.ndarray:
+    """Choi blocks times d at time t, one exp(L_q t) per sector."""
+    blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)
+    for generator, units, rows, target in sectors:
+        p = expm(generator * t)[:, units]
+        blocks[target] = (p[rows[0]] + p[rows[1]]).ravel()
+    return blocks.reshape(2 * d - 1, d, d)
 
-    Column i*d + j of the result holds vec Tr_M of the evolved |i><j| (x) |0><0|_M.
-    """
-    lead = joint.shape[:-2]
-    r = joint.reshape(lead + (d, 2, d, 2, d * d))
-    return (r[..., :, 0, :, 0, :] + r[..., :, 1, :, 1, :]).reshape(lead + (d * d, d * d))
+
+def dense_choi(blocks: np.ndarray) -> np.ndarray:
+    """Dense S (x) A matrices (..., d^2, d^2) from padded Choi blocks
+    (..., 2d-1, d, d); the upper triangle is filled by Hermiticity."""
+    d = blocks.shape[-1]
+    k = np.arange(2 * d - 1)[:, None] - (d - 1)
+    level = (np.arange(d) >= k) & (np.arange(d) < d + k)   # a - k is a level of A
+    blk, a, b = np.nonzero(level[:, :, None] & level[:, None, :])
+    hermitian = blocks + np.tril(blocks, -1).swapaxes(-1, -2).conj()
+    dense = np.zeros(blocks.shape[:-3] + (d * d, d * d), dtype=complex)
+    dense[..., a * (d + 1) - blk + d - 1, b * (d + 1) - blk + d - 1] = hermitian[..., blk, a, b]
+    return dense
 
 
-def _choi(superop: np.ndarray, d: int) -> np.ndarray:
-    """Normalized Choi matrices of a stack of superoperators, same leading shape."""
-    lead = superop.shape[:-2]
-    s4 = superop.reshape(lead + (d, d, d, d))
-    return s4.swapaxes(-3, -2).reshape(lead + (d * d, d * d)) / d
+def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
+    """Superoperator <-> unnormalized Choi matrix (swaps the inner indices)."""
+    return m.reshape(m.shape[:-2] + (d, d, d, d)).swapaxes(-3, -2).reshape(m.shape)
 
 
 class ChoiEvolution:
-    """System-ancilla Choi states of the reduced dynamics, time-resolved.
+    """Choi states (padded blocks) of the reduced dynamics, from `evolve_choi`:
+    `states[k]`, shape (T, 2d-1, d, d), is half of |Phi+>_SA sent through the
+    map at `times[k]`; `state_at` answers any time in the span exactly. The
+    states are validated where their entropies are taken."""
 
-    Produced by `evolve_choi`. `states[k]` (array of shape (T, d^2, d^2))
-    is the state obtained by sending half of |Phi+>_SA through the map at
-    `times[k]`, with S (x) A ordering; `state_at` answers any time in the
-    span exactly. The states are not validated here: `entropy_arrays`
-    validates them where their entropies are taken.
-    """
-
-    def __init__(self, model, times, states, generator, units):
+    def __init__(self, model, times, states, sectors):
         self.model = model
         self.times = times
         self.states = states
-        self._generator = generator
-        self._units = units
+        self._sectors = sectors
 
     def state_at(self, t: float) -> np.ndarray:
-        """S-A joint state, shape (d^2, d^2), at any time within the grid span."""
+        """S-A state as padded blocks (2d-1, d, d), at any time within the grid span."""
         t = float(t)
         if not -1e-13 <= t <= self.times[-1] + 1e-13:
             raise InvalidSubsystemError(f"t={t} outside the evolved span")
-        d = self.model.d
-        k = np.searchsorted(self.times, t)
-        for kk in (k - 1, k):
-            if 0 <= kk < self.times.size and abs(self.times[kk] - t) < 1e-12:
-                return self.states[kk].copy()
-        joint = expm(self._generator * t) @ self._units
-        return _choi(_trace_out_memory(joint, d), d)
+        k = np.abs(self.times - t).argmin()
+        if abs(self.times[k] - t) < 1e-12:
+            return self.states[k].copy()
+        return _blocks_at(self._sectors, self.model.d, t) / self.model.d
 
 
 def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolution:
-    """Evolve |Phi+>_SA (x) |0><0|_M on `n_points` uniform times over
-    [0, t_max] and trace out M.
-
-    The S-A state at time t equals the channel at time t applied to one
-    half of the maximally entangled pair. t_max must be finite and > 0
-    and n_points an integer >= 2 (InvalidSubsystemError otherwise).
-    """
+    """Evolve |Phi+>_SA (x) |0><0|_M on `n_points` uniform times over [0, t_max]
+    and trace out M, giving the channel at each time applied to half of
+    |Phi+>. t_max must be finite and > 0 and n_points an integer >= 2
+    (InvalidSubsystemError otherwise)."""
     t_max = float(t_max)
     if not (math.isfinite(t_max) and t_max > 0 and float(n_points).is_integer()
             and n_points >= 2):
         raise InvalidSubsystemError(
             f"need finite t_max > 0 and integer n_points >= 2, got {t_max} and {n_points}")
     d, n = model.d, int(n_points)
-    grid = np.linspace(0.0, t_max, n)
-    generator = model.liouvillian()
-    units = _matrix_units(d)
-    step = expm(generator * (t_max / (n - 1)))
-    states = np.empty((n, d * d, d * d), dtype=complex)
-    states[0] = _choi(_trace_out_memory(units, d), d)
-    # slot 0 carries the last state of the previous batch
-    batch = np.empty((min(n, _STEP_BATCH + 1),) + units.shape, dtype=complex)
-    batch[0] = units
-    for start in range(1, n, _STEP_BATCH):
-        m = min(_STEP_BATCH, n - start)
-        for k in range(m):
-            np.matmul(step, batch[k], out=batch[k + 1])
-        states[start:start + m] = _choi(_trace_out_memory(batch[1:m + 1], d), d)
-        batch[0] = batch[m]
-    return ChoiEvolution(model, grid, states, generator, units)
+    n_batch = -(-n // _POWERS)
+    sectors = _sectors(model)
+    states = np.zeros((n, 2 * d - 1, d, d), dtype=complex)
+    flat = states.reshape(n, -1)
+    for generator, units, rows, target in sectors:
+        size = len(generator)
+        powers = np.empty((_POWERS + 1, size, size), dtype=complex)
+        powers[0], powers[1] = np.eye(size), expm(generator * (t_max / (n - 1)))
+        m = 1
+        while m < _POWERS:   # P^(m+1) .. P^(2m) = (P^1 .. P^m) P^m
+            np.matmul(powers[1:m + 1], powers[m], out=powers[m + 1:2 * m + 1])
+            m *= 2
+        # the columns at the start of every batch of _POWERS grid steps
+        starts = [np.eye(size, dtype=complex)[:, units]]
+        for _ in range(n_batch - 1):
+            starts.append(powers[_POWERS] @ starts[-1])
+        traced = (powers[:_POWERS, rows[0]] + powers[:_POWERS, rows[1]]) / d
+        out = traced.reshape(-1, size) @ np.concatenate(starts, axis=1)
+        out = out.reshape(_POWERS, len(units), n_batch, len(units)).transpose(2, 0, 1, 3)
+        flat[:, target] = out.reshape(n_batch * _POWERS, -1)[:n]
+    return ChoiEvolution(model, np.linspace(0.0, t_max, n), states, sectors)
 
 
 def channel_superoperator(model: LindbladModel, t: float) -> np.ndarray:
-    """Superoperator matrix of the reduced map on S at time t.
-
-    Row-major vectorization: column i*d + j holds vec of the image of the
-    matrix unit |i><j|, evolved jointly with the memory (no ancilla, memory
-    starting in |0><0|) and traced over M. At t = 0 this is the identity on d^2 components.
-    """
+    """Superoperator matrix of the reduced map on S at time t (row-major
+    vec: column i*d + j holds vec Lambda_t(|i><j|)); the identity at t = 0."""
     t = float(t)
     if not (math.isfinite(t) and t >= 0):
         raise InvalidSubsystemError(f"t must be finite and >= 0, got {t}")
-    joint = expm(model.liouvillian() * t) @ _matrix_units(model.d)
-    return _trace_out_memory(joint, model.d)
+    return _reshuffle(dense_choi(_blocks_at(_sectors(model), model.d, t)), model.d)
 
 
 def choi_from_superoperator(superop: np.ndarray) -> np.ndarray:
-    """Normalized Choi matrix (trace 1) of a superoperator on S.
-
-    Index layout matches the extended-evolution states: row (a, i) and
-    column (b, j) give <a| E(|i><j|) |b> / d, i.e. the state obtained by
-    sending half of |Phi+> through the map.
-    """
+    """Normalized Choi matrix of a superoperator on S, laid out like the
+    evolved states: row (a, i), column (b, j) hold <a| E(|i><j|) |b> / d."""
     n2 = superop.shape[0]
     d = int(round(n2 ** 0.5))
     if d * d != n2 or superop.shape != (n2, n2):
         raise InvalidSubsystemError(f"superoperator shape {superop.shape} is not (d^2, d^2)")
-    return _choi(superop, d)
+    return _reshuffle(superop, d) / d

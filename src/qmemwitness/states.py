@@ -7,7 +7,8 @@ unit trace to 1e-9, and eigenvalues may undershoot zero by at most 1e-9
 (eigensolver noise); anything worse, NaN and inf included, is rejected as
 an invalid state. `_check_trace` and `_hermitian_spectra` hold these
 checks; `DensityMatrix` and `entropy_arrays` both validate through them,
-and a state is validated once, where its entropies are taken.
+`choi_entropy_arrays` applies them to block-diagonal Choi states, and a
+state is validated once, where its entropies are taken.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 EIGENVALUE_CLIP = 1e-12
-
-# matrices checked and diagonalized per step in `_hermitian_spectra`
-_SPECTRA_BLOCK = 64
 
 #: Ladder-operator conventions for a d-level system.
 CONVENTION_SPIN = "spin"
@@ -149,19 +147,12 @@ def _hermitian_spectra(stack: np.ndarray) -> np.ndarray:
 
     Rejects Hermiticity defects above 1e-10 and eigenvalues below -1e-9;
     the matrices are symmetrized before diagonalizing to absorb roundoff.
-    Works in blocks of 64 matrices, so its temporaries stay a fixed size
-    however long the stack.
     """
-    flat = stack.reshape((-1,) + stack.shape[-2:])
-    w = np.empty(flat.shape[:-1])
-    for start in range(0, len(flat), _SPECTRA_BLOCK):
-        block = flat[start:start + _SPECTRA_BLOCK]
-        adj = block.conj().swapaxes(-1, -2)
-        herm = np.abs(block - adj).max(initial=0.0)
-        if not herm <= HERMITICITY_TOL:
-            raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm:.3e}")
-        w[start:start + _SPECTRA_BLOCK] = np.linalg.eigvalsh((block + adj) / 2)
-    w = w.reshape(stack.shape[:-1])
+    adj = stack.conj().swapaxes(-1, -2)
+    herm = np.abs(stack - adj).max(initial=0.0)
+    if not herm <= HERMITICITY_TOL:
+        raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm:.3e}")
+    w = np.linalg.eigvalsh((stack + adj) / 2)
     lo = w[..., 0].min(initial=np.inf)
     if lo < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"negative eigenvalue {lo:.3e} below tolerance")
@@ -209,6 +200,42 @@ def entropy_arrays(
     s_sys = _entropies_from_spectra(_hermitian_spectra(np.trace(block, axis1=2, axis2=4)))
     s_anc = _entropies_from_spectra(_hermitian_spectra(np.trace(block, axis1=1, axis2=3)))
     s_joint = _entropies_from_spectra(_hermitian_spectra(arr))
+    _check_entropies(s_sys, s_anc, s_joint)
+    return s_sys, s_anc, s_joint
+
+
+def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`entropy_arrays` for Choi states of trace-preserving, phase-covariant
+    maps, as padded blocks (T, 2d-1, d, d) laid out as in `lindblad` (lower
+    triangles read). The marginals are diagonal, so only the joint spectrum
+    takes an eigensolve, stacked over all blocks (padding adds exact zeros).
+    Hermiticity is checked on the block diagonals (the rest is Hermitian by
+    construction) and rho_A against I/d, at the tolerances of `entropy_arrays`.
+    """
+    arr = np.asarray(blocks, dtype=complex)
+    d = arr.shape[-1] if arr.ndim == 4 else 0
+    if d < 2 or arr.shape[1:] != (2 * d - 1, d, d):
+        raise InvalidSubsystemError(f"block stack shape {arr.shape} is not (T, 2d-1, d, d)")
+    if not np.isfinite(arr).all():
+        raise InvalidStateError("matrix has non-finite entries")
+    diag = arr.diagonal(axis1=-2, axis2=-1)
+    levels = np.arange(d)   # <a, i| rho |a, i> sits in block a - i + d - 1 at row a
+    p_sys = diag.real.sum(axis=1)
+    p_anc = diag.real[:, levels - levels[:, None] + d - 1, levels].sum(axis=-1)
+    herm = 2 * np.abs(diag.imag).max(initial=0.0)
+    if not herm <= HERMITICITY_TOL:
+        raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm:.3e}")
+    err = np.abs(p_sys.sum(axis=-1) - 1.0).max(initial=0.0)
+    if not err <= TRACE_TOL:
+        raise InvalidStateError(f"trace deviates from 1 by {err:.3e}")
+    err = np.abs(p_anc - 1.0 / d).max(initial=0.0)
+    if not err <= TRACE_TOL:
+        raise InvalidStateError(f"ancilla marginal deviates from I/d by {err:.3e}")
+    w = np.linalg.eigvalsh(arr, UPLO="L").reshape(-1, (2 * d - 1) * d)
+    lo = min(x.min(initial=np.inf) for x in (p_sys, p_anc, w))
+    if lo < EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"negative eigenvalue {lo:.3e} below tolerance")
+    s_sys, s_anc, s_joint = (_entropies_from_spectra(x) for x in (p_sys, p_anc, w))
     _check_entropies(s_sys, s_anc, s_joint)
     return s_sys, s_anc, s_joint
 

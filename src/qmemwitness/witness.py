@@ -25,7 +25,7 @@ from . import gaussian as _gaussian
 from .errors import ExtremumNotFoundError, InvalidStateError, InvalidSubsystemError, QmemError
 from .lindblad import ChoiEvolution, LindbladModel, evolve_choi
 from .optimize import golden_section
-from .states import DEFAULT_CONVENTION, DensityMatrix, entropy_arrays
+from .states import DEFAULT_CONVENTION, DensityMatrix, choi_entropy_arrays, entropy_arrays
 
 #: delta_s must undershoot zero by more than this before detection is
 #: declared, so rounding noise never produces a false positive.
@@ -218,7 +218,7 @@ def qudit_entropy_trajectory(
 ) -> tuple[ChoiEvolution, EntropyTrajectory]:
     """Extended qudit evolution on a uniform grid and its entropy arrays."""
     ev = evolve_choi(model, t_max, n_points)
-    return ev, EntropyTrajectory(ev.times, *entropy_arrays(ev.states, (model.d, model.d)))
+    return ev, EntropyTrajectory(ev.times, *choi_entropy_arrays(ev.states))
 
 
 @dataclass(frozen=True)
@@ -232,39 +232,24 @@ class QuditWitnessResult:
 
 
 def witness_from_trajectory(ev: ChoiEvolution, traj: EntropyTrajectory) -> QuditWitnessResult:
-    """Select (t1, t2) on a computed qudit trajectory and evaluate the witness.
-
-    `ev` and `traj` come from `qudit_entropy_trajectory`. The witness
-    times are refined on exact off-grid states down to 1e-6 of the grid
-    span, so the reported delta_s is insensitive to the output grid.
-    `revival_maxima` lists every interior local maximum of -S(S|A) after
-    t1 as (time, value) pairs; entries beyond the first show whether
-    later revivals could still detect. Raises ExtremumNotFoundError like `find_witness_times`.
-    Every probe state is validated once, by the `entropy_arrays` call
-    that takes its entropies.
+    """Select (t1, t2) on a trajectory from `qudit_entropy_trajectory` and
+    evaluate the witness. The times are refined on exact off-grid states to
+    1e-6 of the grid span, so delta_s does not depend on the output grid.
+    `revival_maxima` lists every interior local maximum of -S(S|A) after t1
+    as (time, value); entries beyond the first show whether later revivals
+    could still detect. Raises ExtremumNotFoundError like `find_witness_times`.
     """
-    dims = (ev.model.d, ev.model.d)
 
-    def states_at(ts) -> np.ndarray:
-        return np.array([ev.state_at(t) for t in ts])
+    def entropies_at(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return choi_entropy_arrays(np.array([ev.state_at(t) for t in ts]))
 
-    def evaluate(ts: np.ndarray) -> EntropyTrajectory:
-        return EntropyTrajectory(ts, *entropy_arrays(states_at(ts), dims))
-
-    t1, t2 = find_witness_times(traj, evaluate)
-    report = _report_on_pair(*entropy_arrays(states_at((t1, t2)), dims), t1, t2)
+    t1, t2 = find_witness_times(traj, lambda ts: EntropyTrajectory(ts, *entropies_at(ts)))
+    report = _report_on_pair(*entropies_at((t1, t2)), t1, t2)
     neg_sa = traj.neg_cond_sa
-    revivals = tuple(
-        (float(traj.times[i]), float(neg_sa[i]))
-        for i in _interior_extrema(neg_sa, "max", _EXTREMUM_NOISE_FLOOR)
-        if traj.times[i] > t1
-    )
-    return QuditWitnessResult(
-        report=report,
-        trajectory=traj,
-        revival_maxima=revivals,
-        ordering_ok=ordering_check(traj),
-    )
+    revivals = tuple((float(traj.times[i]), float(neg_sa[i]))
+                     for i in _interior_extrema(neg_sa, "max", _EXTREMUM_NOISE_FLOOR)
+                     if traj.times[i] > t1)
+    return QuditWitnessResult(report, traj, revivals, ordering_check(traj))
 
 
 def witness_qudit_model(
@@ -318,18 +303,10 @@ def scan_qudit(
             try:
                 res = witness_qudit_model(model, t_max=t_max, n_points=n_points)
                 rep = res.report
-                rows.append(QuditScanRow(
-                    d=int(d), gamma_over_omega=float(ratio),
-                    t1=rep.t1, t2=rep.t2, delta_s=rep.delta_s,
-                    detected=rep.quantum_memory_detected,
-                    ordering_ok=res.ordering_ok, error=None,
-                ))
+                rows.append(QuditScanRow(int(d), float(ratio), rep.t1, rep.t2, rep.delta_s,
+                                         rep.quantum_memory_detected, res.ordering_ok, None))
             except QmemError as exc:
-                rows.append(QuditScanRow(
-                    d=int(d), gamma_over_omega=float(ratio),
-                    t1=None, t2=None, delta_s=None, detected=None,
-                    ordering_ok=None, error=str(exc),
-                ))
+                rows.append(QuditScanRow(int(d), float(ratio), *[None] * 5, str(exc)))
     return rows
 
 
@@ -342,12 +319,10 @@ def find_critical_ratio(
     n_points: int = 2001,
     collect: list | None = None,
 ) -> float:
-    """Damping ratio at which the witness changes sign, by log-bisection
-    down to a ratio bracket of 1.02.
-
-    delta_s must be negative at ratio_lo and positive at ratio_hi.
-    When `collect` is given, every evaluated QuditWitnessResult is
-    appended to it (useful for auditing the trajectories afterwards).
+    """Damping ratio at which the witness stops detecting, by log-bisection
+    down to a ratio bracket of 1.02; it must detect (delta_s below
+    DETECTION_THRESHOLD) at ratio_lo and not at ratio_hi. Every evaluated
+    QuditWitnessResult is appended to `collect` when given (for audits).
     """
 
     def delta_at(ratio: float) -> float:
@@ -359,13 +334,12 @@ def find_critical_ratio(
 
     lo, hi = float(ratio_lo), float(ratio_hi)
     f_lo, f_hi = delta_at(lo), delta_at(hi)
-    if not (f_lo < 0.0 <= f_hi):
+    if not (f_lo < DETECTION_THRESHOLD <= f_hi):
         raise ExtremumNotFoundError(
-            f"no sign change on [{lo}, {hi}]: delta_s = {f_lo:.4g}, {f_hi:.4g}"
-        )
+            f"need detection at {lo} and none at {hi}: delta_s = {f_lo:.4g}, {f_hi:.4g}")
     while hi / lo > 1.02:
         mid = math.sqrt(lo * hi)
-        if delta_at(mid) < 0.0:
+        if delta_at(mid) < DETECTION_THRESHOLD:
             lo = mid
         else:
             hi = mid

@@ -51,6 +51,44 @@ def qudit_generator_dense(d, omega, gamma, convention, rho):
             + gamma * (x @ rho @ x.conj().T - 0.5 * (xdx @ rho + rho @ xdx)))
 
 
+def liouvillian_dense(d, omega, gamma, convention):
+    """Kron-built generator on S (x) M acting on row-major vec, shape (4d^2, 4d^2).
+
+    vec(d rho / dt) = L vec(rho) for
+    d rho / dt = -i [H, rho] + gamma * D[1_S (x) sigma_-] rho;
+    row-major vec turns A rho B into (A (x) B^T) vec(rho).
+    """
+    jp = ladder_matrix(d, convention)
+    h = omega * (np.kron(jp.conj().T, SIGMA_PLUS) + np.kron(jp, SIGMA_MINUS))
+    one = np.eye(2 * d)
+    x = np.kron(np.eye(d), SIGMA_MINUS)
+    xdx = x.conj().T @ x
+    return (-1j * (np.kron(h, one) - np.kron(one, h.T))
+            + gamma * (np.kron(x, x.conj()) - 0.5 * (np.kron(xdx, one) + np.kron(one, xdx.T))))
+
+
+def choi_via_dense_liouvillian(d, omega, gamma, convention, t):
+    """Normalized S (x) A Choi state at time t: expm of the kron-built
+    generator applied to each matrix unit |i,0><j,0|, traced over M by loops."""
+    prop = expm(liouvillian_dense(d, omega, gamma, convention) * t)
+    n = 2 * d
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            image = prop[:, 2 * i * n + 2 * j].reshape(n, n)
+            for a in range(d):
+                for b in range(d):
+                    out[a * d + i, b * d + j] = (image[2 * a, 2 * b]
+                                                 + image[2 * a + 1, 2 * b + 1]) / d
+    return out
+
+
+def coherence_orders(d: int) -> np.ndarray:
+    """q = N_ket - N_bra (N = n_S + n_M) of every row-major vec index on S (x) M."""
+    n = np.array([s + m for s in range(d) for m in range(2)])
+    return (n[:, None] - n[None, :]).ravel()
+
+
 def qudit_dop853_states(d, omega, gamma, convention, rho0, ts):
     """Integrate `qudit_generator_dense` from rho0 (S-M-A) with DOP853.
 

@@ -128,18 +128,36 @@ class TestQuditTrace:
         assert not out.exists() and not out.with_suffix(".json").exists()
 
     def test_over_memory_budget_is_config_error(self, tmp_path, capsys):
-        # 16 d^4 (points + 1024) + 1 KiB points + 8 MiB: d=200 would need 2.45e4 GiB
+        # 20 (2d - 1) d^2 points + 1 KiB points + 48 KiB d^2 + 8 MiB: d=200
+        # would need 2.73 GiB
         out = tmp_path / "x.csv"
         assert run(["qudit-trace", "--d", 200, "--points", 3, "--output", out]) == 2
-        assert "needs about 2.45e+04 GiB" in capsys.readouterr().err
+        assert "needs about 2.73 GiB" in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_counts_more_than_the_trajectory(self, tmp_path, capsys):
-        # the trajectory alone (1.97 GiB) would fit, the run's working set would not
+        # the Choi blocks alone (1.77 GiB) would fit, the run's working set would not
         out = tmp_path / "x.csv"
-        assert run(["qudit-trace", "--d", 16, "--points", 2001, "--output", out]) == 2
-        assert "d=16 with 2001 points needs about 2.96 GiB" in capsys.readouterr().err
+        assert run(["qudit-trace", "--d", 16, "--points", 15001, "--output", out]) == 2
+        assert "d=16 with 15001 points needs about 2.25 GiB" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_budget_admits_d16_and_rejects_oversize_d_before_computing(
+            self, tmp_path, monkeypatch, capsys):
+        reached = []
+
+        def stop(model, **kwargs):
+            reached.append(model.d)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "qudit_entropy_trajectory", stop)
+        out = tmp_path / "x.csv"
+        with pytest.raises(KeyboardInterrupt):
+            run(["qudit-trace", "--d", 16, "--points", 2001, "--output", out])
+        assert reached == [16]
+        assert run(["qudit-trace", "--d", 30, "--points", 2001, "--output", out]) == 2
+        assert "d=30 with 2001 points needs about 2.03 GiB" in capsys.readouterr().err
+        assert reached == [16] and not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["qudit-trace", "--d", 2, "--gamma-over-omega", 0.1,

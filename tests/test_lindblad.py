@@ -11,6 +11,7 @@ from qmemwitness import (
     LindbladModel,
     channel_superoperator,
     choi_from_superoperator,
+    dense_choi,
     entropy_arrays,
     evolve_choi,
     max_entangled_state,
@@ -20,6 +21,8 @@ from qmemwitness import (
 )
 from oracles import (
     binary_entropy,
+    coherence_orders,
+    liouvillian_dense,
     partial_trace_out_memory_loops,
     qubit_damping_amplitude,
     qudit_dop853_states,
@@ -37,12 +40,23 @@ def extended_initial(d: int) -> DensityMatrix:
     return DensityMatrix(rho.reshape(2 * d * d, 2 * d * d), (d, 2, d))
 
 
+def assembled_liouvillian(model: LindbladModel) -> np.ndarray:
+    """The package's generator on S (x) M, assembled from its sectors q = -d..d."""
+    n = 2 * model.d
+    full = np.zeros((n * n, n * n), dtype=complex)
+    for q in range(-model.d, model.d + 1):
+        pairs, generator = model.sector(q)
+        flat = pairs[:, 0] * n + pairs[:, 1]
+        full[np.ix_(flat, flat)] = generator
+    return full
+
+
 def apply_generator(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """The package's Liouvillian on S (x) M, applied to an S-M-A state (1 on A)."""
     d = model.d
     n = 2 * d
     blocks = np.asarray(rho).reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d, d, n * n)
-    out = blocks @ model.liouvillian().T
+    out = blocks @ assembled_liouvillian(model).T
     return out.reshape(d, d, n, n).transpose(2, 0, 3, 1).reshape(n * d, n * d)
 
 
@@ -93,8 +107,53 @@ class TestGenerator:
         ground_sm[0, 0] = 1.0
         rho = np.kron(ground_sm, random_density_matrix(rng, [d]))
         assert np.abs(apply_generator(model, rho)).max() < 1e-12
-        step = expm(model.liouvillian() * 2.5) @ ground_sm.ravel()
+        step = expm(assembled_liouvillian(model) * 2.5) @ ground_sm.ravel()
         assert np.abs(step - ground_sm.ravel()).max() < 1e-12
+
+
+SECTOR_CASES = [(d, conv) for d in range(2, 7) for conv in ("spin", "truncated-oscillator")]
+
+
+class TestSectors:
+    @pytest.mark.parametrize("d, conv", SECTOR_CASES)
+    def test_sector_is_dense_generator_restricted(self, d, conv):
+        model = LindbladModel(d=d, omega=0.8, gamma=0.3, convention=conv)
+        dense = liouvillian_dense(d, 0.8, 0.3, conv)
+        orders, n = coherence_orders(d), 2 * d
+        for q in range(-d, d + 1):
+            pairs, generator = model.sector(q)
+            flat = pairs[:, 0] * n + pairs[:, 1]
+            assert np.array_equal(flat, np.flatnonzero(orders == q))
+            assert np.abs(generator - dense[np.ix_(flat, flat)]).max() <= 1e-14
+        assert len(model.sector(0)[0]) == 4 * d - 2
+
+    @pytest.mark.parametrize("d, conv", SECTOR_CASES)
+    def test_dense_generator_has_no_entries_between_sectors(self, d, conv):
+        dense = liouvillian_dense(d, 0.8, 0.3, conv)
+        orders = coherence_orders(d)
+        assert not dense[orders[:, None] != orders[None, :]].any()
+
+    @pytest.mark.parametrize("d, conv", SECTOR_CASES)
+    def test_negative_sectors_are_adjoints(self, d, conv):
+        # step the units |j><j+q| (x) |0><0|_M of sector -q explicitly and
+        # compare with the upper triangle, which the blocks fill by adjoint
+        model = LindbladModel(d=d, omega=1.0, gamma=0.15, convention=conv)
+        ev = evolve_choi(model, 4.0, 41)
+        states = dense_choi(ev.states) * d
+        for q in range(1, d):
+            pairs, generator = model.sector(-q)
+            pos = {(u, v): p for p, (u, v) in enumerate(pairs)}
+            x = np.zeros((len(pairs), d - q), dtype=complex)
+            for j in range(d - q):
+                x[pos[2 * j, 2 * (j + q)], j] = 1.0
+            step = expm(generator * 0.1)
+            for k in range(41):
+                # <c| Lambda(|j><j+q|) |c+q>, summed over the memory levels
+                for j in range(d - q):
+                    for c in range(d - q):
+                        entry = sum(x[pos[2 * c + m, 2 * (c + q) + m], j] for m in (0, 1))
+                        assert abs(entry - states[k, c * d + j, (c + q) * d + j + q]) <= 1e-14
+                x = step @ x
 
 
 class TestEvolve:
@@ -102,8 +161,8 @@ class TestEvolve:
         model = LindbladModel(d=2, gamma=0.1)
         ev = evolve_choi(model, 1.0, 2)
         phi = choi_from_superoperator(np.eye(4))
-        assert np.array_equal(ev.states[0], phi)
-        assert np.array_equal(ev.state_at(0.0), phi)
+        assert np.array_equal(dense_choi(ev.states[0]), phi)
+        assert np.array_equal(dense_choi(ev.state_at(0.0)), phi)
 
     def test_rabi_swap_closed_form(self):
         # gamma = 0, d = 2: the single-excitation sector oscillates at
@@ -113,22 +172,24 @@ class TestEvolve:
         mem = np.zeros((2, 2), dtype=complex)
         mem[0, 0] = 1.0
         rho0_sm = np.kron(np.eye(2) / 2, mem)
-        for t, state in zip(ev.times, ev.states):
+        generator = assembled_liouvillian(model)
+        for t, state in zip(ev.times, dense_choi(ev.states)):
             rho_s = partial_trace(DensityMatrix(state, (2, 2)), {0}).data
             assert abs(rho_s[1, 1].real - math.cos(t) ** 2 / 2) < 1e-8
-            rho_sm = (expm(model.liouvillian() * t) @ rho0_sm.ravel()).reshape(4, 4)
+            rho_sm = (expm(generator * t) @ rho0_sm.ravel()).reshape(4, 4)
             rho_m = partial_trace(DensityMatrix(rho_sm, (2, 2)), {1}).data
             assert abs(rho_m[1, 1].real - math.sin(t) ** 2 / 2) < 1e-8
 
     def test_trace_and_positivity_along_flow(self, rng):
         model = LindbladModel(d=3, omega=1.0, gamma=0.3)
         ts = np.linspace(0.0, 6.0, 61)
-        for state in evolve_choi(model, 6.0, 61).states:
+        for state in dense_choi(evolve_choi(model, 6.0, 61).states):
             assert abs(np.trace(state) - 1.0) < 1e-8
             assert np.linalg.eigvalsh(state).min() > -1e-8
         rho_sm = random_density_matrix(rng, [3, 2])
+        generator = assembled_liouvillian(model)
         for t in ts:
-            out = (expm(model.liouvillian() * t) @ rho_sm.ravel()).reshape(6, 6)
+            out = (expm(generator * t) @ rho_sm.ravel()).reshape(6, 6)
             assert abs(np.trace(out) - 1.0) < 1e-8
             assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() > -1e-8
 
@@ -150,7 +211,7 @@ class TestEvolve:
         with pytest.raises(InvalidSubsystemError):
             choi_from_superoperator(np.eye(9)[:, :4])
 
-    @pytest.mark.parametrize("d, conv", [(3, "spin"), (4, "spin"), (3, "truncated-oscillator")])
+    @pytest.mark.parametrize("d, conv", SECTOR_CASES)
     def test_matches_dop853_oracle(self, d, conv):
         # grid states and exact off-grid probes against an adaptive
         # Runge-Kutta integration of the kron-built generator
@@ -161,10 +222,10 @@ class TestEvolve:
         ts = np.sort(np.concatenate([grid, probes]))
         ref = qudit_dop853_states(d, 1.0, 0.15, conv, extended_initial(d).data, ts)
         ref_sa = {float(t): partial_trace_out_memory_loops(r, d) for t, r in zip(ts, ref)}
-        for t, state in zip(grid, ev.states):
+        for t, state in zip(grid, dense_choi(ev.states)):
             assert np.abs(state - ref_sa[float(t)]).max() < 1e-9
         for t in probes:
-            assert np.abs(ev.state_at(t) - ref_sa[t]).max() < 1e-9
+            assert np.abs(dense_choi(ev.state_at(t)) - ref_sa[t]).max() < 1e-9
 
 
 class TestReducedChoiTrajectory:
@@ -172,13 +233,13 @@ class TestReducedChoiTrajectory:
         model = LindbladModel(d=3, gamma=0.2)
         ev = evolve_choi(model, 1.0, 2)
         assert ev.times[0] == 0.0
-        assert np.abs(ev.states[0] - max_entangled_state(3).data).max() < 1e-12
+        assert np.abs(dense_choi(ev.states[0]) - max_entangled_state(3).data).max() < 1e-12
 
     def test_trace_and_untouched_ancilla(self):
         d = 3
         model = LindbladModel(d=d, omega=1.0, gamma=0.15)
         ev = evolve_choi(model, 5.0, 26)
-        for state in ev.states:
+        for state in dense_choi(ev.states):
             assert abs(np.trace(state) - 1.0) < 1e-8
             anc = partial_trace(DensityMatrix(state, (d, d)), {1}).data
             assert np.abs(anc - np.eye(d) / d).max() < 1e-8
@@ -186,7 +247,7 @@ class TestReducedChoiTrajectory:
     def test_swap_revival_of_system_entropy(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.0)
         ev = evolve_choi(model, math.pi, 81)
-        s_sys, _, _ = entropy_arrays(ev.states, (2, 2))
+        s_sys, _, _ = entropy_arrays(dense_choi(ev.states), (2, 2))
         assert s_sys[40] < 1e-6                      # dip at t = pi/2
         assert abs(s_sys[-1] - math.log(2)) < 1e-6   # revival at t = pi
 
@@ -197,7 +258,7 @@ class TestReducedChoiTrajectory:
         model = LindbladModel(d=2, omega=omega, gamma=gamma)
         ev = evolve_choi(model, 8.0, 81)
         u = qubit_damping_amplitude(omega, gamma, ev.times)
-        s_sys, s_anc, s_joint = entropy_arrays(ev.states, (2, 2))
+        s_sys, s_anc, s_joint = entropy_arrays(dense_choi(ev.states), (2, 2))
         for k, ut in enumerate(u):
             s_sys_expected = binary_entropy(abs(ut) ** 2 / 2.0)
             neg_sa_expected = math.log(2) - binary_entropy((1.0 - abs(ut) ** 2) / 2.0)
@@ -225,30 +286,32 @@ class TestReducedChoiTrajectory:
         loops = partial_trace_out_memory_loops(full, d)
         direct = partial_trace(DensityMatrix(full, (d, 2, d)), {0, 2}).data
         assert np.abs(direct - loops).max() < 1e-12
-        state = evolve_choi(model, 1.7, 2).states[-1]
+        state = dense_choi(evolve_choi(model, 1.7, 2).states[-1])
         assert np.abs(state - loops).max() < 1e-9
 
     def test_dense_queries_match_grid(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.1)
         ev = evolve_choi(model, 4.0, 41)
         grid = ev.times
-        assert ev.states.shape == (41, 4, 4)
-        st_query = ev.state_at(grid[20])
-        assert np.abs(ev.states[20] - st_query).max() == 0.0
+        assert ev.states.shape == (41, 3, 2, 2)
+        states = dense_choi(ev.states)
+        assert states.shape == (41, 4, 4)
+        st_query = dense_choi(ev.state_at(grid[20]))
+        assert np.abs(states[20] - st_query).max() == 0.0
         # off-grid query sits between neighbours, consistent with both
         mid = 0.5 * (grid[20] + grid[21])
-        st_mid = ev.state_at(mid)
+        st_mid = dense_choi(ev.state_at(mid))
         assert abs(np.trace(st_mid) - 1.0) < 1e-9
-        assert np.abs(st_mid - ev.states[20]).max() < 0.1
-        assert np.abs(st_mid - ev.states[21]).max() < 0.1
+        assert np.abs(st_mid - states[20]).max() < 0.1
+        assert np.abs(st_mid - states[21]).max() < 0.1
 
     def test_grid_states_match_exact_map(self):
-        # 200 steps of the one propagator, across several stepping batches,
+        # 200 steps of one propagator per sector, across four batches of 64 powers,
         # stay on the exact map at every grid time
         model = LindbladModel(d=3, omega=1.0, gamma=0.2)
         ev = evolve_choi(model, 10.0, 201)
         assert np.array_equal(ev.times, np.linspace(0.0, 10.0, 201))
-        for t, state in zip(ev.times, ev.states):
+        for t, state in zip(ev.times, dense_choi(ev.states)):
             exact = choi_from_superoperator(channel_superoperator(model, t))
             assert np.abs(state - exact).max() < 1e-12
 
@@ -263,8 +326,9 @@ class TestReducedChoiTrajectory:
 
         monkeypatch.setattr(lindblad, "expm", counted)
         ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=0.1), 12.0, 2001)
+        # one exp(L_q dt) per sector q = 0, 1: sizes 4d - 2 and 4
         assert len(ev.states) == 2001
-        assert calls == [(16, 16)]
+        assert calls == [(6, 6), (4, 4)]
 
 
 class TestChannelSuperoperator:
@@ -300,7 +364,7 @@ class TestChannelSuperoperator:
         model = LindbladModel(d=d, omega=1.0, gamma=0.2)
         t = 1.1
         choi = choi_from_superoperator(channel_superoperator(model, t))
-        sa = evolve_choi(model, t, 2).states[-1]
+        sa = dense_choi(evolve_choi(model, t, 2).states[-1])
         assert np.abs(choi - sa).max() < 1e-8
 
     def test_rejects_negative_time(self):
@@ -313,8 +377,8 @@ class TestChannelSuperoperator:
 class TestGridConvergence:
     def test_entropy_agrees_on_shared_points_under_refinement(self):
         model = LindbladModel(d=2, omega=1.0, gamma=0.05)
-        coarse = evolve_choi(model, 6.0, 31).states
-        fine = evolve_choi(model, 6.0, 61).states
+        coarse = dense_choi(evolve_choi(model, 6.0, 31).states)
+        fine = dense_choi(evolve_choi(model, 6.0, 61).states)
         for k, state in enumerate(coarse):
             s_c = von_neumann_entropy(partial_trace(DensityMatrix(state, (2, 2)), {0}))
             s_f = von_neumann_entropy(partial_trace(DensityMatrix(fine[2 * k], (2, 2)), {0}))

