@@ -43,8 +43,6 @@ from .gaussian import (
 from .lindblad import (
     ChoiEvolution,
     LindbladModel,
-    channel_superoperator,
-    choi_from_superoperator,
     dense_choi,
     evolve_choi,
 )

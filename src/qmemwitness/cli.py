@@ -437,6 +437,8 @@ def _cmd_witness_eval(cfg: dict) -> int:
     if isinstance(s1, DensityMatrix) != isinstance(s2, DensityMatrix):
         raise ConfigError("both snapshots must be of the same kind")
     if isinstance(s1, DensityMatrix):
+        if len(s1.dims) != 2 or s1.dims != s2.dims:
+            raise ConfigError(f"snapshots must share bipartite dims, got {s1.dims} and {s2.dims}")
         report = evaluate_criterion(s1, s2, t1=t1, t2=t2)
     else:
         report = evaluate_criterion_gaussian(s1, s2, t1=t1, t2=t2)

@@ -7,8 +7,9 @@ by D[1_S (x) sigma_-]; the reduced map Lambda_t(X) = Tr_M exp(L t)
 N = n_S + n_M, so it splits into blocks L_q of at most 4d - 2 states (Buca &
 Prosen, New J. Phys. 14, 073007 (2012)). |i><j| (x) |0><0|_M lies in sector
 i - j and the sectors q < 0 are the adjoints of q > 0, so only q = 0..d-1
-are evolved, with `scipy.linalg.expm` (Al-Mohy & Higham 2009): exp(L_q dt)
-on the uniform grid, exp(L_q t) off it. No L_q is diagonalized (L is nearly
+are evolved, with `scipy.linalg.expm` (Al-Mohy & Higham 2009): `evolve_choi`
+steps a uniform grid with exp(L_q dt), `ChoiEvolution.state_at` takes
+exp(L_q t) at any single t >= 0. No L_q is diagonalized (L is nearly
 defective under the spin convention).
 
 The map is phase covariant, so the S (x) A Choi state is block diagonal in
@@ -27,8 +28,8 @@ from scipy.linalg import expm
 from .errors import InvalidDimensionError, InvalidSubsystemError
 from .states import DEFAULT_CONVENTION, CONVENTIONS, ladder_operators
 
-# stacked propagator powers P^0 .. P^(_POWERS - 1) produce that many grid
-# states of a sector with one product
+# stacked propagator powers P^0 .. P^(_POWERS - 1) produce up to that many
+# grid states of a sector with one product
 _POWERS = 64
 
 
@@ -97,15 +98,6 @@ def _sectors(model: LindbladModel) -> list[tuple]:
     return out
 
 
-def _blocks_at(sectors, d: int, t: float) -> np.ndarray:
-    """Choi blocks times d at time t, one exp(L_q t) per sector."""
-    blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)
-    for generator, units, rows, target in sectors:
-        p = expm(generator * t)[:, units]
-        blocks[target] = (p[rows[0]] + p[rows[1]]).ravel()
-    return blocks.reshape(2 * d - 1, d, d)
-
-
 def dense_choi(blocks: np.ndarray) -> np.ndarray:
     """Dense S (x) A matrices (..., d^2, d^2) from padded Choi blocks
     (..., 2d-1, d, d); the upper triangle is filled by Hermiticity."""
@@ -119,16 +111,12 @@ def dense_choi(blocks: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
-    """Superoperator <-> unnormalized Choi matrix (swaps the inner indices)."""
-    return m.reshape(m.shape[:-2] + (d, d, d, d)).swapaxes(-3, -2).reshape(m.shape)
-
-
 class ChoiEvolution:
     """Choi states (padded blocks) of the reduced dynamics, from `evolve_choi`:
     `states[k]`, shape (T, 2d-1, d, d), is half of |Phi+>_SA sent through the
-    map at `times[k]`; `state_at` answers any time in the span exactly. The
-    states are validated where their entropies are taken."""
+    map at `times[k]`; `state_at` evaluates the map exactly at any t >= 0,
+    on the grid, between its points or beyond it. The states are validated
+    where their entropies are taken."""
 
     def __init__(self, model, times, states, sectors):
         self.model = model
@@ -137,14 +125,17 @@ class ChoiEvolution:
         self._sectors = sectors
 
     def state_at(self, t: float) -> np.ndarray:
-        """S-A state as padded blocks (2d-1, d, d), at any time within the grid span."""
+        """S-A state as padded blocks (2d-1, d, d) at time t, one exp(L_q t)
+        per sector; t must be finite and >= 0 (InvalidSubsystemError otherwise)."""
         t = float(t)
-        if not -1e-13 <= t <= self.times[-1] + 1e-13:
-            raise InvalidSubsystemError(f"t={t} outside the evolved span")
-        k = np.abs(self.times - t).argmin()
-        if abs(self.times[k] - t) < 1e-12:
-            return self.states[k].copy()
-        return _blocks_at(self._sectors, self.model.d, t) / self.model.d
+        if not (math.isfinite(t) and t >= 0):
+            raise InvalidSubsystemError(f"t must be finite and >= 0, got {t}")
+        d = self.model.d
+        blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)
+        for generator, units, rows, target in self._sectors:
+            p = expm(generator * t)[:, units]
+            blocks[target] = (p[rows[0]] + p[rows[1]]).ravel()
+        return blocks.reshape(2 * d - 1, d, d) / d
 
 
 def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolution:
@@ -158,43 +149,28 @@ def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolut
         raise InvalidSubsystemError(
             f"need finite t_max > 0 and integer n_points >= 2, got {t_max} and {n_points}")
     d, n = model.d, int(n_points)
-    n_batch = -(-n // _POWERS)
+    # a power of two keeps the doubling below unclipped; a shorter stack is a
+    # prefix of the full one, so the states do not depend on its length
+    batch = min(_POWERS, 1 << (n - 1).bit_length())
+    n_batch = -(-n // batch)
     sectors = _sectors(model)
     states = np.zeros((n, 2 * d - 1, d, d), dtype=complex)
     flat = states.reshape(n, -1)
     for generator, units, rows, target in sectors:
         size = len(generator)
-        powers = np.empty((_POWERS + 1, size, size), dtype=complex)
+        powers = np.empty((batch + 1, size, size), dtype=complex)
         powers[0], powers[1] = np.eye(size), expm(generator * (t_max / (n - 1)))
         m = 1
-        while m < _POWERS:   # P^(m+1) .. P^(2m) = (P^1 .. P^m) P^m
+        while m < batch:   # P^(m+1) .. P^(2m) = (P^1 .. P^m) P^m
             np.matmul(powers[1:m + 1], powers[m], out=powers[m + 1:2 * m + 1])
             m *= 2
-        # the columns at the start of every batch of _POWERS grid steps
+        # the columns at the start of every batch of grid steps
         starts = [np.eye(size, dtype=complex)[:, units]]
         for _ in range(n_batch - 1):
-            starts.append(powers[_POWERS] @ starts[-1])
-        traced = (powers[:_POWERS, rows[0]] + powers[:_POWERS, rows[1]]) / d
+            starts.append(powers[batch] @ starts[-1])
+        traced = (powers[:batch, rows[0]] + powers[:batch, rows[1]]) / d
         out = traced.reshape(-1, size) @ np.concatenate(starts, axis=1)
-        out = out.reshape(_POWERS, len(units), n_batch, len(units)).transpose(2, 0, 1, 3)
-        flat[:, target] = out.reshape(n_batch * _POWERS, -1)[:n]
+        out = out.reshape(batch, len(units), n_batch, len(units)).transpose(2, 0, 1, 3)
+        flat[:, target] = out.reshape(n_batch * batch, -1)[:n]
     return ChoiEvolution(model, np.linspace(0.0, t_max, n), states, sectors)
 
-
-def channel_superoperator(model: LindbladModel, t: float) -> np.ndarray:
-    """Superoperator matrix of the reduced map on S at time t (row-major
-    vec: column i*d + j holds vec Lambda_t(|i><j|)); the identity at t = 0."""
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0):
-        raise InvalidSubsystemError(f"t must be finite and >= 0, got {t}")
-    return _reshuffle(dense_choi(_blocks_at(_sectors(model), model.d, t)), model.d)
-
-
-def choi_from_superoperator(superop: np.ndarray) -> np.ndarray:
-    """Normalized Choi matrix of a superoperator on S, laid out like the
-    evolved states: row (a, i), column (b, j) hold <a| E(|i><j|) |b> / d."""
-    n2 = superop.shape[0]
-    d = int(round(n2 ** 0.5))
-    if d * d != n2 or superop.shape != (n2, n2):
-        raise InvalidSubsystemError(f"superoperator shape {superop.shape} is not (d^2, d^2)")
-    return _reshuffle(superop, d) / d

@@ -16,12 +16,12 @@ from qmemwitness import (
     DhoParams,
     LindbladModel,
     cp_check,
-    choi_from_superoperator,
-    channel_superoperator,
     delta_S_lossy,
+    dense_choi,
     dho_amplitude,
     dho_channel,
     evaluate_criterion,
+    evolve_choi,
     find_critical_ratio,
     h,
     lossy_channel,
@@ -180,9 +180,9 @@ def test_criterion_7_channel_validity(rng):
     t0 = time.perf_counter()
     choi_ok = True
     for d in (2, 3, 4):
-        model = LindbladModel(d=d, omega=1.0, gamma=0.05)
+        ev = evolve_choi(LindbladModel(d=d, omega=1.0, gamma=0.05), 12.0, 2)
         for t in np.sort(rng.uniform(0.0, 12.0, size=20)):
-            choi = choi_from_superoperator(channel_superoperator(model, float(t)))
+            choi = dense_choi(ev.state_at(float(t)))
             choi_ok &= np.linalg.eigvalsh(choi).min() >= -1e-8
 
     gauss_ok = all(cp_check(lossy_channel(float(e)))

@@ -440,6 +440,18 @@ class TestWitnessEval:
         write_cov_state(f2, np.eye(2) / 2, np.eye(2) / 2, np.zeros((2, 2)))
         assert run(["witness-eval", "--state-t1", f1, "--state-t2", f2]) == 2
 
+    @pytest.mark.parametrize("dims1, dims2", [((4,), (4,)), ((2, 2), (3, 3))])
+    def test_dims_mismatch_is_config_error(self, tmp_path, capsys, dims1, dims2):
+        files = []
+        for name, dims in (("s1.json", dims1), ("s2.json", dims2)):
+            n = int(np.prod(dims))
+            files.append(tmp_path / name)
+            files[-1].write_text(json.dumps({
+                "schema_version": 1, "kind": "density_matrix", "dims": list(dims),
+                "real": (np.eye(n) / n).tolist(), "imag": np.zeros((n, n)).tolist()}))
+        assert run(["witness-eval", "--state-t1", files[0], "--state-t2", files[1]]) == 2
+        assert "snapshots must share bipartite dims" in capsys.readouterr().err
+
     def test_invalid_state_is_numerical_failure(self, tmp_path):
         f1 = tmp_path / "s1.json"
         bad = {

@@ -9,8 +9,6 @@ from qmemwitness import (
     InvalidDimensionError,
     InvalidSubsystemError,
     LindbladModel,
-    channel_superoperator,
-    choi_from_superoperator,
     dense_choi,
     entropy_arrays,
     evolve_choi,
@@ -21,6 +19,7 @@ from qmemwitness import (
 )
 from oracles import (
     binary_entropy,
+    choi_via_dense_liouvillian,
     coherence_orders,
     liouvillian_dense,
     partial_trace_out_memory_loops,
@@ -160,7 +159,8 @@ class TestEvolve:
     def test_t0_returns_initial_state_exactly(self):
         model = LindbladModel(d=2, gamma=0.1)
         ev = evolve_choi(model, 1.0, 2)
-        phi = choi_from_superoperator(np.eye(4))
+        phi = np.zeros((4, 4))
+        phi[np.ix_([0, 3], [0, 3])] = 1 / 2
         assert np.array_equal(dense_choi(ev.states[0]), phi)
         assert np.array_equal(dense_choi(ev.state_at(0.0)), phi)
 
@@ -200,16 +200,9 @@ class TestEvolve:
             with pytest.raises(InvalidSubsystemError):
                 evolve_choi(model, t_max, n_points)
         ev = evolve_choi(model, 2.0, 2)
-        with pytest.raises(InvalidSubsystemError):
-            ev.state_at(2.5)
-        with pytest.raises(InvalidSubsystemError):
-            ev.state_at(math.nan)
-
-    def test_rejects_wrong_dims(self):
-        with pytest.raises(InvalidSubsystemError):
-            choi_from_superoperator(np.eye(5))
-        with pytest.raises(InvalidSubsystemError):
-            choi_from_superoperator(np.eye(9)[:, :4])
+        for t in (math.nan, -1.0, -1e-300, math.inf):
+            with pytest.raises(InvalidSubsystemError):
+                ev.state_at(t)
 
     @pytest.mark.parametrize("d, conv", SECTOR_CASES)
     def test_matches_dop853_oracle(self, d, conv):
@@ -297,7 +290,7 @@ class TestReducedChoiTrajectory:
         states = dense_choi(ev.states)
         assert states.shape == (41, 4, 4)
         st_query = dense_choi(ev.state_at(grid[20]))
-        assert np.abs(states[20] - st_query).max() == 0.0
+        assert np.abs(states[20] - st_query).max() <= 1e-13
         # off-grid query sits between neighbours, consistent with both
         mid = 0.5 * (grid[20] + grid[21])
         st_mid = dense_choi(ev.state_at(mid))
@@ -306,14 +299,25 @@ class TestReducedChoiTrajectory:
         assert np.abs(st_mid - states[21]).max() < 0.1
 
     def test_grid_states_match_exact_map(self):
-        # 200 steps of one propagator per sector, across four batches of 64 powers,
-        # stay on the exact map at every grid time
-        model = LindbladModel(d=3, omega=1.0, gamma=0.2)
-        ev = evolve_choi(model, 10.0, 201)
-        assert np.array_equal(ev.times, np.linspace(0.0, 10.0, 201))
-        for t, state in zip(ev.times, dense_choi(ev.states)):
-            exact = choi_from_superoperator(channel_superoperator(model, t))
-            assert np.abs(state - exact).max() < 1e-12
+        # up to 200 steps of one propagator per sector, with power stacks
+        # sized to the grid and across up to four batches of 64 powers, stay
+        # on the exponential of the kron-built generator at every grid time
+        for conv in ("spin", "truncated-oscillator"):
+            model = LindbladModel(d=3, omega=1.0, gamma=0.2, convention=conv)
+            for n in (2, 3, 5, 17, 33, 64, 65, 129, 201):
+                ev = evolve_choi(model, 10.0, n)
+                assert np.array_equal(ev.times, np.linspace(0.0, 10.0, n))
+                for t, state in zip(ev.times, dense_choi(ev.states)):
+                    exact = choi_via_dense_liouvillian(3, 1.0, 0.2, conv, t)
+                    assert np.abs(state - exact).max() < 1e-12
+
+    @pytest.mark.parametrize("conv", ["spin", "truncated-oscillator"])
+    def test_short_grid_is_prefix_of_long_grid(self, conv):
+        # a grid shorter than 64 steps stacks fewer powers of the same step
+        model = LindbladModel(d=3, omega=1.0, gamma=0.2, convention=conv)
+        dt = 0.1
+        short = evolve_choi(model, 2 * dt, 3).states
+        assert np.array_equal(short, evolve_choi(model, 64 * dt, 65).states[:3])
 
     def test_one_propagator_per_evolution(self, monkeypatch):
         from qmemwitness import lindblad
@@ -332,30 +336,35 @@ class TestReducedChoiTrajectory:
 
 
 class TestChannelSuperoperator:
+    """The reduced map at single times, read from `ChoiEvolution.state_at`."""
+
     def test_identity_at_t0(self):
         model = LindbladModel(d=3, gamma=0.2)
-        assert np.array_equal(channel_superoperator(model, 0.0), np.eye(9))
+        phi = np.zeros((9, 9))
+        phi[np.ix_([0, 4, 8], [0, 4, 8])] = 1 / 3
+        assert np.array_equal(dense_choi(evolve_choi(model, 1.0, 2).state_at(0.0)), phi)
 
     def test_consistent_with_state_evolution(self, rng):
         d = 2
         model = LindbladModel(d=d, omega=1.0, gamma=0.3)
         t = 1.3
-        sup = channel_superoperator(model, t)
+        # row (a, i), column (b, j) of the Choi state hold <a| Lambda(|i><j|) |b> / d
+        choi = dense_choi(evolve_choi(model, 12.0, 2).state_at(t)).reshape(d, d, d, d)
         rho_s = random_density_matrix(rng, [d])
-        via_superop = (sup @ rho_s.ravel()).reshape(d, d)
+        via_choi = d * np.einsum("aibj,ij->ab", choi, rho_s)
         # same map applied through the joint evolution with a spectator ancilla
         mem = np.zeros((2, 2), dtype=complex)
         mem[0, 0] = 1.0
         rho0 = np.kron(np.kron(rho_s, mem), np.eye(d) / d)
         final = qudit_dop853_states(d, 1.0, 0.3, "spin", rho0, [0.0, t])[-1]
         via_evolve = partial_trace(DensityMatrix(final, (d, 2, d)), {0}).data
-        assert np.abs(via_superop - via_evolve).max() < 1e-8
+        assert np.abs(via_choi - via_evolve).max() < 1e-8
 
     def test_choi_positive_and_normalized(self):
         for d in (2, 3):
-            model = LindbladModel(d=d, omega=1.0, gamma=0.1)
+            ev = evolve_choi(LindbladModel(d=d, omega=1.0, gamma=0.1), 12.0, 2)
             for t in (0.4, 2.1):
-                choi = choi_from_superoperator(channel_superoperator(model, t))
+                choi = dense_choi(ev.state_at(t))
                 assert abs(np.trace(choi) - 1.0) < 1e-8
                 assert np.linalg.eigvalsh(choi).min() > -1e-8
 
@@ -363,15 +372,10 @@ class TestChannelSuperoperator:
         d = 3
         model = LindbladModel(d=d, omega=1.0, gamma=0.2)
         t = 1.1
-        choi = choi_from_superoperator(channel_superoperator(model, t))
+        # beyond the span of the evolution it is read from
+        choi = dense_choi(evolve_choi(model, 0.5, 2).state_at(t))
         sa = dense_choi(evolve_choi(model, t, 2).states[-1])
         assert np.abs(choi - sa).max() < 1e-8
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(InvalidSubsystemError):
-            channel_superoperator(LindbladModel(d=2), -1.0)
-        with pytest.raises(InvalidSubsystemError):
-            channel_superoperator(LindbladModel(d=2), math.nan)
 
 
 class TestGridConvergence:

@@ -14,14 +14,18 @@ from qmemwitness import (
 from oracles import choi_via_dense_liouvillian
 
 T_MAX = 10.0
+POINTS = 11
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(d=st.integers(2, 5), gamma=st.floats(0.0, 4.0), convention=st.sampled_from(CONVENTIONS),
-       t=st.floats(0.0, T_MAX))
-def test_sector_state_matches_dense_generator(d, gamma, convention, t):
+       t=st.floats(0.0, 2 * T_MAX), k=st.integers(0, POINTS - 1))
+def test_sector_state_matches_dense_generator(d, gamma, convention, t, k):
+    # t ranges beyond the evolved span: state_at is exact at any t >= 0
     model = LindbladModel(d=d, omega=1.0, gamma=gamma, convention=convention)
-    blocks = evolve_choi(model, T_MAX, 2).state_at(t)
+    ev = evolve_choi(model, T_MAX, POINTS)
+    assert np.abs(ev.state_at(ev.times[k]) - ev.states[k]).max() <= 1e-13
+    blocks = ev.state_at(t)
     state = dense_choi(blocks)
     assert np.abs(state - choi_via_dense_liouvillian(d, 1.0, gamma, convention, t)).max() <= 1e-12
     from_blocks = np.array(choi_entropy_arrays(blocks[None]))
