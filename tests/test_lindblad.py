@@ -199,10 +199,6 @@ class TestEvolve:
                                 (2.0, 1), (2.0, 2.5), (2.0, math.nan), (2.0, math.inf)):
             with pytest.raises(InvalidSubsystemError):
                 evolve_choi(model, t_max, n_points)
-        ev = evolve_choi(model, 2.0, 2)
-        for t in (math.nan, -1.0, -1e-300, math.inf):
-            with pytest.raises(InvalidSubsystemError):
-                ev.state_at(t)
 
     @pytest.mark.parametrize("d, conv", SECTOR_CASES)
     def test_matches_dop853_oracle(self, d, conv):
@@ -376,6 +372,12 @@ class TestChannelSuperoperator:
         choi = dense_choi(evolve_choi(model, 0.5, 2).state_at(t))
         sa = dense_choi(evolve_choi(model, t, 2).states[-1])
         assert np.abs(choi - sa).max() < 1e-8
+
+    def test_rejects_negative_time(self):
+        ev = evolve_choi(LindbladModel(d=2), 2.0, 2)
+        for t in (math.nan, -1.0, -1e-300, math.inf):
+            with pytest.raises(InvalidSubsystemError):
+                ev.state_at(t)
 
 
 class TestGridConvergence:
