@@ -18,7 +18,6 @@ from .errors import (
     InvalidDimensionError,
     InvalidStateError,
     InvalidSubsystemError,
-    NumericalDegeneracyError,
     QmemError,
     UnphysicalStateError,
 )
@@ -27,18 +26,14 @@ from .gaussian import (
     DhoParams,
     GaussianChannel,
     TwoModeBlocks,
-    apply_channel,
     cp_check,
     delta_S_lossy,
     dho_amplitude,
     dho_channel,
-    entropy_single_mode,
-    entropy_two_mode,
+    entropy_gaussian,
     first_loss_reversal,
     h,
-    lossy_channel,
     minimize_delta_S_over_r,
-    two_mode_squeezed,
 )
 from .lindblad import (
     ChoiEvolution,

@@ -29,10 +29,6 @@ class InvalidChannelError(QmemError, ValueError):
     """A Gaussian channel violates the complete-positivity condition."""
 
 
-class NumericalDegeneracyError(QmemError, ArithmeticError):
-    """An intermediate quantity left its valid range by more than noise."""
-
-
 class AmplitudeVanishingError(QmemError, ArithmeticError):
     """The oscillator amplitude crossed (numerical) zero.
 

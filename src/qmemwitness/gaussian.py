@@ -1,6 +1,6 @@
 """Continuous-variable machinery: covariance matrices, Gaussian channels,
-entropies from symplectic invariants, the lossy-channel witness and the
-damped-harmonic-oscillator model.
+entropies from the symplectic (Williamson) spectrum, the lossy-channel
+witness and the damped-harmonic-oscillator model.
 
 Units: hbar = 1, quadratures q = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2),
 so the vacuum covariance matrix is I/2. States are zero-mean throughout
@@ -20,7 +20,6 @@ from .errors import (
     AmplitudeVanishingError,
     DomainError,
     InvalidChannelError,
-    NumericalDegeneracyError,
     UnphysicalStateError,
 )
 from .optimize import golden_section
@@ -132,20 +131,6 @@ def cp_check(ch: GaussianChannel) -> bool:
     return bool(np.linalg.eigvalsh(cond).min() >= -PHYSICALITY_TOL)
 
 
-def apply_channel(state: TwoModeBlocks, ch: GaussianChannel) -> TwoModeBlocks:
-    """Act with the channel on the system mode, leaving the ancilla alone:
-
-        alpha' = M^T alpha M + N,   gamma' = M^T gamma,   beta' = beta.
-    """
-    if not cp_check(ch):
-        raise InvalidChannelError("channel violates complete positivity")
-    return TwoModeBlocks(
-        alpha=ch.m.T @ state.alpha @ ch.m + ch.n,
-        beta=state.beta,
-        gamma_block=ch.m.T @ state.gamma_block,
-    )
-
-
 def h(x):
     """Entropy (nats) of a single mode with symplectic eigenvalue x >= 1/2:
 
@@ -171,69 +156,32 @@ def h(x):
     return out
 
 
-def entropy_single_mode(alpha: np.ndarray) -> float:
-    """h(sqrt(det alpha)) for a one-mode covariance block."""
-    det = float(np.linalg.det(np.asarray(alpha, dtype=float)))
-    if det < 0.25 - PHYSICALITY_TOL:
-        raise UnphysicalStateError(f"det alpha = {det} below the vacuum bound 1/4")
-    return h(math.sqrt(max(det, 0.25)))
+def entropy_gaussian(sigma) -> float:
+    """Entropy (nats) of an n-mode Gaussian state with 2n x 2n covariance sigma.
 
-
-def entropy_two_mode(state: TwoModeBlocks) -> float:
-    """Entropy of a two-mode Gaussian state from its symplectic invariants.
-
-    With Delta = det alpha + det beta + 2 det gamma the two symplectic
-    eigenvalues are n_-/+ = sqrt((Delta -/+ sqrt(Delta^2 - 4 det sigma))/2)
-    and the entropy is h(n_-) + h(n_+).
+    Williamson form in vacuum units: with R the symmetric square root of
+    2 sigma, the eigenvalues of the Hermitian R (i Omega_n) R come in
+    pairs +/- 2 nu_k, where nu_k are the symplectic eigenvalues, and the
+    entropy is sum_k h(nu_k). The vacuum has R = I exactly, so it gives
+    nu = 1/2 and entropy 0.0 with no rounding window. Non-finite, empty,
+    non-square or odd-sized input raises UnphysicalStateError, and so do
+    an asymmetry above 1e-12 max(1, largest |entry|) and any nu below 1/2
+    by more than 1e-9.
     """
-    det_a = float(np.linalg.det(state.alpha))
-    det_b = float(np.linalg.det(state.beta))
-    det_g = float(np.linalg.det(state.gamma_block))
-    det_s = float(np.linalg.det(state.sigma))
-    delta = det_a + det_b + 2.0 * det_g
-    disc = delta * delta - 4.0 * det_s
-    if disc < -PHYSICALITY_TOL:
-        raise NumericalDegeneracyError(f"negative discriminant {disc:.3e}")
-    disc = max(disc, 0.0)
-    root = math.sqrt(disc)
-    n_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
-    n_plus = math.sqrt(max((delta + root) / 2.0, 0.0))
-    # the square root amplifies ulp-level determinant roundoff near the
-    # pure-state boundary; eigenvalues this close to 1/2 are noise (the
-    # input state was already validated physical), so snap them exactly
-    window = 1e-6 * max(1.0, abs(delta))
-    if abs(n_minus - 0.5) <= window:
-        n_minus = 0.5
-    if abs(n_plus - 0.5) <= window:
-        n_plus = 0.5
-    return h(n_minus) + h(n_plus)
-
-
-def two_mode_squeezed(r: float) -> TwoModeBlocks:
-    """Pure two-mode squeezed state with squeezing parameter
-    0 < r <= SQUEEZING_MAX (DomainError otherwise):
-
-        alpha = beta = cosh(r) I / 2,   gamma = sinh(r) sigma_z / 2.
-    """
-    if not 0 < r <= SQUEEZING_MAX:
-        raise DomainError(f"squeezing parameter must lie in (0, {SQUEEZING_MAX:.6g}], "
-                          f"where cosh r is finite; got {r}")
-    ch, sh = math.cosh(r), math.sinh(r)
-    return TwoModeBlocks(
-        alpha=0.5 * ch * np.eye(2),
-        beta=0.5 * ch * np.eye(2),
-        gamma_block=0.5 * sh * np.diag([1.0, -1.0]),
-    )
-
-
-def lossy_channel(eta: float) -> GaussianChannel:
-    """Pure-loss channel mixing the mode with vacuum at loss eta in [0, 1]:
-
-        M = sqrt(1 - eta) I,   N = eta I / 2.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"loss parameter must lie in [0, 1], got {eta}")
-    return GaussianChannel(m=math.sqrt(1.0 - eta) * np.eye(2), n=0.5 * eta * np.eye(2))
+    sig = np.asarray(sigma, dtype=float)
+    if sig.ndim != 2 or sig.shape[0] != sig.shape[1] or sig.shape[0] % 2 or sig.size == 0:
+        raise UnphysicalStateError(f"covariance must be 2n x 2n with n >= 1, got {sig.shape}")
+    if not np.isfinite(sig).all():
+        raise UnphysicalStateError("covariance must be finite")
+    if np.abs(sig - sig.T).max() > SYMMETRY_TOL * max(1.0, np.abs(sig).max()):
+        raise UnphysicalStateError("covariance must be symmetric")
+    w, v = np.linalg.eigh(2.0 * sig)
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    modes = sig.shape[0] // 2
+    nu = np.linalg.eigvalsh(root @ (1j * np.kron(np.eye(modes), OMEGA_1)) @ root)[modes:] / 2.0
+    if nu[0] < 0.5 - PHYSICALITY_TOL:
+        raise UnphysicalStateError(f"symplectic eigenvalue {nu[0]} below the vacuum bound 1/2")
+    return float(np.sum(h(nu)))
 
 
 def delta_S_lossy(eta1, eta2, r):

@@ -111,11 +111,12 @@ def evaluate_criterion_gaussian(
     t1: float | None = None,
     t2: float | None = None,
 ) -> WitnessReport:
-    """Witness on two-mode Gaussian snapshots, via symplectic entropies."""
-    s_sys = _gaussian.entropy_single_mode(state_t1.alpha)
-    s_joint = _gaussian.entropy_two_mode(state_t2)
-    neg_sa = _gaussian.entropy_single_mode(state_t2.beta) - s_joint
-    neg_as = _gaussian.entropy_single_mode(state_t2.alpha) - s_joint
+    """Witness on two-mode Gaussian snapshots; every entropy, joint and
+    single-mode alike, comes from `gaussian.entropy_gaussian`."""
+    s_sys = _gaussian.entropy_gaussian(state_t1.alpha)
+    s_joint = _gaussian.entropy_gaussian(state_t2.sigma)
+    neg_sa = _gaussian.entropy_gaussian(state_t2.beta) - s_joint
+    neg_as = _gaussian.entropy_gaussian(state_t2.alpha) - s_joint
     return WitnessReport(s_sys, neg_sa, neg_as, t1, t2)
 
 

@@ -11,6 +11,15 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from qmemwitness import (
+    DomainError,
+    GaussianChannel,
+    InvalidChannelError,
+    TwoModeBlocks,
+    cp_check,
+)
+from qmemwitness.gaussian import SQUEEZING_MAX
+
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = SIGMA_PLUS.conj().T
 
@@ -159,6 +168,47 @@ def random_two_mode_sigma(rng, nu_lo=0.55, nu_hi=3.0):
     d = np.diag([nu1, nu1, nu2, nu2])
     s = random_symplectic(rng, 2)
     return s.T @ d @ s, (nu1, nu2)
+
+
+def two_mode_squeezed(r: float) -> TwoModeBlocks:
+    """Pure two-mode squeezed state with squeezing parameter
+    0 < r <= SQUEEZING_MAX (DomainError otherwise):
+
+        alpha = beta = cosh(r) I / 2,   gamma = sinh(r) sigma_z / 2.
+    """
+    if not 0 < r <= SQUEEZING_MAX:
+        raise DomainError(f"squeezing parameter must lie in (0, {SQUEEZING_MAX:.6g}], "
+                          f"where cosh r is finite; got {r}")
+    ch, sh = math.cosh(r), math.sinh(r)
+    return TwoModeBlocks(
+        alpha=0.5 * ch * np.eye(2),
+        beta=0.5 * ch * np.eye(2),
+        gamma_block=0.5 * sh * np.diag([1.0, -1.0]),
+    )
+
+
+def lossy_channel(eta: float) -> GaussianChannel:
+    """Pure-loss channel mixing the mode with vacuum at loss eta in [0, 1]:
+
+        M = sqrt(1 - eta) I,   N = eta I / 2.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"loss parameter must lie in [0, 1], got {eta}")
+    return GaussianChannel(m=math.sqrt(1.0 - eta) * np.eye(2), n=0.5 * eta * np.eye(2))
+
+
+def apply_channel(state: TwoModeBlocks, ch: GaussianChannel) -> TwoModeBlocks:
+    """Act with the channel on the system mode, leaving the ancilla alone:
+
+        alpha' = M^T alpha M + N,   gamma' = M^T gamma,   beta' = beta.
+    """
+    if not cp_check(ch):
+        raise InvalidChannelError("channel violates complete positivity")
+    return TwoModeBlocks(
+        alpha=ch.m.T @ state.alpha @ ch.m + ch.n,
+        beta=state.beta,
+        gamma_block=ch.m.T @ state.gamma_block,
+    )
 
 
 def dho_closed_form(g2, kappa, omega, omega_big, ts):

@@ -24,7 +24,6 @@ from qmemwitness import (
     evolve_choi,
     find_critical_ratio,
     h,
-    lossy_channel,
     max_entangled_state,
     minimize_delta_S_over_r,
     ordering_check,
@@ -35,6 +34,7 @@ from qmemwitness import (
 from oracles import (
     apply_kraus_choi,
     dho_closed_form,
+    lossy_channel,
     random_kraus_set,
     random_pure_vector,
 )

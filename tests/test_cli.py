@@ -425,6 +425,18 @@ class TestWitnessEval:
         assert payload["report"]["quantum_memory_detected"] is True
         assert abs(payload["report"]["delta_s"] + 0.6594529591680367) < 1e-9
 
+    def test_product_thermal_pair_not_detected(self, tmp_path, capsys):
+        # vacua at t1, a product of thermal modes just above the vacuum at t2
+        nu = 0.5 + 8e-7
+        f1 = tmp_path / "s1.json"
+        f2 = tmp_path / "s2.json"
+        write_cov_state(f1, np.eye(2) / 2, np.eye(2) / 2, np.zeros((2, 2)))
+        write_cov_state(f2, nu * np.eye(2), nu * np.eye(2), np.zeros((2, 2)))
+        assert run(["witness-eval", "--state-t1", f1, "--state-t2", f2]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["quantum_memory_detected"] is False
+        assert report["delta_s"] > 0.0
+
     def test_output_file(self, tmp_path):
         f1 = tmp_path / "s1.json"
         write_dm_state(f1, max_entangled_state(2))

@@ -13,38 +13,32 @@ from qmemwitness import (
     InvalidChannelError,
     TwoModeBlocks,
     UnphysicalStateError,
-    apply_channel,
     cp_check,
     delta_S_lossy,
     dho_amplitude,
     dho_channel,
-    entropy_single_mode,
-    entropy_two_mode,
+    entropy_gaussian,
     evaluate_criterion_gaussian,
     first_loss_reversal,
     h,
-    lossy_channel,
     minimize_delta_S_over_r,
-    two_mode_squeezed,
 )
 from qmemwitness.gaussian import SQUEEZING_MAX
 from qmemwitness.witness import DETECTION_THRESHOLD
 from oracles import (
+    apply_channel,
     dho_closed_form,
     dho_expm,
     h_reference,
+    lossy_channel,
     random_two_mode_sigma,
     two_mode_entropy_williamson,
+    two_mode_squeezed,
 )
 
 RESONANT = DhoParams(g2=1.0, kappa=0.25, omega=1.0, omega_big=1.0)
 # off resonance omega_t moves with t, so the phase is not just omega * t
 DETUNED = DhoParams(g2=1.0, kappa=0.25, omega=1.0, omega_big=1.6)
-
-
-def blocks_from_sigma(sigma):
-    return TwoModeBlocks(alpha=sigma[:2, :2], beta=sigma[2:, 2:],
-                         gamma_block=sigma[:2, 2:])
 
 
 def delta_S_gaussian(state_t1, state_t2):
@@ -141,34 +135,41 @@ class TestEntropyFunctions:
             h(x)
 
     def test_entropy_single_mode(self):
-        assert entropy_single_mode(np.eye(2) / 2) == 0.0
+        assert entropy_gaussian(np.eye(2) / 2) == 0.0
         r = 1.0
         alpha = math.cosh(r) / 2.0 * np.eye(2)
-        assert abs(entropy_single_mode(alpha) - h(math.cosh(r) / 2.0)) < 1e-14
+        assert abs(entropy_gaussian(alpha) - h(math.cosh(r) / 2.0)) < 1e-14
         thermal = (1.0 + 0.5) * np.eye(2)   # nbar = 1
-        assert abs(entropy_single_mode(thermal) - h(1.5)) < 1e-14
+        assert abs(entropy_gaussian(thermal) - h(1.5)) < 1e-14
         with pytest.raises(UnphysicalStateError):
-            entropy_single_mode(np.eye(2) / 4)
+            entropy_gaussian(np.eye(2) / 4)
 
-    @pytest.mark.parametrize("r", [0.2, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("sigma", [
+        np.full((2, 2), np.nan), np.diag([0.5, np.inf]), np.eye(3) / 2, np.ones((2, 4)),
+        np.ones(4), np.zeros((0, 0)), np.array([[0.5, 0.1], [0.0, 0.5]]),
+    ])
+    def test_entropy_rejects_malformed_covariance(self, sigma):
+        with pytest.raises(UnphysicalStateError):
+            entropy_gaussian(sigma)
+
+    @pytest.mark.parametrize("r", [0.2, 1.0, 2.0, 3.0, 6.0, 8.0])
     def test_two_mode_squeezed_is_pure(self, r):
-        assert abs(entropy_two_mode(two_mode_squeezed(r))) < 1e-9
+        assert abs(entropy_gaussian(two_mode_squeezed(r).sigma)) < 1e-9
 
     def test_product_of_vacua(self):
         state = TwoModeBlocks(alpha=np.eye(2) / 2, beta=np.eye(2) / 2,
                               gamma_block=np.zeros((2, 2)))
-        assert abs(entropy_two_mode(state)) < 1e-12
+        assert abs(entropy_gaussian(state.sigma)) < 1e-12
 
     def test_lossy_state_matches_williamson_oracle(self):
         state = apply_channel(two_mode_squeezed(1.0), lossy_channel(0.5))
-        assert abs(entropy_two_mode(state)
+        assert abs(entropy_gaussian(state.sigma)
                    - two_mode_entropy_williamson(state.sigma)) < 1e-8
 
     def test_random_states_match_williamson_oracle(self, rng):
         for _ in range(100):
             sigma, (nu1, nu2) = random_two_mode_sigma(rng)
-            state = blocks_from_sigma(sigma)
-            s_closed = entropy_two_mode(state)
+            s_closed = entropy_gaussian(sigma)
             assert abs(s_closed - two_mode_entropy_williamson(sigma)) < 1e-8
             assert abs(s_closed - (h_reference(nu1) + h_reference(nu2))) < 1e-8
 
@@ -181,7 +182,7 @@ class TestTwoModeSqueezed:
 
     def test_reduced_entropy(self):
         state = two_mode_squeezed(1.0)
-        assert abs(entropy_single_mode(state.alpha) - h(math.cosh(1.0) / 2)) < 1e-14
+        assert abs(entropy_gaussian(state.alpha) - h(math.cosh(1.0) / 2)) < 1e-14
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,14 +1,21 @@
-"""Property tests of the sector engine against the kron-built dense generator."""
+"""Property tests: the sector engine against the kron-built dense generator,
+and the Gaussian witness on product states."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from qmemwitness import (
     CONVENTIONS,
     LindbladModel,
+    TwoModeBlocks,
     choi_entropy_arrays,
     dense_choi,
     entropy_arrays,
+    entropy_gaussian,
+    evaluate_criterion_gaussian,
     evolve_choi,
 )
 from oracles import choi_via_dense_liouvillian
@@ -34,3 +41,27 @@ def test_sector_state_matches_dense_generator(d, gamma, convention, t, k):
     rho_a = np.trace(state.reshape(d, d, d, d), axis1=0, axis2=2)
     assert np.abs(rho_a - np.eye(d) / d).max() <= 1e-12
     assert np.linalg.eigvalsh(state).min() >= -1e-12
+
+
+# a rotated, squeezed thermal mode: symplectic eigenvalue nu in [1/2, 3],
+# often within 1e-6 of the vacuum, squeezing up to e^6 in the variances
+_MODE = st.tuples(st.one_of(st.floats(0.5, 3.0), st.floats(0.5, 0.5 + 1e-6)),
+                  st.floats(0.0, 3.0), st.floats(0.0, math.pi))
+
+
+def _mode_covariance(nu, squeeze, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return nu * rot @ np.diag([math.exp(2 * squeeze), math.exp(-2 * squeeze)]) @ rot.T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(modes=st.lists(_MODE, min_size=4, max_size=4))
+def test_product_gaussian_pairs_never_detect(modes):
+    # -S(S|A) = -S_S <= 0 for a product state, so no product t2 can detect
+    a1, b1, a2, b2 = (_mode_covariance(*m) for m in modes)
+    zero = np.zeros((2, 2))
+    rep = evaluate_criterion_gaussian(TwoModeBlocks(a1, b1, zero), TwoModeBlocks(a2, b2, zero))
+    assert not rep.quantum_memory_detected
+    assert abs(entropy_gaussian(block_diag(a2, b2))
+               - entropy_gaussian(a2) - entropy_gaussian(b2)) <= 1e-12

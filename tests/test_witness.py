@@ -11,18 +11,17 @@ from qmemwitness import (
     InvalidSubsystemError,
     LindbladModel,
     QmemError,
+    TwoModeBlocks,
     WitnessReport,
-    apply_channel,
     evaluate_criterion,
     evaluate_criterion_gaussian,
     find_critical_ratio,
     find_witness_times,
-    lossy_channel,
+    h,
     max_entangled_state,
     ordering_check,
     scan_qudit,
     qudit_entropy_trajectory,
-    two_mode_squeezed,
     witness_from_trajectory,
     witness_qudit_model,
 )
@@ -30,11 +29,14 @@ from qmemwitness import states
 from qmemwitness.optimize import golden_section
 from qmemwitness.witness import DETECTION_THRESHOLD, _interior_extrema
 from oracles import (
+    apply_channel,
     apply_kraus_choi,
+    lossy_channel,
     random_density_matrix,
     random_kraus_set,
     random_pure_vector,
     random_unitary,
+    two_mode_squeezed,
 )
 
 
@@ -145,6 +147,17 @@ class TestEvaluateCriterionGaussian:
         rep = evaluate_criterion_gaussian(s1, s2, t1=1.0, t2=2.0)
         assert abs(rep.delta_s + 0.6594529591680367) < 1e-9
         assert rep.quantum_memory_detected
+
+    def test_product_thermal_pair_not_detected(self):
+        # a product state at t2 gives -S(S|A) = -S_S <= 0, so delta_s = h(nu);
+        # nu sits 8e-7 above the vacuum, where h is steep (h(nu) = 1.2e-5)
+        nu = 0.5 + 8e-7
+        zero = np.zeros((2, 2))
+        vacua = TwoModeBlocks(alpha=np.eye(2) / 2, beta=np.eye(2) / 2, gamma_block=zero)
+        thermal = TwoModeBlocks(alpha=nu * np.eye(2), beta=nu * np.eye(2), gamma_block=zero)
+        rep = evaluate_criterion_gaussian(vacua, thermal)
+        assert abs(rep.delta_s - h(nu)) < 1e-12
+        assert rep.quantum_memory_detected is False
 
 
 def synthetic_trajectory(ts):
