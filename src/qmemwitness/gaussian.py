@@ -38,6 +38,13 @@ _COARSE_POINTS = 40
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _asymmetric(x: np.ndarray) -> bool:
+    """True when x - x^T exceeds SYMMETRY_TOL relative to max(1, largest |entry|),
+    the rounding scale of a matrix built in floating point."""
+    skew = np.abs(x - x.T).max()
+    return bool(skew > SYMMETRY_TOL and skew > SYMMETRY_TOL * np.abs(x).max())
+
+
 @dataclass(frozen=True)
 class GaussianChannel:
     """Single-mode Gaussian channel sigma -> M^T sigma M + N.
@@ -57,7 +64,7 @@ class GaussianChannel:
             raise InvalidChannelError("channel matrices must be 2x2")
         if not (np.isfinite(m).all() and np.isfinite(n).all()):
             raise InvalidChannelError("channel matrices must be finite")
-        if np.abs(n - n.T).max() > SYMMETRY_TOL:
+        if _asymmetric(n):
             raise InvalidChannelError("noise matrix N must be symmetric")
         m.setflags(write=False)
         n.setflags(write=False)
@@ -84,10 +91,10 @@ class TwoModeBlocks:
         for blk, name in ((a, "alpha"), (b, "beta"), (g, "gamma_block")):
             if blk.shape != (2, 2):
                 raise UnphysicalStateError(f"{name} must be 2x2, got {blk.shape}")
-        if np.abs(a - a.T).max() > SYMMETRY_TOL or np.abs(b - b.T).max() > SYMMETRY_TOL:
-            raise UnphysicalStateError("alpha and beta must be symmetric")
         if not all(np.isfinite(blk).all() for blk in (a, b, g)):
             raise UnphysicalStateError("covariance blocks must be finite")
+        if _asymmetric(a) or _asymmetric(b):
+            raise UnphysicalStateError("alpha and beta must be symmetric")
         sig = np.block([[a, g], [g.T, b]])
         lo = np.linalg.eigvalsh(sig + 0.5j * np.kron(np.eye(2), OMEGA_1)).min()
         if lo < -PHYSICALITY_TOL:
@@ -173,7 +180,7 @@ def entropy_gaussian(sigma) -> float:
         raise UnphysicalStateError(f"covariance must be 2n x 2n with n >= 1, got {sig.shape}")
     if not np.isfinite(sig).all():
         raise UnphysicalStateError("covariance must be finite")
-    if np.abs(sig - sig.T).max() > SYMMETRY_TOL * max(1.0, np.abs(sig).max()):
+    if _asymmetric(sig):
         raise UnphysicalStateError("covariance must be symmetric")
     w, v = np.linalg.eigh(2.0 * sig)
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T

@@ -8,9 +8,13 @@ N = n_S + n_M, so it splits into blocks L_q of at most 4d - 2 states (Buca &
 Prosen, New J. Phys. 14, 073007 (2012)). |i><j| (x) |0><0|_M lies in sector
 i - j and the sectors q < 0 are the adjoints of q > 0, so only q = 0..d-1
 are evolved, with `scipy.linalg.expm` (Al-Mohy & Higham 2009): `evolve_choi`
-steps a uniform grid with exp(L_q dt), `ChoiEvolution.state_at` takes
-exp(L_q t) at any single t >= 0. No L_q is diagonalized (L is nearly
-defective under the spin convention).
+steps a uniform grid with exp(L_q dt). `ChoiEvolution.state_at` evaluates
+any single t >= 0 from the nearest anchor k h on a lattice with
+||L_q||_1 h <= 1 (grid times are anchors): the anchor holds the Taylor
+terms L_q^j exp(L_q k h) / j! of the evolved columns, traced over M, so a
+probe is one polynomial in t - k h (the truncated-Taylor action of the
+exponential, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). No
+L_q is diagonalized (L is nearly defective under the spin convention).
 
 The map is phase covariant, so the S (x) A Choi state is block diagonal in
 k = n_S - n_A. It is kept as padded blocks (..., 2d-1, d, d): block k + d - 1
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,6 +36,12 @@ from .states import DEFAULT_CONVENTION, CONVENTIONS, ladder_operators
 # stacked propagator powers P^0 .. P^(_POWERS - 1) produce up to that many
 # grid states of a sector with one product
 _POWERS = 64
+
+# a probe's Taylor series is cut where the next term's bound,
+# (||L_q|| h / 2)^(J+1) / (J+1)!, is below _TAYLOR_TOL; a ChoiEvolution
+# keeps the terms of its _ANCHORS most recently used anchors
+_TAYLOR_TOL = 1e-18
+_ANCHORS = 4
 
 
 @dataclass(frozen=True)
@@ -122,20 +133,47 @@ class ChoiEvolution:
         self.model = model
         self.times = times
         self.states = states
-        self._sectors = sectors
+        self._target = np.concatenate([target for *_, target in sectors])
+        dt = times[1] - times[0]
+        norm = max(np.abs(generator).sum(axis=0).max() for generator, *_ in sectors)
+        if not math.isfinite(dt * norm):
+            raise InvalidSubsystemError(f"grid step {dt} overflows ||L|| dt (||L|| = {norm})")
+        self._step = dt / math.ceil(dt * norm)
+        x = norm * self._step / 2   # bounds ||L_q|| |t - k h|, at most 1/2
+        order = next(j for j in range(32) if x ** (j + 1) / math.factorial(j + 1) <= _TAYLOR_TOL)
+        # a function of k alone, so state_at(t) does not depend on the cache
+        self._anchor = lru_cache(_ANCHORS)(partial(
+            _anchor_terms, [sector[:3] for sector in sectors], self._step, order, model.d))
 
     def state_at(self, t: float) -> np.ndarray:
-        """S-A state as padded blocks (2d-1, d, d) at time t, one exp(L_q t)
-        per sector; t must be finite and >= 0 (InvalidSubsystemError otherwise)."""
+        """S-A state as padded blocks (2d-1, d, d) at time t, summed from the
+        Taylor terms of the nearest anchor; t must be finite and >= 0
+        (InvalidSubsystemError otherwise)."""
         t = float(t)
         if not (math.isfinite(t) and t >= 0):
             raise InvalidSubsystemError(f"t must be finite and >= 0, got {t}")
+        k = round(t / self._step)
+        terms = self._anchor(k)
         d = self.model.d
         blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)
-        for generator, units, rows, target in self._sectors:
-            p = expm(generator * t)[:, units]
-            blocks[target] = (p[rows[0]] + p[rows[1]]).ravel()
-        return blocks.reshape(2 * d - 1, d, d) / d
+        blocks[self._target] = (t - k * self._step) ** np.arange(len(terms)) @ terms
+        return blocks.reshape(2 * d - 1, d, d)
+
+
+def _anchor_terms(sectors, step: float, order: int, d: int, k: int) -> np.ndarray:
+    """Taylor terms L_q^j exp(L_q k step)[:, units] / j!, j = 0..order, traced
+    over M and divided by d, for the (L_q, units, rows) of every sector, in
+    their concatenated target order."""
+    out = []
+    for generator, units, rows in sectors:
+        series = [expm(generator * (k * step))[:, units]]
+        for j in range(1, order + 1):
+            series.append(generator @ series[-1] / j)
+        series = np.array(series)
+        out.append((series[:, rows[0]] + series[:, rows[1]]).reshape(order + 1, -1))
+    terms = np.concatenate(out, axis=1) / d
+    terms.setflags(write=False)   # shared by every probe near the anchor
+    return terms
 
 
 def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolution:

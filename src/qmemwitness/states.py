@@ -208,9 +208,11 @@ def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """`entropy_arrays` for Choi states of trace-preserving, phase-covariant
     maps, as padded blocks (T, 2d-1, d, d) laid out as in `lindblad` (lower
     triangles read). The marginals are diagonal, so only the joint spectrum
-    takes an eigensolve, stacked over all blocks (padding adds exact zeros).
-    Hermiticity is checked on the block diagonals (the rest is Hermitian by
-    construction) and rho_A against I/d, at the tolerances of `entropy_arrays`.
+    takes eigensolves: block k + d - 1 at its true size d - |k|, each a
+    strided view stacked over T (no copy), and the 1x1 corners read from
+    the diagonal. Hermiticity is checked on the block diagonals (the rest is
+    Hermitian by construction) and rho_A against I/d, at the tolerances of
+    `entropy_arrays`.
     """
     arr = np.asarray(blocks, dtype=complex)
     d = arr.shape[-1] if arr.ndim == 4 else 0
@@ -231,7 +233,13 @@ def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     err = np.abs(p_anc - 1.0 / d).max(initial=0.0)
     if not err <= TRACE_TOL:
         raise InvalidStateError(f"ancilla marginal deviates from I/d by {err:.3e}")
-    w = np.linalg.eigvalsh(arr, UPLO="L").reshape(-1, (2 * d - 1) * d)
+    # block k + d - 1 holds the levels max(k, 0) .. min(d, d + k) - 1; the
+    # 1x1 corners k = -(d-1), d-1 are their own eigenvalues
+    spectra = [diag.real[:, [0, -1], [0, -1]]]
+    for k in range(2 - d, d - 1):
+        lvl = slice(max(k, 0), min(d, d + k))
+        spectra.append(np.linalg.eigvalsh(arr[:, k + d - 1, lvl, lvl], UPLO="L"))
+    w = np.concatenate(spectra, axis=1)
     lo = min(x.min(initial=np.inf) for x in (p_sys, p_anc, w))
     if lo < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"negative eigenvalue {lo:.3e} below tolerance")

@@ -169,7 +169,8 @@ def find_witness_times(
     are noise). Both times are refined by golden-section search down to
     1e-6 of the grid span on the entropies `evaluate` returns, a map from
     an array of times to their EntropyTrajectory (typically backed by
-    exact off-grid states).
+    exact off-grid states); the brackets are searched together, so each
+    step makes one `evaluate` call.
 
     Raises ExtremumNotFoundError when either extremum is missing, e.g.
     on monotone trajectories (callers may extend the grid).
@@ -182,24 +183,28 @@ def find_witness_times(
     i_mins = _interior_extrema(traj.s_system, "min", _EXTREMUM_NOISE_FLOOR)
     if i_mins.size == 0:
         raise ExtremumNotFoundError("no interior local minimum of s_system")
-    t1 = _refine(times, i_mins[0], lambda x, _: evaluate(x).s_system, tol)
-
+    i1 = i_mins[0]
+    # t1 refines inside (times[i1 - 1], times[i1 + 1]): maxima before i1
+    # precede it and maxima after i1 follow it, but one at i1 follows it
+    # only if t1 refines to its left, so the next one is searched as well
     i_maxs = _interior_extrema(traj.neg_cond_sa, "max", _EXTREMUM_NOISE_FLOOR)
-    i_maxs = i_maxs[times[i_maxs] > t1]
-    if i_maxs.size == 0:
+    i_maxs = i_maxs[i_maxs >= i1][:1 + (i1 in i_maxs)]
+
+    def objective(x, idx):
+        e = evaluate(x)
+        return np.where(idx == 0, e.s_system, -e.neg_cond_sa)
+
+    centres = np.concatenate(([i1], i_maxs))
+    a, b, *_ = golden_section(objective, times[centres - 1], times[centres + 1], tol)
+    t1, *t_maxs = (float(t) for t in 0.5 * (a + b))
+    after = np.flatnonzero(times[i_maxs] > t1)
+    if after.size == 0:
         raise ExtremumNotFoundError("no local maximum of -S(S|A) after t1")
-    i2 = i_maxs[0]
-    t2 = _refine(times, i2, lambda x, _: -evaluate(x).neg_cond_sa, tol)
+    i2, t2 = i_maxs[after[0]], t_maxs[after[0]]
     if not t2 > t1:
         # adjacent extrema refined across each other; keep the grid value
         t2 = float(times[i2])
     return t1, t2
-
-
-def _refine(times, i, f, tol) -> float:
-    """Minimum of f on the grid bracket around index i, by golden-section search."""
-    a, b, *_ = golden_section(f, times[i - 1], times[i + 1], tol)
-    return float(0.5 * (a[0] + b[0]))
 
 
 def ordering_check(traj: EntropyTrajectory) -> bool:

@@ -19,6 +19,7 @@ from qmemwitness import (
     cp_check,
 )
 from qmemwitness.gaussian import SQUEEZING_MAX
+from qmemwitness.lindblad import _sectors
 
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = SIGMA_PLUS.conj().T
@@ -90,6 +91,17 @@ def choi_via_dense_liouvillian(d, omega, gamma, convention, t):
                     out[a * d + i, b * d + j] = (image[2 * a, 2 * b]
                                                  + image[2 * a + 1, 2 * b + 1]) / d
     return out
+
+
+def choi_blocks_via_sector_expm(model, t):
+    """Padded Choi blocks (2d-1, d, d) at time t from one scipy
+    expm(L_q t) per sector q = 0..d-1, with no Taylor series."""
+    d = model.d
+    blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)
+    for generator, units, rows, target in _sectors(model):
+        p = expm(generator * t)[:, units]
+        blocks[target] = (p[rows[0]] + p[rows[1]]).ravel()
+    return blocks.reshape(2 * d - 1, d, d) / d
 
 
 def coherence_orders(d: int) -> np.ndarray:

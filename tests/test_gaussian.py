@@ -63,6 +63,34 @@ class TestTypes:
             TwoModeBlocks(alpha=np.eye(2) / 2, beta=np.eye(2) / 2,
                           gamma_block=np.eye(2))   # correlations too strong
 
+    @staticmethod
+    def squeezed_modes(nu):
+        """nu R(theta) diag(e^10, e^-10) R(theta)^T at seeded angles: entries
+        of order 1e4 whose rounding leaves an asymmetry of about 1e-11."""
+        for theta in np.random.default_rng(7).uniform(0.0, math.pi, 300):
+            c, s = math.cos(theta), math.sin(theta)
+            rot = np.array([[c, -s], [s, c]])
+            yield nu * rot @ np.diag([math.exp(10.0), math.exp(-10.0)]) @ rot.T
+
+    @pytest.mark.parametrize("nu", [1.0, 3.0])
+    def test_strongly_squeezed_blocks_accepted(self, nu):
+        zero = np.zeros((2, 2))
+        for mode in self.squeezed_modes(nu):
+            TwoModeBlocks(alpha=mode, beta=np.eye(2) / 2, gamma_block=zero)
+            TwoModeBlocks(alpha=np.eye(2) / 2, beta=mode, gamma_block=zero)
+            GaussianChannel(m=np.eye(2), n=mode)
+
+    def test_visibly_asymmetric_block_rejected(self):
+        mode = next(self.squeezed_modes(1.0))
+        skew = mode + np.array([[0.0, 1e-9], [0.0, 0.0]]) * np.abs(mode).max()
+        vac, zero = np.eye(2) / 2, np.zeros((2, 2))
+        with pytest.raises(UnphysicalStateError):
+            TwoModeBlocks(alpha=skew, beta=vac, gamma_block=zero)
+        with pytest.raises(UnphysicalStateError):
+            TwoModeBlocks(alpha=vac, beta=skew, gamma_block=zero)
+        with pytest.raises(InvalidChannelError):
+            GaussianChannel(m=np.eye(2), n=skew)
+
     def test_channel_shape_validation(self):
         with pytest.raises(InvalidChannelError):
             GaussianChannel(m=np.eye(3), n=np.zeros((3, 3)))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qmemwitness import (
 )
 from oracles import (
     binary_entropy,
+    choi_blocks_via_sector_expm,
     choi_via_dense_liouvillian,
     coherence_orders,
     liouvillian_dense,
@@ -196,7 +198,8 @@ class TestEvolve:
     def test_grid_validation(self):
         model = LindbladModel(d=2)
         for t_max, n_points in ((0.0, 3), (-1.0, 3), (math.nan, 3), (math.inf, 3),
-                                (2.0, 1), (2.0, 2.5), (2.0, math.nan), (2.0, math.inf)):
+                                (2.0, 1), (2.0, 2.5), (2.0, math.nan), (2.0, math.inf),
+                                (sys.float_info.max, 2)):   # ||L|| dt overflows
             with pytest.raises(InvalidSubsystemError):
                 evolve_choi(model, t_max, n_points)
 
@@ -378,6 +381,47 @@ class TestChannelSuperoperator:
         for t in (math.nan, -1.0, -1e-300, math.inf):
             with pytest.raises(InvalidSubsystemError):
                 ev.state_at(t)
+
+
+class TestAnchoredProbes:
+    """`state_at` sums the Taylor terms of its nearest anchor."""
+
+    @pytest.mark.parametrize("d, conv, points", [
+        (2, "spin", 2001), (3, "truncated-oscillator", 301), (5, "spin", 101),
+        (8, "spin", 5),   # coarse grid: anchors lie between the grid points
+    ])
+    def test_matches_sector_expm_oracle(self, d, conv, points, rng):
+        model = LindbladModel(d=d, omega=1.0, gamma=0.1, convention=conv)
+        ev = evolve_choi(model, 12.0, points)
+        dt = ev.times[1]
+        ts = np.concatenate([[0.0], ev.times[[1, points // 2, -1]],
+                             ev.times[[0, points // 3, -2]] + rng.uniform(0.0, dt, 3),
+                             [12.0 + 0.37 * dt, 13.3, 20.0]])
+        for t in ts:
+            assert np.abs(ev.state_at(t) - choi_blocks_via_sector_expm(model, t)).max() <= 1e-13
+        if points == 5:
+            assert ev._step < dt
+
+    def test_probe_is_a_function_of_t_alone(self, rng):
+        model = LindbladModel(d=4, omega=1.0, gamma=0.1)
+        ev = evolve_choi(model, 12.0, 201)
+        # clusters of probes around a few anchors, and probes far apart
+        ts = np.concatenate([rng.uniform(2.0, 2.1, 10), rng.uniform(7.0, 7.1, 10),
+                             rng.uniform(0.0, 15.0, 10), ev.times[[0, 50, 200]]])
+        fresh = [evolve_choi(model, 12.0, 201).state_at(t) for t in ts]
+        for _ in range(2):
+            for i in rng.permutation(len(ts)):
+                assert np.array_equal(ev.state_at(ts[i]), fresh[i])
+
+    def test_anchor_cache_is_bounded(self):
+        from qmemwitness.lindblad import _ANCHORS
+
+        ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=0.1), 12.0, 2001)
+        ts = np.linspace(0.0, 1000.0, 1000)
+        assert len({round(t / ev._step) for t in ts}) == 1000
+        for t in ts:
+            ev.state_at(t)
+        assert ev._anchor.cache_info().currsize <= _ANCHORS
 
 
 class TestGridConvergence:

@@ -301,7 +301,15 @@ class TestChoiEntropyArrays:
         lambda b: b.__setitem__((2, 1, 1), b[2, 1, 1] + 2e-10j),   # non-real diagonal
         lambda b: b.__imul__(1.0 + 2e-9),                  # trace
         lambda b: b.__setitem__((2, 2, 2), np.nan),        # not finite
-    ], ids=["ancilla", "negative", "non-real-diagonal", "trace", "nan"])
+        # a 1x1 corner block <0,2|rho|0,2> (or <2,0|rho|2,0>) at -1e-6, its
+        # weight moved to <1,2|rho|1,2> (<1,0|rho|1,0>): same trace and rho_A,
+        # rho_S stays positive
+        lambda b: (b.__setitem__((1, 1, 1), b[1, 1, 1] + b[0, 0, 0] + 1e-6),
+                   b.__setitem__((0, 0, 0), -1e-6)),
+        lambda b: (b.__setitem__((3, 1, 1), b[3, 1, 1] + b[4, 2, 2] + 1e-6),
+                   b.__setitem__((4, 2, 2), -1e-6)),
+    ], ids=["ancilla", "negative", "non-real-diagonal", "trace", "nan",
+            "negative-low-corner", "negative-high-corner"])
     def test_rejects_invalid_state(self, corrupt):
         # one bad state anywhere in the stack rejects the stack
         blocks = np.concatenate([max_mixed_blocks(3)] * 3)

@@ -194,6 +194,83 @@ class TestFindWitnessTimes:
             find_witness_times(traj, evaluate)
 
 
+def find_witness_times_sequential(traj, evaluate):
+    """Reference: one golden-section search per bracket, t1 first, then
+    the first local maximum of -S(S|A) whose grid time follows t1."""
+    times = traj.times
+    tol = 1e-6 * (times[-1] - times[0])
+
+    def refine(i, f):
+        a, b, *_ = golden_section(lambda x, _: f(x), times[i - 1], times[i + 1], tol)
+        return float(0.5 * (a[0] + b[0]))
+
+    i_mins = _interior_extrema(traj.s_system, "min", 1e-10)
+    if i_mins.size == 0:
+        raise ExtremumNotFoundError("no interior local minimum of s_system")
+    t1 = refine(i_mins[0], lambda x: evaluate(x).s_system)
+    i_maxs = _interior_extrema(traj.neg_cond_sa, "max", 1e-10)
+    i_maxs = i_maxs[times[i_maxs] > t1]
+    if i_maxs.size == 0:
+        raise ExtremumNotFoundError("no local maximum of -S(S|A) after t1")
+    t2 = refine(i_maxs[0], lambda x: -evaluate(x).neg_cond_sa)
+    return t1, (t2 if t2 > t1 else float(times[i_maxs[0]]))
+
+
+def two_peak_trajectory(dip):
+    """Dip of s_system at `dip`, peaks of -S(S|A) at t = 1.0 and 2.0, on a
+    grid of step 0.05 that puts the first peak on the grid point nearest
+    the dip."""
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        s_sys = 1.0 - 0.3 * np.exp(-((t - dip) ** 2) / 0.08)
+        s_joint = (1.0 - 0.4 * np.exp(-((t - 1.0) ** 2) / 0.08)
+                   - 0.3 * np.exp(-((t - 2.0) ** 2) / 0.08))
+        return EntropyTrajectory(t, s_sys, np.ones_like(t), s_joint)
+
+    return evaluate(np.linspace(0.0, 3.0, 61)), evaluate
+
+
+class TestBatchedSearchKeepsTheSequentialRule:
+    @pytest.mark.parametrize("dip, t2", [(0.99, 1.0), (1.01, 2.0)])
+    def test_peak_at_the_dip_grid_point(self, dip, t2):
+        # both extrema sit at grid index 20: the peak there counts only when
+        # t1 refines to its left
+        traj, evaluate = two_peak_trajectory(dip)
+        assert _interior_extrema(traj.s_system, "min", 1e-10).tolist() == [20]
+        assert _interior_extrema(traj.neg_cond_sa, "max", 1e-10).tolist() == [20, 40]
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return evaluate(x)
+
+        got = find_witness_times(traj, counted)
+        assert got == find_witness_times_sequential(traj, evaluate)
+        assert got[0] == pytest.approx(dip, abs=1e-4) and got[1] == pytest.approx(t2, abs=1e-4)
+        assert set(sizes) == {3}   # three brackets searched together
+
+    @pytest.mark.parametrize("d, gamma, conv", [
+        (3, 0.005, "spin"),   # t1 refines right of the grid index of a -S(S|A) peak
+        (2, 0.2, "spin"), (3, 0.3, "truncated-oscillator"), (4, 0.05, "spin"),
+    ])
+    def test_qudit_cells(self, d, gamma, conv):
+        ev, traj = qudit_entropy_trajectory(
+            LindbladModel(d=d, omega=1.0, gamma=gamma, convention=conv))
+
+        def evaluate(ts):
+            return EntropyTrajectory(ts, *states.choi_entropy_arrays(
+                np.array([ev.state_at(t) for t in ts])))
+
+        got = find_witness_times(traj, evaluate)
+        assert got == find_witness_times_sequential(traj, evaluate)
+        if gamma == 0.005:
+            i1 = _interior_extrema(traj.s_system, "min", 1e-10)[0]
+            assert i1 in _interior_extrema(traj.neg_cond_sa, "max", 1e-10)
+            assert got[0] > traj.times[i1]
+            assert got[1] == pytest.approx(2.2214, abs=1e-3)
+
+
 def interior_extrema_loops(values, kind, noise_floor):
     """Reference: interior extrema by an explicit loop over the grid."""
     sign = 1.0 if kind == "min" else -1.0
@@ -334,34 +411,36 @@ class TestQuditPipeline:
             assert np.array_equal(getattr(res.trajectory, field), getattr(ref.trajectory, field))
 
     def test_each_probe_state_is_diagonalized_once(self, monkeypatch):
-        # every refinement probe costs one stacked eigvalsh over its 2d-1
-        # Choi blocks and none for the diagonal marginals, the report's two
-        # states one more, and no state is validated a second time as a
-        # DensityMatrix
+        # every refinement probe and both report states go through one
+        # choi_entropy_arrays stack exactly once, the probes of the t1 and t2
+        # searches stacked together at each step, and no state is validated
+        # a second time as a DensityMatrix
+        from qmemwitness import witness
+
         ev, traj = qudit_entropy_trajectory(LindbladModel(d=3, omega=1.0, gamma=0.2),
                                             t_max=6.0, n_points=301)
-        probes, stacks = [], []
-        state_at, eigvalsh = ev.state_at, np.linalg.eigvalsh
+        probes, stacked = [], []
+        state_at, entropies = ev.state_at, witness.choi_entropy_arrays
 
         def counted_state_at(t):
             probes.append(t)
             return state_at(t)
 
-        def counted_eigvalsh(a, **kwargs):
-            stacks.append(a.shape[:-2])
-            return eigvalsh(a, **kwargs)
+        def counted_entropies(blocks):
+            stacked.append(len(blocks))
+            return entropies(blocks)
 
         def no_density_matrix(self):
             raise AssertionError("probe state wrapped in a DensityMatrix")
 
         monkeypatch.setattr(ev, "state_at", counted_state_at)
-        monkeypatch.setattr(states.np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(witness, "choi_entropy_arrays", counted_entropies)
         monkeypatch.setattr(states.DensityMatrix, "__post_init__", no_density_matrix)
         rep = witness_from_trajectory(ev, traj).report
-        n_refine = len(probes) - 2
-        assert n_refine > 0
+        assert len(probes) > 2
         assert probes[-2:] == [rep.t1, rep.t2]
-        assert stacks == [(1, 5)] * n_refine + [(2, 5)]
+        assert sum(stacked) == len(probes)
+        assert stacked == [2] * len(stacked)
 
     def test_scan_rows_ordered_and_complete(self):
         rows = scan_qudit([2], [0.5, 0.25], t_max=8.0, n_points=401)
