@@ -196,7 +196,9 @@ def _require_memory(need: int, what: str, formula: str) -> None:
 
 def _require_qudit_budget(d: int, points: int) -> None:
     # the (points, 2d-1, d, d) complex Choi blocks with their validation
-    # temporaries, the output rows, and the powers of a 4d-2 state sector
+    # temporaries, the output rows, and the powers of a 4d-2 state sector;
+    # the anchors that state_at caches later, max(64 MiB, 86 (d+1)^3) and
+    # at most 4 of them, fit in the 48 KiB d^2 term for every admitted d
     _require_memory(20 * (2 * d - 1) * d * d * points + _KIB * points + 48 * _KIB * d * d
                     + 8 * _MIB, f"d={d} with {points} points",
                     "20 (2d - 1) d^2 points + 1 KiB points + 48 KiB d^2 + 8 MiB")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -38,10 +37,12 @@ from .states import DEFAULT_CONVENTION, CONVENTIONS, ladder_operators
 _POWERS = 64
 
 # a probe's Taylor series is cut where the next term's bound,
-# (||L_q|| h / 2)^(J+1) / (J+1)!, is below _TAYLOR_TOL; a ChoiEvolution
-# keeps the terms of its _ANCHORS most recently used anchors
+# (||L_q|| h / 2)^(J+1) / (J+1)!, is below _TAYLOR_TOL (J <= 15); a
+# ChoiEvolution keeps the terms of its most recently used anchors, at most
+# _ANCHORS of them and _ANCHOR_BYTES together, but always the last one
 _TAYLOR_TOL = 1e-18
 _ANCHORS = 4
+_ANCHOR_BYTES = 64 * 1024 ** 2
 
 
 @dataclass(frozen=True)
@@ -126,24 +127,27 @@ class ChoiEvolution:
     """Choi states (padded blocks) of the reduced dynamics, from `evolve_choi`:
     `states[k]`, shape (T, 2d-1, d, d), is half of |Phi+>_SA sent through the
     map at `times[k]`; `state_at` evaluates the map exactly at any t >= 0,
-    on the grid, between its points or beyond it. The states are validated
-    where their entropies are taken."""
+    on the grid, between its points or beyond it, and caches what it
+    builds, so one evolution is not to be probed from several threads at
+    once. The states are validated where their entropies are taken."""
 
     def __init__(self, model, times, states, sectors):
         self.model = model
         self.times = times
         self.states = states
         self._target = np.concatenate([target for *_, target in sectors])
-        dt = times[1] - times[0]
-        norm = max(np.abs(generator).sum(axis=0).max() for generator, *_ in sectors)
+        dt = float(times[1] - times[0])   # Python floats overflow to inf silently
+        norm = float(max(np.abs(generator).sum(axis=0).max() for generator, *_ in sectors))
         if not math.isfinite(dt * norm):
             raise InvalidSubsystemError(f"grid step {dt} overflows ||L|| dt (||L|| = {norm})")
         self._step = dt / math.ceil(dt * norm)
         x = norm * self._step / 2   # bounds ||L_q|| |t - k h|, at most 1/2
-        order = next(j for j in range(32) if x ** (j + 1) / math.factorial(j + 1) <= _TAYLOR_TOL)
-        # a function of k alone, so state_at(t) does not depend on the cache
-        self._anchor = lru_cache(_ANCHORS)(partial(
-            _anchor_terms, [sector[:3] for sector in sectors], self._step, order, model.d))
+        self._order = next(j for j in range(32)
+                           if x ** (j + 1) / math.factorial(j + 1) <= _TAYLOR_TOL)
+        self._sectors = [sector[:3] for sector in sectors]
+        anchor_bytes = 16 * (self._order + 1) * len(self._target)
+        self._capacity = max(1, min(_ANCHORS, _ANCHOR_BYTES // anchor_bytes))
+        self._anchors = {}   # k -> terms, least recently used first
 
     def state_at(self, t: float) -> np.ndarray:
         """S-A state as padded blocks (2d-1, d, d) at time t, summed from the
@@ -153,7 +157,14 @@ class ChoiEvolution:
         if not (math.isfinite(t) and t >= 0):
             raise InvalidSubsystemError(f"t must be finite and >= 0, got {t}")
         k = round(t / self._step)
-        terms = self._anchor(k)
+        # the terms are a function of k alone, so the result does not
+        # depend on the cache
+        terms = self._anchors.pop(k, None)
+        if terms is None:
+            while len(self._anchors) >= self._capacity:   # evict before building
+                del self._anchors[next(iter(self._anchors))]
+            terms = _anchor_terms(self._sectors, self._step, self._order, self.model.d, k)
+        self._anchors[k] = terms
         d = self.model.d
         blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)
         blocks[self._target] = (t - k * self._step) ** np.arange(len(terms)) @ terms
@@ -164,15 +175,17 @@ def _anchor_terms(sectors, step: float, order: int, d: int, k: int) -> np.ndarra
     """Taylor terms L_q^j exp(L_q k step)[:, units] / j!, j = 0..order, traced
     over M and divided by d, for the (L_q, units, rows) of every sector, in
     their concatenated target order."""
-    out = []
+    terms = np.empty((order + 1, sum(len(rows[0]) * len(units) for _, units, rows in sectors)),
+                     dtype=complex)
+    start = 0
     for generator, units, rows in sectors:
         series = [expm(generator * (k * step))[:, units]]
         for j in range(1, order + 1):
             series.append(generator @ series[-1] / j)
         series = np.array(series)
-        out.append((series[:, rows[0]] + series[:, rows[1]]).reshape(order + 1, -1))
-    terms = np.concatenate(out, axis=1) / d
-    terms.setflags(write=False)   # shared by every probe near the anchor
+        traced = series[:, rows[0]] + series[:, rows[1]]
+        terms[:, start:start + traced[0].size] = traced.reshape(order + 1, -1) / d
+        start += traced[0].size
     return terms
 
 

@@ -210,9 +210,10 @@ def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     triangles read). The marginals are diagonal, so only the joint spectrum
     takes eigensolves: block k + d - 1 at its true size d - |k|, each a
     strided view stacked over T (no copy), and the 1x1 corners read from
-    the diagonal. Hermiticity is checked on the block diagonals (the rest is
-    Hermitian by construction) and rho_A against I/d, at the tolerances of
-    `entropy_arrays`.
+    the diagonal; entries outside the true blocks (the padding) are read
+    only for finiteness. Hermiticity is checked on the block diagonals (the
+    rest is Hermitian by construction) and rho_A against I/d, at the
+    tolerances of `entropy_arrays`.
     """
     arr = np.asarray(blocks, dtype=complex)
     d = arr.shape[-1] if arr.ndim == 4 else 0
@@ -222,9 +223,12 @@ def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         raise InvalidStateError("matrix has non-finite entries")
     diag = arr.diagonal(axis1=-2, axis2=-1)
     levels = np.arange(d)   # <a, i| rho |a, i> sits in block a - i + d - 1 at row a
-    p_sys = diag.real.sum(axis=1)
-    p_anc = diag.real[:, levels - levels[:, None] + d - 1, levels].sum(axis=-1)
-    herm = 2 * np.abs(diag.imag).max(initial=0.0)
+    true = (slice(None), levels[:, None] + levels, levels)   # [:, m, a] at i = d - 1 - m
+    probs = diag.real[true]
+    # C order pins the summation order of the entropy taken over it
+    p_sys = np.ascontiguousarray(probs.sum(axis=1))
+    p_anc = probs[:, ::-1].sum(axis=-1)
+    herm = 2 * np.abs(diag.imag[true]).max(initial=0.0)
     if not herm <= HERMITICITY_TOL:
         raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm:.3e}")
     err = np.abs(p_sys.sum(axis=-1) - 1.0).max(initial=0.0)

@@ -159,6 +159,24 @@ class TestQuditTrace:
         assert "d=30 with 2001 points needs about 2.03 GiB" in capsys.readouterr().err
         assert reached == [16] and not out.exists()
 
+    def test_budget_covers_the_anchor_cache(self):
+        # the cached probe anchors (at most 16 Taylor terms of sum_q (d-q)^2
+        # complex entries each) fit in the 48 KiB d^2 term for every d the
+        # budget admits at all
+        from qmemwitness.lindblad import _ANCHOR_BYTES, _ANCHORS
+
+        d = 2
+        while True:
+            try:
+                cli._require_qudit_budget(d, 3)
+            except cli.ConfigError:
+                break
+            anchor = 16 * 16 * d * (d + 1) * (2 * d + 1) // 6
+            cached = anchor * max(1, min(_ANCHORS, _ANCHOR_BYTES // anchor))
+            assert cached <= 48 * 1024 * d * d
+            d += 1
+        assert d > 150
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["qudit-trace", "--d", 2, "--gamma-over-omega", 0.1,
                 "--t-max", 6, "--points", 201]

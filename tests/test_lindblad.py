@@ -421,7 +421,24 @@ class TestAnchoredProbes:
         assert len({round(t / ev._step) for t in ts}) == 1000
         for t in ts:
             ev.state_at(t)
-        assert ev._anchor.cache_info().currsize <= _ANCHORS
+        assert len(ev._anchors) == _ANCHORS
+
+    @pytest.mark.parametrize("limit, kept", [(1, 1), (3 * 5760 + 100, 3)])
+    def test_anchor_cache_is_bounded_in_bytes(self, monkeypatch, limit, kept):
+        # d = 4 at this step keeps 12 Taylor terms of 30 entries, 5760 B per
+        # anchor; one anchor is kept even when it alone is over the limit
+        from qmemwitness import lindblad
+
+        model = LindbladModel(d=4, omega=1.0, gamma=0.1)
+        ts = np.linspace(0.0, 13.0, 40)
+        fresh = [evolve_choi(model, 12.0, 201).state_at(t) for t in ts]
+        monkeypatch.setattr(lindblad, "_ANCHOR_BYTES", limit)
+        ev = evolve_choi(model, 12.0, 201)
+        assert ev._capacity == kept
+        for t, state in zip(ts, fresh):
+            assert np.array_equal(ev.state_at(t), state)
+            assert len(ev._anchors) <= kept
+        assert len(ev._anchors) == kept
 
 
 class TestGridConvergence:

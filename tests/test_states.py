@@ -293,6 +293,19 @@ class TestChoiEntropyArrays:
         assert np.array_equal(np.array(choi_entropy_arrays(noisy)),
                               np.array(choi_entropy_arrays(blocks)))
 
+    def test_padding_is_not_read(self, rng):
+        # entries outside block k's levels max(k, 0) .. min(d, d + k) - 1,
+        # the diagonal included, change neither the entropies nor the checks
+        d = 3
+        k = np.arange(2 * d - 1)[:, None] - (d - 1)
+        level = (np.arange(d) >= k) & (np.arange(d) < d + k)
+        padding = ~(level[:, :, None] & level[:, None, :])
+        blocks = max_mixed_blocks(d)
+        noisy = blocks + padding * (rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3)))
+        assert np.abs(noisy - blocks)[0].diagonal(axis1=-2, axis2=-1).max() > 0.1
+        assert np.array_equal(np.array(choi_entropy_arrays(noisy)),
+                              np.array(choi_entropy_arrays(blocks)))
+
     @pytest.mark.parametrize("corrupt", [
         # <0,0|rho|0,0> up, <0,1|rho|0,1> down: same trace and rho_S, rho_A != I/d
         lambda b: (b.__setitem__((2, 0, 0), b[2, 0, 0] + 1e-6),

@@ -413,14 +413,17 @@ class TestQuditPipeline:
     def test_each_probe_state_is_diagonalized_once(self, monkeypatch):
         # every refinement probe and both report states go through one
         # choi_entropy_arrays stack exactly once, the probes of the t1 and t2
-        # searches stacked together at each step, and no state is validated
-        # a second time as a DensityMatrix
+        # searches stacked together at each step; each stack eigensolves the
+        # 2d-3 blocks larger than 1x1 at their true sizes and nothing else,
+        # and no state is validated a second time as a DensityMatrix
         from qmemwitness import witness
 
-        ev, traj = qudit_entropy_trajectory(LindbladModel(d=3, omega=1.0, gamma=0.2),
+        d = 3
+        ev, traj = qudit_entropy_trajectory(LindbladModel(d=d, omega=1.0, gamma=0.2),
                                             t_max=6.0, n_points=301)
-        probes, stacked = [], []
+        probes, stacked, solves = [], [], []
         state_at, entropies = ev.state_at, witness.choi_entropy_arrays
+        eigvalsh = np.linalg.eigvalsh
 
         def counted_state_at(t):
             probes.append(t)
@@ -430,17 +433,24 @@ class TestQuditPipeline:
             stacked.append(len(blocks))
             return entropies(blocks)
 
+        def counted_eigvalsh(a, **kwargs):
+            solves.append(a.shape)
+            return eigvalsh(a, **kwargs)
+
         def no_density_matrix(self):
             raise AssertionError("probe state wrapped in a DensityMatrix")
 
         monkeypatch.setattr(ev, "state_at", counted_state_at)
         monkeypatch.setattr(witness, "choi_entropy_arrays", counted_entropies)
+        monkeypatch.setattr(states.np.linalg, "eigvalsh", counted_eigvalsh)
         monkeypatch.setattr(states.DensityMatrix, "__post_init__", no_density_matrix)
         rep = witness_from_trajectory(ev, traj).report
         assert len(probes) > 2
         assert probes[-2:] == [rep.t1, rep.t2]
         assert sum(stacked) == len(probes)
         assert stacked == [2] * len(stacked)
+        sizes = [d - abs(k) for k in range(2 - d, d - 1)]
+        assert solves == [(n, size, size) for n in stacked for size in sizes]
 
     def test_scan_rows_ordered_and_complete(self):
         rows = scan_qudit([2], [0.5, 0.25], t_max=8.0, n_points=401)
