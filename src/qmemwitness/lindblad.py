@@ -7,14 +7,15 @@ by D[1_S (x) sigma_-]; the reduced map Lambda_t(X) = Tr_M exp(L t)
 N = n_S + n_M, so it splits into blocks L_q of at most 4d - 2 states (Buca &
 Prosen, New J. Phys. 14, 073007 (2012)). |i><j| (x) |0><0|_M lies in sector
 i - j and the sectors q < 0 are the adjoints of q > 0, so only q = 0..d-1
-are evolved, with `scipy.linalg.expm` (Al-Mohy & Higham 2009): `evolve_choi`
+are evolved, with an in-package degree-13 Pade exponential (scaling and
+squaring, Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): `evolve_choi`
 steps a uniform grid with exp(L_q dt). `ChoiEvolution.state_at` evaluates
-any single t >= 0 from the nearest anchor k h on a lattice with
-||L_q||_1 h <= 1 (grid times are anchors): the anchor holds the Taylor
-terms L_q^j exp(L_q k h) / j! of the evolved columns, traced over M, so a
-probe is one polynomial in t - k h (the truncated-Taylor action of the
-exponential, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). No
-L_q is diagonalized (L is nearly defective under the spin convention).
+any single t >= 0 from the nearest anchor k h on the lattice
+h = 1 / max_q ||L_q||_1: the anchor holds the Taylor terms
+L_q^j exp(L_q k h) / j! of the evolved columns, traced over M, so a probe is
+one polynomial in t - k h (the truncated-Taylor action of the exponential,
+Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). No L_q is
+diagonalized (L is nearly defective under the spin convention).
 
 The map is phase covariant, so the S (x) A Choi state is block diagonal in
 k = n_S - n_A. It is kept as padded blocks (..., 2d-1, d, d): block k + d - 1
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidDimensionError, InvalidSubsystemError
 from .states import DEFAULT_CONVENTION, CONVENTIONS, ladder_operators
@@ -37,12 +37,50 @@ from .states import DEFAULT_CONVENTION, CONVENTIONS, ladder_operators
 _POWERS = 64
 
 # a probe's Taylor series is cut where the next term's bound,
-# (||L_q|| h / 2)^(J+1) / (J+1)!, is below _TAYLOR_TOL (J <= 15); a
-# ChoiEvolution keeps the terms of its most recently used anchors, at most
-# _ANCHORS of them and _ANCHOR_BYTES together, but always the last one
+# (||L_q|| |t - k h|)^(J+1) / (J+1)! <= (1/2)^(J+1) / (J+1)!, is below
+# _TAYLOR_TOL (J = 15); a ChoiEvolution keeps the terms of its most recently
+# used anchors, at most _ANCHORS of them and _ANCHOR_BYTES together, but
+# always the last one
 _TAYLOR_TOL = 1e-18
+_ORDER = next(j for j in range(32) if 0.5 ** (j + 1) / math.factorial(j + 1) <= _TAYLOR_TOL)
 _ANCHORS = 4
 _ANCHOR_BYTES = 64 * 1024 ** 2
+
+# the degree-13 Pade approximant (V - U)^-1 (V + U) of exp(A), with backward
+# error below the unit roundoff for ||A||_1 <= _THETA13 (Higham 2005):
+# U = A (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I) and
+# V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I; the rows
+# weigh I, A2, A4, A6 into the four parts in parentheses and after them
+_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+      129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+      40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE_WEIGHTS = np.array([[0.0, _B[9], _B[11], _B[13]], [_B[1], _B[3], _B[5], _B[7]],
+                          [0.0, _B[8], _B[10], _B[12]], [_B[0], _B[2], _B[4], _B[6]]])
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a finite square matrix: the degree-13 Pade approximant of
+    exp(a / 2^s), squared s times, with s the least that brings ||a||_1 / 2^s
+    to _THETA13 or below."""
+    n = len(a)
+    norm = float(np.abs(a).sum(axis=0).max())
+    if norm == 0.0:
+        return np.eye(n, dtype=a.dtype)   # solving b0 I against b0 I rounds
+    s = max(0, math.ceil(math.log2(norm / _THETA13)))
+    a = a / 2.0 ** s
+    powers = np.empty((4, n, n), dtype=a.dtype)   # I, A2, A4, A6
+    powers[0] = np.eye(n)
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    u_hi, u_lo, v_hi, v_lo = (_PADE_WEIGHTS @ powers.reshape(4, -1)).reshape(4, n, n)
+    u = a @ (powers[3] @ u_hi + u_lo)
+    v = powers[3] @ v_hi + v_lo
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 @dataclass(frozen=True)
@@ -131,21 +169,16 @@ class ChoiEvolution:
     builds, so one evolution is not to be probed from several threads at
     once. The states are validated where their entropies are taken."""
 
-    def __init__(self, model, times, states, sectors):
+    def __init__(self, model, times, states, sectors, norm):
         self.model = model
         self.times = times
         self.states = states
         self._target = np.concatenate([target for *_, target in sectors])
-        dt = float(times[1] - times[0])   # Python floats overflow to inf silently
-        norm = float(max(np.abs(generator).sum(axis=0).max() for generator, *_ in sectors))
-        if not math.isfinite(dt * norm):
-            raise InvalidSubsystemError(f"grid step {dt} overflows ||L|| dt (||L|| = {norm})")
-        self._step = dt / math.ceil(dt * norm)
-        x = norm * self._step / 2   # bounds ||L_q|| |t - k h|, at most 1/2
-        self._order = next(j for j in range(32)
-                           if x ** (j + 1) / math.factorial(j + 1) <= _TAYLOR_TOL)
+        # the anchors k h lie on h = 1 / norm, norm = max_q ||L_q||_1 > 0; kept
+        # as norm, since 1 / norm overflows for a subnormal omega
+        self._norm = norm
         self._sectors = [sector[:3] for sector in sectors]
-        anchor_bytes = 16 * (self._order + 1) * len(self._target)
+        anchor_bytes = 16 * (_ORDER + 1) * len(self._target)
         self._capacity = max(1, min(_ANCHORS, _ANCHOR_BYTES // anchor_bytes))
         self._anchors = {}   # k -> terms, least recently used first
 
@@ -156,35 +189,35 @@ class ChoiEvolution:
         t = float(t)
         if not (math.isfinite(t) and t >= 0):
             raise InvalidSubsystemError(f"t must be finite and >= 0, got {t}")
-        k = round(t / self._step)
+        k = round(t * self._norm)
         # the terms are a function of k alone, so the result does not
         # depend on the cache
         terms = self._anchors.pop(k, None)
         if terms is None:
             while len(self._anchors) >= self._capacity:   # evict before building
                 del self._anchors[next(iter(self._anchors))]
-            terms = _anchor_terms(self._sectors, self._step, self._order, self.model.d, k)
+            terms = _anchor_terms(self._sectors, k / self._norm, self.model.d)
         self._anchors[k] = terms
         d = self.model.d
         blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)
-        blocks[self._target] = (t - k * self._step) ** np.arange(len(terms)) @ terms
+        blocks[self._target] = (t - k / self._norm) ** np.arange(len(terms)) @ terms
         return blocks.reshape(2 * d - 1, d, d)
 
 
-def _anchor_terms(sectors, step: float, order: int, d: int, k: int) -> np.ndarray:
-    """Taylor terms L_q^j exp(L_q k step)[:, units] / j!, j = 0..order, traced
+def _anchor_terms(sectors, t: float, d: int) -> np.ndarray:
+    """Taylor terms L_q^j exp(L_q t)[:, units] / j!, j = 0.._ORDER, traced
     over M and divided by d, for the (L_q, units, rows) of every sector, in
     their concatenated target order."""
-    terms = np.empty((order + 1, sum(len(rows[0]) * len(units) for _, units, rows in sectors)),
+    terms = np.empty((_ORDER + 1, sum(len(rows[0]) * len(units) for _, units, rows in sectors)),
                      dtype=complex)
     start = 0
     for generator, units, rows in sectors:
-        series = [expm(generator * (k * step))[:, units]]
-        for j in range(1, order + 1):
+        series = [_expm(generator * t)[:, units]]
+        for j in range(1, _ORDER + 1):
             series.append(generator @ series[-1] / j)
         series = np.array(series)
         traced = series[:, rows[0]] + series[:, rows[1]]
-        terms[:, start:start + traced[0].size] = traced.reshape(order + 1, -1) / d
+        terms[:, start:start + traced[0].size] = traced.reshape(_ORDER + 1, -1) / d
         start += traced[0].size
     return terms
 
@@ -205,12 +238,16 @@ def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolut
     batch = min(_POWERS, 1 << (n - 1).bit_length())
     n_batch = -(-n // batch)
     sectors = _sectors(model)
+    dt = t_max / (n - 1)   # Python floats overflow to inf silently
+    norm = float(max(np.abs(generator).sum(axis=0).max() for generator, *_ in sectors))
+    if not math.isfinite(dt * norm):   # _expm's scaling takes log2(||L|| dt)
+        raise InvalidSubsystemError(f"grid step {dt} overflows ||L|| dt (||L|| = {norm})")
     states = np.zeros((n, 2 * d - 1, d, d), dtype=complex)
     flat = states.reshape(n, -1)
     for generator, units, rows, target in sectors:
         size = len(generator)
         powers = np.empty((batch + 1, size, size), dtype=complex)
-        powers[0], powers[1] = np.eye(size), expm(generator * (t_max / (n - 1)))
+        powers[0], powers[1] = np.eye(size), _expm(generator * dt)
         m = 1
         while m < batch:   # P^(m+1) .. P^(2m) = (P^1 .. P^m) P^m
             np.matmul(powers[1:m + 1], powers[m], out=powers[m + 1:2 * m + 1])
@@ -223,5 +260,5 @@ def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolut
         out = traced.reshape(-1, size) @ np.concatenate(starts, axis=1)
         out = out.reshape(batch, len(units), n_batch, len(units)).transpose(2, 0, 1, 3)
         flat[:, target] = out.reshape(n_batch * batch, -1)[:n]
-    return ChoiEvolution(model, np.linspace(0.0, t_max, n), states, sectors)
+    return ChoiEvolution(model, np.linspace(0.0, t_max, n), states, sectors, norm)
 

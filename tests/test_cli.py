@@ -57,6 +57,15 @@ def test_import_loads_no_ode_solver():
     assert out.stdout.strip() == "False"
 
 
+def test_import_loads_no_scipy():
+    # scipy.linalg was about 70% of the package's import time and 28 MB of RSS
+    env = {**os.environ, "PYTHONPATH": str(Path(qmemwitness.__file__).resolve().parents[1])}
+    code = "import sys, qmemwitness.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_csv_rows_stream_in_blocks(tmp_path):
     # a generator longer than one block gives the same bytes as joining every line
     out = tmp_path / "x.csv"

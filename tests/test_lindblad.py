@@ -157,6 +157,29 @@ class TestSectors:
                 x = step @ x
 
 
+class TestExponential:
+    """The in-package Pade exponential against scipy's on every sector generator."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("conv", ["spin", "truncated-oscillator"])
+    def test_matches_scipy_expm(self, d, conv):
+        from qmemwitness.lindblad import _expm
+
+        for gamma in (0.0, 0.01, 0.3, 1.0):
+            model = LindbladModel(d=d, omega=1.0, gamma=gamma, convention=conv)
+            for q in range(d):
+                generator = model.sector(q)[1]
+                for t in (12.0 / 2000, 0.37, 3.0, 12.0, 40.0, 120.0):
+                    err = np.abs(_expm(generator * t) - expm(generator * t)).max()
+                    assert err <= (1e-13 if t <= 12.0 else 1e-12), (gamma, q, t, err)
+
+    def test_zero_gives_identity_exactly(self):
+        from qmemwitness.lindblad import _expm
+
+        for n in (1, 4, 6):
+            assert np.array_equal(_expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+
+
 class TestEvolve:
     def test_t0_returns_initial_state_exactly(self):
         model = LindbladModel(d=2, gamma=0.1)
@@ -322,12 +345,13 @@ class TestReducedChoiTrajectory:
         from qmemwitness import lindblad
 
         calls = []
+        exponential = lindblad._expm
 
         def counted(a):
             calls.append(a.shape)
-            return expm(a)
+            return exponential(a)
 
-        monkeypatch.setattr(lindblad, "expm", counted)
+        monkeypatch.setattr(lindblad, "_expm", counted)
         ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=0.1), 12.0, 2001)
         # one exp(L_q dt) per sector q = 0, 1: sizes 4d - 2 and 4
         assert len(ev.states) == 2001
@@ -400,7 +424,7 @@ class TestAnchoredProbes:
         for t in ts:
             assert np.abs(ev.state_at(t) - choi_blocks_via_sector_expm(model, t)).max() <= 1e-13
         if points == 5:
-            assert ev._step < dt
+            assert 1 / ev._norm < dt
 
     def test_probe_is_a_function_of_t_alone(self, rng):
         model = LindbladModel(d=4, omega=1.0, gamma=0.1)
@@ -413,26 +437,33 @@ class TestAnchoredProbes:
             for i in rng.permutation(len(ts)):
                 assert np.array_equal(ev.state_at(ts[i]), fresh[i])
 
+    def test_subnormal_coupling_probes_stay_finite(self):
+        # 1 / max_q ||L_q|| overflows here, so the lattice must not be kept as h
+        ev = evolve_choi(LindbladModel(d=2, omega=1e-310), 12.0, 11)
+        for t in (0.0, 3.3, 12.0):
+            assert np.array_equal(ev.state_at(t), ev.states[0])
+
     def test_anchor_cache_is_bounded(self):
         from qmemwitness.lindblad import _ANCHORS
 
         ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=0.1), 12.0, 2001)
         ts = np.linspace(0.0, 1000.0, 1000)
-        assert len({round(t / ev._step) for t in ts}) == 1000
+        assert len({round(t * ev._norm) for t in ts}) == 1000
         for t in ts:
             ev.state_at(t)
         assert len(ev._anchors) == _ANCHORS
 
-    @pytest.mark.parametrize("limit, kept", [(1, 1), (3 * 5760 + 100, 3)])
-    def test_anchor_cache_is_bounded_in_bytes(self, monkeypatch, limit, kept):
-        # d = 4 at this step keeps 12 Taylor terms of 30 entries, 5760 B per
-        # anchor; one anchor is kept even when it alone is over the limit
+    @pytest.mark.parametrize("kept", [1, 3])
+    def test_anchor_cache_is_bounded_in_bytes(self, monkeypatch, kept):
+        # a limit of one byte keeps one anchor, as one anchor is kept even when
+        # it alone is over the limit; a limit between 3 and 4 anchors keeps 3
         from qmemwitness import lindblad
 
         model = LindbladModel(d=4, omega=1.0, gamma=0.1)
         ts = np.linspace(0.0, 13.0, 40)
         fresh = [evolve_choi(model, 12.0, 201).state_at(t) for t in ts]
-        monkeypatch.setattr(lindblad, "_ANCHOR_BYTES", limit)
+        anchor = 16 * (lindblad._ORDER + 1) * len(evolve_choi(model, 12.0, 201)._target)
+        monkeypatch.setattr(lindblad, "_ANCHOR_BYTES", 1 if kept == 1 else kept * anchor + 100)
         ev = evolve_choi(model, 12.0, 201)
         assert ev._capacity == kept
         for t, state in zip(ts, fresh):
