@@ -48,35 +48,33 @@ class ConfigError(Exception):
     """Invalid command configuration (maps to exit code 2)."""
 
 
-def _fmt(value) -> str:
-    """Fixed CSV formatting: 12 significant digits, lowercase booleans."""
-    if value is None:
-        return "nan"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value + 0.0, ".12g")   # + 0.0 turns -0.0 into 0.0
-    return str(value)
-
-
 # rows formatted and written per block, so no run holds its whole CSV
 _CSV_BLOCK_ROWS = 4096
 
+# per numpy dtype kind, a column's %-field and the Python values of a slice
+_CSV_FIELDS = {
+    "f": ("%.12g", lambda col: (col + 0.0).tolist()),   # + 0.0 turns -0.0 into 0.0
+    "b": ("%s", lambda col: np.where(col, "true", "false").tolist()),
+    "i": ("%d", np.ndarray.tolist),
+    "U": ("%s", np.ndarray.tolist),
+}
 
-def _column_rows(*columns: np.ndarray) -> Iterable[tuple]:
-    """Rows of equally long array columns, converted to Python scalars one
-    `_CSV_BLOCK_ROWS` slice at a time."""
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        yield from zip(*(col[start:start + _CSV_BLOCK_ROWS].tolist() for col in columns))
 
-
-def _write_csv(path: str, header: list[str], rows: Iterable) -> None:
-    rows = iter(rows)
+def _write_csv(path: str, header: list[str], blocks: Iterable[tuple]) -> None:
+    """Write `header`, then the rows of each tuple of equally long float, bool,
+    int or str columns in `blocks`: per `_CSV_BLOCK_ROWS` slice, each column
+    is converted once and the slice is formatted by one %-template."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
-            fh.write("".join(",".join(_fmt(v) for v in row) + "\n" for row in block)
-                     .encode("ascii"))
+        for columns in blocks:
+            columns = [np.asarray(col) for col in columns]
+            fields = [_CSV_FIELDS[col.dtype.kind] for col in columns]
+            line = ",".join(field for field, _ in fields) + "\n"
+            for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                values = [convert(col[start:start + _CSV_BLOCK_ROWS])
+                          for col, (_, convert) in zip(columns, fields)]
+                fh.write(((line * len(values[0])) % tuple(
+                    itertools.chain.from_iterable(zip(*values)))).encode("ascii"))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -235,8 +233,8 @@ def _cmd_qudit_trace(cfg: dict) -> int:
     except ExtremumNotFoundError as exc:
         # no witness pair on this window; still emit the entropy curves
         sidecar.update({"report": None, "error": str(exc)})
-    rows = _column_rows(traj.times, traj.s_system, traj.neg_cond_sa, traj.neg_cond_as)
-    _write_csv(cfg["output"], ["t", "S_S", "neg_S_cond_SA", "neg_S_cond_AS"], rows)
+    _write_csv(cfg["output"], ["t", "S_S", "neg_S_cond_SA", "neg_S_cond_AS"],
+               [(traj.times, traj.s_system, traj.neg_cond_sa, traj.neg_cond_as)])
     _write_json(_sidecar_path(cfg["output"]), sidecar)
     return 0
 
@@ -265,10 +263,14 @@ def _cmd_qudit_scan(cfg: dict) -> int:
     ratios = np.linspace(cfg["ratio_min"], cfg["ratio_max"], cfg["ratio_points"])
     rows = scan_qudit(cfg["d_list"], ratios.tolist(), convention=cfg["convention"],
                       t_max=cfg["t_max"], n_points=cfg["points"], progress=_progress)
+    # None (a failed cell) becomes NaN and prints as nan
+    floats = np.array([(row.gamma_over_omega, row.t1, row.t2, row.delta_s) for row in rows],
+                      dtype=float)
     _write_csv(cfg["output"],
                ["d", "gamma_over_omega", "t1", "t2", "delta_S", "detected", "error"],
-               ((row.d, row.gamma_over_omega, row.t1, row.t2, row.delta_s, row.detected,
-                 "" if row.error is None else row.error.replace(",", ";")) for row in rows))
+               [([row.d for row in rows], *floats.T,
+                 [{None: "nan", True: "true", False: "false"}[row.detected] for row in rows],
+                 ["" if row.error is None else row.error.replace(",", ";") for row in rows])])
     return 3 if all(row.error is not None for row in rows) else 0
 
 
@@ -299,18 +301,17 @@ def _cmd_gauss_lossy(cfg: dict) -> int:
     e1, e2 = np.repeat(etas, n), np.tile(etas, n)   # eta1-major rows
     r_star, ds = gaussian.minimize_delta_S_over_r(e1, e2, r_min=cfg["r_min"],
                                                   r_max=cfg["r_max"])
-    _write_csv(cfg["output"], ["eta1", "eta2", "delta_S_min", "r_star"],
-               _column_rows(e1, e2, ds, r_star))
+    _write_csv(cfg["output"], ["eta1", "eta2", "delta_S_min", "r_star"], [(e1, e2, ds, r_star)])
 
     if fixed_r:
         rs = np.array(fixed_r, dtype=float)
         ds_r = gaussian.delta_S_lossy(e1, e2, rs[:, None])   # (r, cell)
-        rows_r = itertools.chain.from_iterable(
-            _column_rows(e1, e2, np.full(e1.size, r), ds_row, ds_row < 0)
-            for r, ds_row in zip(rs, ds_r))
+        # one block of columns per r, made as it is written
+        blocks_r = ((e1, e2, np.full(e1.size, r), ds_row, ds_row < 0)
+                    for r, ds_row in zip(rs, ds_r))
         stem = Path(cfg["output"])
         path_r = str(stem.with_name(stem.stem + "_fixed_r" + stem.suffix))
-        _write_csv(path_r, ["eta1", "eta2", "r", "delta_S", "negative"], rows_r)
+        _write_csv(path_r, ["eta1", "eta2", "r", "delta_S", "negative"], blocks_r)
     return 0
 
 
@@ -344,12 +345,8 @@ def _cmd_gauss_dho(cfg: dict) -> int:
     etas = np.clip(1.0 - abs_sq, 0.0, 1.0)
     columns = (amp.times, amp.c.real, amp.c.imag, abs_sq, etas, amp.gamma_t, amp.omega_t,
                np.isnan(amp.gamma_t))
-    _write_csv(
-        cfg["output"],
-        ["t", "re_c", "im_c", "abs_c_sq", "eta", "gamma_t", "omega_t",
-         "amplitude_vanished"],
-        _column_rows(*columns),
-    )
+    _write_csv(cfg["output"], ["t", "re_c", "im_c", "abs_c_sq", "eta", "gamma_t", "omega_t",
+                               "amplitude_vanished"], [columns])
 
     pair = gaussian.first_loss_reversal(etas)
     sidecar = _sidecar("gauss-dho", cfg)

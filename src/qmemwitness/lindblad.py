@@ -184,11 +184,11 @@ class ChoiEvolution:
 
     def state_at(self, t: float) -> np.ndarray:
         """S-A state as padded blocks (2d-1, d, d) at time t, summed from the
-        Taylor terms of the nearest anchor; t must be finite and >= 0
-        (InvalidSubsystemError otherwise)."""
+        Taylor terms of the nearest anchor; t must be >= 0 with ||L|| t finite
+        and the map at t representable (InvalidSubsystemError otherwise)."""
         t = float(t)
-        if not (math.isfinite(t) and t >= 0):
-            raise InvalidSubsystemError(f"t must be finite and >= 0, got {t}")
+        if not (math.isfinite(t * self._norm) and t >= 0):
+            raise InvalidSubsystemError(f"t must be >= 0 with ||L|| t finite, got {t}")
         k = round(t * self._norm)
         # the terms are a function of k alone, so the result does not
         # depend on the cache
@@ -196,7 +196,10 @@ class ChoiEvolution:
         if terms is None:
             while len(self._anchors) >= self._capacity:   # evict before building
                 del self._anchors[next(iter(self._anchors))]
-            terms = _anchor_terms(self._sectors, k / self._norm, self.model.d)
+            with np.errstate(over="ignore", invalid="ignore"):   # checked below
+                terms = _anchor_terms(self._sectors, k / self._norm, self.model.d)
+            if not np.isfinite(terms).all():   # exp(L_q k h) overflowed; not cached
+                raise InvalidSubsystemError(f"the map at t = {t} overflows")
         self._anchors[k] = terms
         d = self.model.d
         blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qmemwitness
 from qmemwitness import cli, delta_S_lossy, max_entangled_state, minimize_delta_S_over_r
@@ -67,12 +70,81 @@ def test_import_loads_no_scipy():
 
 
 def test_csv_rows_stream_in_blocks(tmp_path):
-    # a generator longer than one block gives the same bytes as joining every line
+    # columns longer than two blocks give the same bytes as joining every line
     out = tmp_path / "x.csv"
-    _write_csv(out, ["k", "third", "odd"], ((k, k / 3, k % 2 == 1) for k in range(10000)))
+    k = np.arange(10000)
+    _write_csv(out, ["k", "third", "odd"], [(k, k / 3, k % 2 == 1)])
     lines = ["k,third,odd"] + [f"{k},{k / 3:.12g},{str(k % 2 == 1).lower()}"
                                for k in range(10000)]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _old_csv_value(value) -> str:
+    """The per-value CSV rule the columnar writer must reproduce."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value + 0.0, ".12g")
+    return str(value)
+
+
+_CSV_KINDS = {
+    "float": st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                       -1e-308, 1e308, math.nan, -math.inf]),
+    "bool": st.booleans(),
+    "int": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "str": st.text(string.ascii_letters + string.digits + " ;%-._()", max_size=12),
+}
+
+
+@st.composite
+def _csv_blocks(draw):
+    """Column kinds, then blocks of rows of those kinds (as columns and as rows)."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CSV_KINDS)), min_size=1, max_size=6))
+    blocks = draw(st.lists(st.lists(st.tuples(*(_CSV_KINDS[k] for k in kinds)), max_size=12),
+                           min_size=1, max_size=3))
+    dtypes = {"float": float, "bool": bool, "int": np.int64, "str": str}
+    columns = [tuple(np.array([row[i] for row in rows], dtype=dtypes[kind])
+                     for i, kind in enumerate(kinds)) for rows in blocks if rows]
+    return kinds, blocks, columns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_csv_blocks())
+def test_csv_columns_follow_the_per_value_rule(tmp_path, case):
+    # NaN, +-inf, -0.0, subnormals and extreme magnitudes, mixed with bools,
+    # ints and strings holding "%", across slices of 5 rows
+    kinds, blocks, columns = case
+    out = tmp_path / "x.csv"
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 5):
+        _write_csv(out, kinds, columns)
+    lines = [",".join(kinds)] + [",".join(map(_old_csv_value, row))
+                                 for rows in blocks for row in rows]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_csv_block_size_leaves_every_command_unchanged(tmp_path, monkeypatch):
+    # slices of 7 rows cut the trace, the scan, each fixed-r block and the
+    # DHO columns elsewhere than the default block size does
+    commands = [
+        ["qudit-trace", "--d", 2, "--t-max", 8, "--points", 101, "--output", "trace.csv"],
+        ["qudit-scan", "--d-list", "2,3", "--ratio-min", 0.05, "--ratio-max", 0.6,
+         "--ratio-points", 5, "--t-max", 8, "--points", 101, "--output", "scan.csv"],
+        ["gauss-lossy", "--eta-points", 5, "--fixed-r", "0.5,1,2", "--output", "lossy.csv"],
+        ["gauss-dho", "--points", 101, "--output", "dho.csv"],
+    ]
+    written = {}
+    for block_rows in (cli._CSV_BLOCK_ROWS, 7):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        out = tmp_path / str(block_rows)
+        out.mkdir()
+        for argv in commands:
+            assert run(argv[:-1] + [out / argv[-1]]) == 0
+        written[block_rows] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(written[7]) == 7   # four CSVs, the fixed-r CSV and two sidecars
+    assert written[7] == written[cli._CSV_BLOCK_ROWS]
 
 
 class TestQuditTrace:
@@ -253,6 +325,15 @@ class TestQuditScan:
         for row in rows:
             assert row[5] == "true"
             assert float(row[4]) < 0
+
+    def test_all_cells_failing_prints_nan_rows(self, tmp_path):
+        # no cell finds a witness pair: every row prints nan and its error, exit 3
+        out = tmp_path / "scan.csv"
+        assert run(["qudit-scan", "--d-list", 2, "--ratio-min", 0, "--ratio-max", 50,
+                    "--ratio-points", 3, "--t-max", 0.5, "--points", 11, "--output", out]) == 3
+        assert out.read_text().splitlines()[1:] == [
+            f"2,{ratio},nan,nan,nan,nan,no interior local minimum of s_system"
+            for ratio in (0, 25, 50)]
 
     def test_empty_d_list_is_config_error(self, tmp_path):
         assert run(["qudit-scan", "--d-list", "", "--output",

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,24 @@ class TestChannelSuperoperator:
         for t in (math.nan, -1.0, -1e-300, math.inf):
             with pytest.raises(InvalidSubsystemError):
                 ev.state_at(t)
+
+    def test_rejects_time_whose_anchor_index_overflows(self):
+        # ||L|| t is infinite although t is finite: no anchor index exists
+        ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=0.1), 2.0, 2)
+        for t in (1e308, sys.float_info.max):
+            with pytest.raises(InvalidSubsystemError, match="finite"):
+                ev.state_at(t)
+
+    def test_overflowing_anchor_is_rejected_and_not_cached(self):
+        # at gamma = 0 the squarings of exp(L t) overflow long before ||L|| t does
+        ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=0.0), 2.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSubsystemError, match="overflows"):
+                ev.state_at(1e200)
+        assert ev._anchors == {}
+        assert np.abs(ev.state_at(ev.times[4]) - ev.states[4]).max() <= 1e-13
+        assert len(ev._anchors) == 1
 
 
 class TestAnchoredProbes:
