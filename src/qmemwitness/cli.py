@@ -193,13 +193,14 @@ def _require_memory(need: int, what: str, formula: str) -> None:
 
 
 def _require_qudit_budget(d: int, points: int) -> None:
-    # the (points, 2d-1, d, d) complex Choi blocks with their validation
+    # the (points, d, d, d) real Choi blocks with their validation
     # temporaries, the output rows, and the powers of a 4d-2 state sector;
-    # the anchors that state_at caches later, max(64 MiB, 86 (d+1)^3) and
-    # at most 4 of them, fit in the 48 KiB d^2 term for every admitted d
-    _require_memory(20 * (2 * d - 1) * d * d * points + _KIB * points + 48 * _KIB * d * d
-                    + 8 * _MIB, f"d={d} with {points} points",
-                    "20 (2d - 1) d^2 points + 1 KiB points + 48 KiB d^2 + 8 MiB")
+    # the anchors that state_at caches later, 128 d (d+1) (d+2) / 6 bytes
+    # each, at most 4 and more than one only within 64 MiB, fit in the
+    # 24 KiB d^2 term for every admitted d
+    _require_memory(10 * d ** 3 * points + _KIB * points + 24 * _KIB * d * d + 8 * _MIB,
+                    f"d={d} with {points} points",
+                    "10 d^3 points + 1 KiB points + 24 KiB d^2 + 8 MiB")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +468,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of all five commands, where only `command`'s subparser
+    has its flags: the others are listed but never parsed in this call."""
     parser = argparse.ArgumentParser(
         prog="qmemwitness",
         description="Quantum-memory witness computations for open-system dynamics.",
@@ -475,6 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (spec, _handler, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
+        if name != command:
+            continue
         p.add_argument("--config", default=None,
                        help="JSON config file (schema_version 1); flags override it")
         for param, (default, _convert, help_str) in spec.items():
@@ -485,8 +490,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no flag but --help, so a command comes first
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     spec, handler, _ = _COMMANDS[args.command]
     try:
         return handler(_merge_config(args, spec))

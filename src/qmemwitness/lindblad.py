@@ -7,10 +7,13 @@ by D[1_S (x) sigma_-]; the reduced map Lambda_t(X) = Tr_M exp(L t)
 N = n_S + n_M, so it splits into blocks L_q of at most 4d - 2 states (Buca &
 Prosen, New J. Phys. 14, 073007 (2012)). |i><j| (x) |0><0|_M lies in sector
 i - j and the sectors q < 0 are the adjoints of q > 0, so only q = 0..d-1
-are evolved, with an in-package degree-13 Pade exponential (scaling and
-squaring, Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): `evolve_choi`
-steps a uniform grid with exp(L_q dt). `ChoiEvolution.state_at` evaluates
-any single t >= 0 from the nearest anchor k h on the lattice
+are evolved, each in the gauge rho -> V rho V^dag, V = i^(n_M), where L_q
+is real: the units |j+q,0><j,0| and the rows summed over M have equal
+memory levels on both sides, which V leaves unchanged, so the engine runs
+in float64. An in-package degree-13 Pade exponential (scaling and squaring,
+Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) gives exp(L_q dt), with
+which `evolve_choi` steps a uniform grid. `ChoiEvolution.state_at`
+evaluates any single t >= 0 from the nearest anchor k h on the lattice
 h = 1 / max_q ||L_q||_1: the anchor holds the Taylor terms
 L_q^j exp(L_q k h) / j! of the evolved columns, traced over M, so a probe is
 one polynomial in t - k h (the truncated-Taylor action of the exponential,
@@ -18,8 +21,11 @@ Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). No L_q is
 diagonalized (L is nearly defective under the spin convention).
 
 The map is phase covariant, so the S (x) A Choi state is block diagonal in
-k = n_S - n_A. It is kept as padded blocks (..., 2d-1, d, d): block k + d - 1
-holds <a, a-k| rho |b, b-k> at row a, column b <= a, and zeros elsewhere.
+n_S - n_A. H conserves n_S + n_M, the jump lowers n_M and M starts in |0>,
+so <a| Lambda(|i><j|) |b> vanishes unless a <= i and b <= j: only the d
+blocks m = n_A - n_S >= 0 fill. They are kept as real blocks (..., d, d, d):
+block m holds <a, a+m| rho |b, b+m> at row a, column b <= a < d - m, and
+zeros elsewhere (block d - 1 is a 1x1 corner).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidSubsystemError
-from .states import DEFAULT_CONVENTION, CONVENTIONS, ladder_operators
+from .states import CONVENTIONS, DEFAULT_CONVENTION, TRACE_TOL, ladder_operators
 
 # stacked propagator powers P^0 .. P^(_POWERS - 1) produce up to that many
 # grid states of a sector with one product
@@ -113,27 +119,32 @@ class LindbladModel:
 
     def sector(self, q: int) -> tuple[np.ndarray, np.ndarray]:
         """(ket, bra) pairs of basis indices 2 n_S + n_M in sector q, shape
-        (n, 2) in row-major vec order, and the generator L_q on them:
-        d rho / dt = -i [H, rho] + gamma (X rho X^dag - {X^dag X, rho} / 2)."""
+        (n, 2) in row-major vec order, and the real generator L_q on them,
+        d rho / dt = -i [H, rho] + gamma (X rho X^dag - {X^dag X, rho} / 2)
+        in the gauge rho -> V rho V^dag, V = i^(n_M), which multiplies the
+        entry of rho at pair (k, b) by i^(m_k) (-i)^(m_b) (m: memory levels)."""
         d, n = self.d, 2 * self.d
         s = np.arange(d - 1)
-        # H - i gamma/2 |1><1|_M, and the jump X = sum_s |s,0><s,1|
-        h_eff = np.diag(np.tile([0.0, -0.5j * self.gamma], d))
-        j_plus = ladder_operators(d, self.convention)[0]
-        h_eff[2 * s + 2, 2 * s + 1] = h_eff[2 * s + 1, 2 * s + 2] = self.omega * j_plus[s + 1, s]
+        # -i V H_eff V^dag for H_eff = H - i gamma/2 |1><1|_M, and the jump
+        # X = sum_s |s,0><s,1|, which V leaves real
+        rate = np.diag(np.tile([0.0, -0.5 * self.gamma], d))
+        exchange = self.omega * ladder_operators(d, self.convention)[0].real[s + 1, s]
+        rate[2 * s + 1, 2 * s + 2], rate[2 * s + 2, 2 * s + 1] = exchange, -exchange
         jump = np.eye(n, k=1) * (np.arange(n) % 2 == 0)[:, None]
         excitations = np.arange(n) // 2 + np.arange(n) % 2
         ket, bra = np.nonzero(excitations[:, None] - excitations == q)
         k, b = ket[:, None], bra[:, None]
         return np.stack([ket, bra], axis=1), (
-            -1j * h_eff[k, ket] * (b == bra) + 1j * (k == ket) * h_eff[b, bra].conj()
+            rate[k, ket] * (b == bra) + (k == ket) * rate[b, bra]
             + self.gamma * jump[k, ket] * jump[b, bra])
 
 
 def _sectors(model: LindbladModel) -> list[tuple]:
     """Per sector q = 0..d-1: L_q, the positions of |j+q,0><j,0| (the
-    evolved columns), of |a,0><a-q,0| and |a,1><a-q,1| (summed over M), and
-    of <a| Lambda(|j+q><j|) |a-q> in the flat padded blocks (rows a, columns j)."""
+    evolved columns), of |a,0><a-q,0| and |a,1><a-q,1| (summed over M), the
+    (a - q, j) pairs with a <= j + q, whose entries <a| Lambda(|j+q><j|) |a-q>
+    are the ones that can fill, and their places in the flat blocks: block
+    j + q - a, row a, column a - q."""
     d = model.d
     out = []
     for q in range(d):
@@ -141,29 +152,28 @@ def _sectors(model: LindbladModel) -> list[tuple]:
         pos = np.full((2 * d, 2 * d), -1)
         pos[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
         j, a = np.arange(d - q), np.arange(q, d)
-        row = a[:, None]
+        row, col = np.triu_indices(d - q)
         out.append((generator, pos[2 * (j + q), 2 * j],
-                    (pos[2 * a, 2 * (a - q)], pos[2 * a + 1, 2 * (a - q) + 1]),
-                    (((row - j - q + d - 1) * d + row) * d + row - q).ravel()))
+                    (pos[2 * a, 2 * (a - q)], pos[2 * a + 1, 2 * (a - q) + 1]), (row, col),
+                    ((col - row) * d + row + q) * d + row))
     return out
 
 
 def dense_choi(blocks: np.ndarray) -> np.ndarray:
-    """Dense S (x) A matrices (..., d^2, d^2) from padded Choi blocks
-    (..., 2d-1, d, d); the upper triangle is filled by Hermiticity."""
+    """Dense S (x) A matrices (..., d^2, d^2) from the real Choi blocks
+    (..., d, d, d); the upper triangle is filled by symmetry."""
     d = blocks.shape[-1]
-    k = np.arange(2 * d - 1)[:, None] - (d - 1)
-    level = (np.arange(d) >= k) & (np.arange(d) < d + k)   # a - k is a level of A
-    blk, a, b = np.nonzero(level[:, :, None] & level[:, None, :])
-    hermitian = blocks + np.tril(blocks, -1).swapaxes(-1, -2).conj()
-    dense = np.zeros(blocks.shape[:-3] + (d * d, d * d), dtype=complex)
-    dense[..., a * (d + 1) - blk + d - 1, b * (d + 1) - blk + d - 1] = hermitian[..., blk, a, b]
+    levels = np.arange(d)
+    blk, a, b = np.nonzero(levels[:, None, None] + np.maximum.outer(levels, levels) < d)
+    symmetric = blocks + np.tril(blocks, -1).swapaxes(-1, -2)
+    dense = np.zeros(blocks.shape[:-3] + (d * d, d * d))
+    dense[..., a * (d + 1) + blk, b * (d + 1) + blk] = symmetric[..., blk, a, b]
     return dense
 
 
 class ChoiEvolution:
-    """Choi states (padded blocks) of the reduced dynamics, from `evolve_choi`:
-    `states[k]`, shape (T, 2d-1, d, d), is half of |Phi+>_SA sent through the
+    """Choi states (real blocks) of the reduced dynamics, from `evolve_choi`:
+    `states[k]`, shape (T, d, d, d), is half of |Phi+>_SA sent through the
     map at `times[k]`; `state_at` evaluates the map exactly at any t >= 0,
     on the grid, between its points or beyond it, and caches what it
     builds, so one evolution is not to be probed from several threads at
@@ -177,13 +187,14 @@ class ChoiEvolution:
         # the anchors k h lie on h = 1 / norm, norm = max_q ||L_q||_1 > 0; kept
         # as norm, since 1 / norm overflows for a subnormal omega
         self._norm = norm
-        self._sectors = [sector[:3] for sector in sectors]
-        anchor_bytes = 16 * (_ORDER + 1) * len(self._target)
+        self._sectors = [sector[:4] for sector in sectors]
+        self._diagonal = len(sectors[0][-1])   # sector 0, first, holds the diagonal
+        anchor_bytes = 8 * (_ORDER + 1) * len(self._target)
         self._capacity = max(1, min(_ANCHORS, _ANCHOR_BYTES // anchor_bytes))
         self._anchors = {}   # k -> terms, least recently used first
 
     def state_at(self, t: float) -> np.ndarray:
-        """S-A state as padded blocks (2d-1, d, d) at time t, summed from the
+        """S-A state as real blocks (d, d, d) at time t, summed from the
         Taylor terms of the nearest anchor; t must be >= 0 with ||L|| t finite
         and the map at t representable (InvalidSubsystemError otherwise)."""
         t = float(t)
@@ -200,28 +211,32 @@ class ChoiEvolution:
                 terms = _anchor_terms(self._sectors, k / self._norm, self.model.d)
             if not np.isfinite(terms).all():   # exp(L_q k h) overflowed; not cached
                 raise InvalidSubsystemError(f"the map at t = {t} overflows")
+            # the rounding of exp(L_q k h) grows with ||L|| k h and drains
+            # the trace long before it overflows; such an anchor is not cached
+            err = abs(terms[0, :self._diagonal].sum() - 1.0)
+            if not err <= TRACE_TOL:
+                raise InvalidSubsystemError(f"the map at t = {t} loses {err:.3e} of its trace")
         self._anchors[k] = terms
         d = self.model.d
-        blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)
+        blocks = np.zeros(d ** 3)
         blocks[self._target] = (t - k / self._norm) ** np.arange(len(terms)) @ terms
-        return blocks.reshape(2 * d - 1, d, d)
+        return blocks.reshape(d, d, d)
 
 
 def _anchor_terms(sectors, t: float, d: int) -> np.ndarray:
     """Taylor terms L_q^j exp(L_q t)[:, units] / j!, j = 0.._ORDER, traced
-    over M and divided by d, for the (L_q, units, rows) of every sector, in
-    their concatenated target order."""
-    terms = np.empty((_ORDER + 1, sum(len(rows[0]) * len(units) for _, units, rows in sectors)),
-                     dtype=complex)
+    over M and divided by d, for the (L_q, units, rows, pairs) of every
+    sector, in their concatenated target order."""
+    terms = np.empty((_ORDER + 1, sum(len(row) for *_, (row, _col) in sectors)))
     start = 0
-    for generator, units, rows in sectors:
+    for generator, units, rows, (row, col) in sectors:
         series = [_expm(generator * t)[:, units]]
         for j in range(1, _ORDER + 1):
             series.append(generator @ series[-1] / j)
         series = np.array(series)
-        traced = series[:, rows[0]] + series[:, rows[1]]
-        terms[:, start:start + traced[0].size] = traced.reshape(_ORDER + 1, -1) / d
-        start += traced[0].size
+        terms[:, start:start + len(row)] = (series[:, rows[0][row], col]
+                                            + series[:, rows[1][row], col]) / d
+        start += len(row)
     return terms
 
 
@@ -245,23 +260,22 @@ def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolut
     norm = float(max(np.abs(generator).sum(axis=0).max() for generator, *_ in sectors))
     if not math.isfinite(dt * norm):   # _expm's scaling takes log2(||L|| dt)
         raise InvalidSubsystemError(f"grid step {dt} overflows ||L|| dt (||L|| = {norm})")
-    states = np.zeros((n, 2 * d - 1, d, d), dtype=complex)
+    states = np.zeros((n, d, d, d))
     flat = states.reshape(n, -1)
-    for generator, units, rows, target in sectors:
-        size = len(generator)
-        powers = np.empty((batch + 1, size, size), dtype=complex)
+    for generator, units, rows, (row, col), target in sectors:
+        size, width = len(generator), len(units)
+        powers = np.empty((batch + 1, size, size))
         powers[0], powers[1] = np.eye(size), _expm(generator * dt)
         m = 1
         while m < batch:   # P^(m+1) .. P^(2m) = (P^1 .. P^m) P^m
             np.matmul(powers[1:m + 1], powers[m], out=powers[m + 1:2 * m + 1])
             m *= 2
         # the columns at the start of every batch of grid steps
-        starts = [np.eye(size, dtype=complex)[:, units]]
-        for _ in range(n_batch - 1):
-            starts.append(powers[batch] @ starts[-1])
-        traced = (powers[:batch, rows[0]] + powers[:batch, rows[1]]) / d
-        out = traced.reshape(-1, size) @ np.concatenate(starts, axis=1)
-        out = out.reshape(batch, len(units), n_batch, len(units)).transpose(2, 0, 1, 3)
-        flat[:, target] = out.reshape(n_batch * batch, -1)[:n]
+        starts = np.empty((n_batch, size, width))
+        starts[0] = np.eye(size)[:, units]
+        for i in range(1, n_batch):
+            np.matmul(powers[batch], starts[i - 1], out=starts[i])
+        traced = (powers[:batch, rows[0]] + powers[:batch, rows[1]]).reshape(-1, size) / d
+        out = (traced @ starts).reshape(n_batch * batch, width, width)
+        flat[:, target] = out[:n, row, col]
     return ChoiEvolution(model, np.linspace(0.0, t_max, n), states, sectors, norm)
-

@@ -206,43 +206,42 @@ def entropy_arrays(
 
 def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`entropy_arrays` for Choi states of trace-preserving, phase-covariant
-    maps, as padded blocks (T, 2d-1, d, d) laid out as in `lindblad` (lower
-    triangles read). The marginals are diagonal, so only the joint spectrum
-    takes eigensolves: block k + d - 1 at its true size d - |k|, each a
-    strided view stacked over T (no copy), and the 1x1 corners read from
-    the diagonal; entries outside the true blocks (the padding) are read
-    only for finiteness. Hermiticity is checked on the block diagonals (the
-    rest is Hermitian by construction) and rho_A against I/d, at the
-    tolerances of `entropy_arrays`.
+    maps that never raise the excitation, as real blocks (T, d, d, d) laid
+    out as in `lindblad` (lower triangles read). The marginals are
+    diagonal, so only the joint spectrum takes eigensolves: block m at its
+    true size d - m, each a strided view stacked over T (no copy), and the
+    1x1 corner m = d - 1 read from the diagonal; entries outside the true
+    blocks (the padding) are read only for finiteness and realness. A
+    complex stack is read as its real part when no imaginary part exceeds
+    half the Hermiticity tolerance (on a diagonal entry, |A - A^dag| is
+    twice it); trace and rho_A = I/d are checked at the tolerances of
+    `entropy_arrays`.
     """
-    arr = np.asarray(blocks, dtype=complex)
+    arr = np.asarray(blocks)
     d = arr.shape[-1] if arr.ndim == 4 else 0
-    if d < 2 or arr.shape[1:] != (2 * d - 1, d, d):
-        raise InvalidSubsystemError(f"block stack shape {arr.shape} is not (T, 2d-1, d, d)")
+    if d < 2 or arr.shape[1:] != (d, d, d):
+        raise InvalidSubsystemError(f"block stack shape {arr.shape} is not (T, d, d, d)")
     if not np.isfinite(arr).all():
         raise InvalidStateError("matrix has non-finite entries")
+    if np.iscomplexobj(arr):
+        imag = 2 * np.abs(arr.imag).max(initial=0.0)
+        if not imag <= HERMITICITY_TOL:
+            raise InvalidStateError(f"not real: 2 max |Im| = {imag:.3e}")
+        arr = arr.real
     diag = arr.diagonal(axis1=-2, axis2=-1)
-    levels = np.arange(d)   # <a, i| rho |a, i> sits in block a - i + d - 1 at row a
-    true = (slice(None), levels[:, None] + levels, levels)   # [:, m, a] at i = d - 1 - m
-    probs = diag.real[true]
-    # C order pins the summation order of the entropy taken over it
-    p_sys = np.ascontiguousarray(probs.sum(axis=1))
-    p_anc = probs[:, ::-1].sum(axis=-1)
-    herm = 2 * np.abs(diag.imag[true]).max(initial=0.0)
-    if not herm <= HERMITICITY_TOL:
-        raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm:.3e}")
+    a, i = np.triu_indices(d)
+    probs = np.zeros((len(arr), d, d))   # [:, a, i] = <a, i| rho |a, i>, zero for a > i
+    probs[:, a, i] = diag[:, i - a, a]
+    p_sys, p_anc = probs.sum(axis=-1), probs.sum(axis=1)
     err = np.abs(p_sys.sum(axis=-1) - 1.0).max(initial=0.0)
     if not err <= TRACE_TOL:
         raise InvalidStateError(f"trace deviates from 1 by {err:.3e}")
     err = np.abs(p_anc - 1.0 / d).max(initial=0.0)
     if not err <= TRACE_TOL:
         raise InvalidStateError(f"ancilla marginal deviates from I/d by {err:.3e}")
-    # block k + d - 1 holds the levels max(k, 0) .. min(d, d + k) - 1; the
-    # 1x1 corners k = -(d-1), d-1 are their own eigenvalues
-    spectra = [diag.real[:, [0, -1], [0, -1]]]
-    for k in range(2 - d, d - 1):
-        lvl = slice(max(k, 0), min(d, d + k))
-        spectra.append(np.linalg.eigvalsh(arr[:, k + d - 1, lvl, lvl], UPLO="L"))
+    spectra = [diag[:, d - 1, :1]]
+    for m in range(d - 1):
+        spectra.append(np.linalg.eigvalsh(arr[:, m, :d - m, :d - m], UPLO="L"))
     w = np.concatenate(spectra, axis=1)
     lo = min(x.min(initial=np.inf) for x in (p_sys, p_anc, w))
     if lo < EIGENVALUE_FLOOR:

@@ -19,7 +19,6 @@ from qmemwitness import (
     cp_check,
 )
 from qmemwitness.gaussian import SQUEEZING_MAX
-from qmemwitness.lindblad import _sectors
 
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = SIGMA_PLUS.conj().T
@@ -94,14 +93,32 @@ def choi_via_dense_liouvillian(d, omega, gamma, convention, t):
 
 
 def choi_blocks_via_sector_expm(model, t):
-    """Padded Choi blocks (2d-1, d, d) at time t from one scipy
-    expm(L_q t) per sector q = 0..d-1, with no Taylor series."""
-    d = model.d
-    blocks = np.zeros((2 * d - 1) * d * d, dtype=complex)
-    for generator, units, rows, target in _sectors(model):
-        p = expm(generator * t)[:, units]
-        blocks[target] = (p[rows[0]] + p[rows[1]]).ravel()
-    return blocks.reshape(2 * d - 1, d, d) / d
+    """Real Choi blocks (d, d, d) at time t from one scipy expm(L_q t) per
+    sector q = 0..d-1 of the kron-built generator (complex, ungauged), with
+    no Taylor series: <a| Lambda(|j+q><j|) |a-q> / d, summed over M by loops,
+    goes to block j + q - a, row a, column a - q for every a <= j + q."""
+    d, n = model.d, 2 * model.d
+    dense = liouvillian_dense(d, model.omega, model.gamma, model.convention)
+    orders = coherence_orders(d)
+    blocks = np.zeros((d, d, d), dtype=complex)
+    for q in range(d):
+        flat = np.flatnonzero(orders == q)
+        pos = {v: p for p, v in enumerate(flat)}
+        prop = expm(dense[np.ix_(flat, flat)] * t)
+        for j in range(d - q):
+            image = prop[:, pos[2 * (j + q) * n + 2 * j]]
+            for a in range(q, j + q + 1):
+                blocks[j + q - a, a, a - q] = sum(
+                    image[pos[(2 * a + m) * n + 2 * (a - q) + m]] for m in (0, 1)) / d
+    assert not blocks.imag.any()
+    return blocks.real
+
+
+def sector_phase(pairs: np.ndarray) -> np.ndarray:
+    """i^(m_ket) (-i)^(m_bra) of each (ket, bra) pair of S (x) M basis indices
+    2 n_S + n_M, exactly: the sector generator's gauge is p L p^*."""
+    memory = pairs % 2
+    return np.where(memory[:, 0], 1j, 1.0) * np.where(memory[:, 1], -1j, 1.0)
 
 
 def coherence_orders(d: int) -> np.ndarray:

@@ -209,18 +209,18 @@ class TestQuditTrace:
         assert not out.exists() and not out.with_suffix(".json").exists()
 
     def test_over_memory_budget_is_config_error(self, tmp_path, capsys):
-        # 20 (2d - 1) d^2 points + 1 KiB points + 48 KiB d^2 + 8 MiB: d=200
-        # would need 2.73 GiB
+        # 10 d^3 points + 1 KiB points + 24 KiB d^2 + 8 MiB: d=300 would
+        # need 2.82 GiB
         out = tmp_path / "x.csv"
-        assert run(["qudit-trace", "--d", 200, "--points", 3, "--output", out]) == 2
-        assert "needs about 2.73 GiB" in capsys.readouterr().err
+        assert run(["qudit-trace", "--d", 300, "--points", 3, "--output", out]) == 2
+        assert "needs about 2.82 GiB" in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_counts_more_than_the_trajectory(self, tmp_path, capsys):
-        # the Choi blocks alone (1.77 GiB) would fit, the run's working set would not
+        # the Choi blocks alone (1.83 GiB) would fit, the run's working set would not
         out = tmp_path / "x.csv"
-        assert run(["qudit-trace", "--d", 16, "--points", 15001, "--output", out]) == 2
-        assert "d=16 with 15001 points needs about 2.25 GiB" in capsys.readouterr().err
+        assert run(["qudit-trace", "--d", 16, "--points", 60001, "--output", out]) == 2
+        assert "d=16 with 60001 points needs about 2.36 GiB" in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_admits_d16_and_rejects_oversize_d_before_computing(
@@ -236,14 +236,14 @@ class TestQuditTrace:
         with pytest.raises(KeyboardInterrupt):
             run(["qudit-trace", "--d", 16, "--points", 2001, "--output", out])
         assert reached == [16]
-        assert run(["qudit-trace", "--d", 30, "--points", 2001, "--output", out]) == 2
-        assert "d=30 with 2001 points needs about 2.03 GiB" in capsys.readouterr().err
+        assert run(["qudit-trace", "--d", 48, "--points", 2001, "--output", out]) == 2
+        assert "d=48 with 2001 points needs about 2.12 GiB" in capsys.readouterr().err
         assert reached == [16] and not out.exists()
 
     def test_budget_covers_the_anchor_cache(self):
-        # the cached probe anchors (at most 16 Taylor terms of sum_q (d-q)^2
-        # complex entries each) fit in the 48 KiB d^2 term for every d the
-        # budget admits at all
+        # the cached probe anchors (at most 16 Taylor terms of
+        # sum_q (d-q)(d-q+1)/2 real entries each) fit in the 24 KiB d^2 term
+        # for every d the budget admits at all
         from qmemwitness.lindblad import _ANCHOR_BYTES, _ANCHORS
 
         d = 2
@@ -252,9 +252,9 @@ class TestQuditTrace:
                 cli._require_qudit_budget(d, 3)
             except cli.ConfigError:
                 break
-            anchor = 16 * 16 * d * (d + 1) * (2 * d + 1) // 6
+            anchor = 8 * 16 * d * (d + 1) * (d + 2) // 6
             cached = anchor * max(1, min(_ANCHORS, _ANCHOR_BYTES // anchor))
-            assert cached <= 48 * 1024 * d * d
+            assert cached <= 24 * 1024 * d * d
             d += 1
         assert d > 150
 
@@ -704,3 +704,23 @@ class TestFlagDomains:
             assert run(argv) == 2, argv
             assert f"{name} must be" in capsys.readouterr().err
             assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "s.json"]
+
+
+class TestHelp:
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())   # help text wraps
+        for command, (_spec, _handler, help_text) in _COMMANDS.items():
+            assert f"{command} {help_text}" in out
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_command_help_lists_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, (default, _convert, _help) in _COMMANDS[command][0].items():
+            assert "--" + name.replace("_", "-") in out
+        assert "--config" in out

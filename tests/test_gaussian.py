@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -135,8 +136,6 @@ class TestEntropyFunctions:
             h(0.4)
 
     def test_h_matches_high_precision_reference(self):
-        mpmath = pytest.importorskip("mpmath")
-
         def reference(x):
             # enough digits to survive the cancellation of the two terms
             with mpmath.workdps(40 + max(0, int(math.log10(x)))):
@@ -517,7 +516,6 @@ class TestDhoAmplitude:
         assert np.abs(amp.c_dot - cd_ref).max() <= 1e-12
         # the slow root s + mu loses about kappa t / 2 ulps to cancellation;
         # the characteristic roots at 40 digits pin the amplitude to 1e-14
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             g2, kappa, omega, omega_big = map(mpmath.mpf, (params.g2, params.kappa,
                                                            params.omega, params.omega_big))

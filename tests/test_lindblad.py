@@ -30,6 +30,7 @@ from oracles import (
     qudit_dop853_states,
     qudit_generator_dense,
     random_density_matrix,
+    sector_phase,
 )
 
 
@@ -54,7 +55,8 @@ def assembled_liouvillian(model: LindbladModel) -> np.ndarray:
 
 
 def apply_generator(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """The package's Liouvillian on S (x) M, applied to an S-M-A state (1 on A)."""
+    """The package's Liouvillian on S (x) M, applied to an S-M-A state (1 on A),
+    both in the memory gauge rho -> V rho V^dag."""
     d = model.d
     n = 2 * d
     blocks = np.asarray(rho).reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d, d, n * n)
@@ -81,18 +83,27 @@ class TestModelValidation:
             LindbladModel(d=2, omega=omega, gamma=gamma)
 
 
+def gauged(rho: np.ndarray, d: int) -> np.ndarray:
+    """V rho V^dag for an S-M-A matrix, V = 1_S (x) i^(n_M) (x) 1_A, the
+    gauge the package's sectors are taken in."""
+    v = np.kron(np.kron(np.eye(d), np.diag([1.0, 1j])), np.eye(d))
+    return v @ rho @ v.conj().T
+
+
 class TestGenerator:
     def test_matches_dense_oracle(self, rng):
         for d, conv in ((2, "spin"), (3, "truncated-oscillator"), (4, "spin")):
             model = LindbladModel(d=d, omega=1.0, gamma=0.05, convention=conv)
             rho = random_density_matrix(rng, [d, 2, d])
-            expected = qudit_generator_dense(d, 1.0, 0.05, conv, rho)
-            assert np.abs(apply_generator(model, rho) - expected).max() < 1e-12
+            expected = gauged(qudit_generator_dense(d, 1.0, 0.05, conv, rho), d)
+            assert np.abs(apply_generator(model, gauged(rho, d)) - expected).max() < 1e-12
 
     def test_matches_oracle_on_extended_initial_state(self):
+        # V leaves the initial state (memory in |0>) unchanged
         model = LindbladModel(d=2, omega=1.0, gamma=0.05)
         rho0 = extended_initial(2)
-        expected = qudit_generator_dense(2, 1.0, 0.05, "spin", rho0.data)
+        assert np.array_equal(gauged(rho0.data, 2), rho0.data)
+        expected = gauged(qudit_generator_dense(2, 1.0, 0.05, "spin", rho0.data), 2)
         assert np.abs(apply_generator(model, rho0.data) - expected).max() < 1e-12
 
     def test_traceless_and_hermiticity_preserving(self, rng):
@@ -119,6 +130,7 @@ SECTOR_CASES = [(d, conv) for d in range(2, 7) for conv in ("spin", "truncated-o
 class TestSectors:
     @pytest.mark.parametrize("d, conv", SECTOR_CASES)
     def test_sector_is_dense_generator_restricted(self, d, conv):
+        # in the gauge p L p^*, p = i^(m_ket) (-i)^(m_bra), the generator is real
         model = LindbladModel(d=d, omega=0.8, gamma=0.3, convention=conv)
         dense = liouvillian_dense(d, 0.8, 0.3, conv)
         orders, n = coherence_orders(d), 2 * d
@@ -126,7 +138,10 @@ class TestSectors:
             pairs, generator = model.sector(q)
             flat = pairs[:, 0] * n + pairs[:, 1]
             assert np.array_equal(flat, np.flatnonzero(orders == q))
-            assert np.abs(generator - dense[np.ix_(flat, flat)]).max() <= 1e-14
+            phase = sector_phase(pairs)
+            expected = phase[:, None] * dense[np.ix_(flat, flat)] * phase.conj()
+            assert generator.dtype == np.float64 and not expected.imag.any()
+            assert np.abs(generator - expected).max() <= 1e-14
         assert len(model.sector(0)[0]) == 4 * d - 2
 
     @pytest.mark.parametrize("d, conv", SECTOR_CASES)
@@ -137,7 +152,8 @@ class TestSectors:
 
     @pytest.mark.parametrize("d, conv", SECTOR_CASES)
     def test_negative_sectors_are_adjoints(self, d, conv):
-        # step the units |j><j+q| (x) |0><0|_M of sector -q explicitly and
+        # step the units |j><j+q| (x) |0><0|_M of sector -q explicitly with
+        # the ungauged generator (units and traced entries have phase 1) and
         # compare with the upper triangle, which the blocks fill by adjoint
         model = LindbladModel(d=d, omega=1.0, gamma=0.15, convention=conv)
         ev = evolve_choi(model, 4.0, 41)
@@ -148,7 +164,8 @@ class TestSectors:
             x = np.zeros((len(pairs), d - q), dtype=complex)
             for j in range(d - q):
                 x[pos[2 * j, 2 * (j + q)], j] = 1.0
-            step = expm(generator * 0.1)
+            phase = sector_phase(pairs)
+            step = expm(phase.conj()[:, None] * generator * phase * 0.1)
             for k in range(41):
                 # <c| Lambda(|j><j+q|) |c+q>, summed over the memory levels
                 for j in range(d - q):
@@ -158,8 +175,32 @@ class TestSectors:
                 x = step @ x
 
 
+class TestExcitationNeverRises:
+    """The kron-built oracle's Choi states hold nothing in the blocks
+    n_S - n_A > 0 the package does not store, and no imaginary part."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("conv", ["spin", "truncated-oscillator"])
+    def test_dense_oracle_blocks_are_real_and_never_raise(self, d, conv):
+        levels = np.arange(d)
+        # <a, i| rho |b, j> with a > i or b > j: S above A on either side
+        raised = ((levels[:, None] > levels)[:, :, None, None]
+                  | (levels[:, None] > levels)[None, None]).reshape(d * d, d * d)
+        for gamma in (0.0, 0.05, 1.0):
+            model = LindbladModel(d=d, omega=1.0, gamma=gamma, convention=conv)
+            ev = evolve_choi(model, 12.0, 5)
+            for t in (0.7, 5.0, 12.0):
+                exact = choi_via_dense_liouvillian(d, 1.0, gamma, conv, t)
+                assert not exact.imag.any()
+                assert not exact[raised].any()
+                assert np.abs(dense_choi(ev.state_at(t)) - exact).max() <= 1e-12
+
+
 class TestExponential:
-    """The in-package Pade exponential against scipy's on every sector generator."""
+    """The in-package Pade exponential of every real sector generator against
+    scipy's of the complex, ungauged one, conjugated back. scipy's own real
+    path is no reference: at t = 12 it sits 2e-14 to 3.4e-13 from 40-digit
+    mpmath (d = 5, 8, gamma = 0), its complex path within 6.6e-15."""
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     @pytest.mark.parametrize("conv", ["spin", "truncated-oscillator"])
@@ -169,16 +210,20 @@ class TestExponential:
         for gamma in (0.0, 0.01, 0.3, 1.0):
             model = LindbladModel(d=d, omega=1.0, gamma=gamma, convention=conv)
             for q in range(d):
-                generator = model.sector(q)[1]
+                pairs, generator = model.sector(q)
+                phase = sector_phase(pairs)
+                ungauged = phase.conj()[:, None] * generator * phase
                 for t in (12.0 / 2000, 0.37, 3.0, 12.0, 40.0, 120.0):
-                    err = np.abs(_expm(generator * t) - expm(generator * t)).max()
+                    reference = phase[:, None] * expm(ungauged * t) * phase.conj()
+                    err = np.abs(_expm(generator * t) - reference).max()
                     assert err <= (1e-13 if t <= 12.0 else 1e-12), (gamma, q, t, err)
 
     def test_zero_gives_identity_exactly(self):
         from qmemwitness.lindblad import _expm
 
         for n in (1, 4, 6):
-            assert np.array_equal(_expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+            for dtype in (float, complex):
+                assert np.array_equal(_expm(np.zeros((n, n), dtype=dtype)), np.eye(n))
 
 
 class TestEvolve:
@@ -309,7 +354,10 @@ class TestReducedChoiTrajectory:
         model = LindbladModel(d=2, omega=1.0, gamma=0.1)
         ev = evolve_choi(model, 4.0, 41)
         grid = ev.times
-        assert ev.states.shape == (41, 3, 2, 2)
+        assert ev.states.shape == (41, 2, 2, 2)
+        # real states, from real anchors
+        assert ev.states.dtype == ev.state_at(1.3).dtype == np.float64
+        assert all(terms.dtype == np.float64 for terms in ev._anchors.values())
         states = dense_choi(ev.states)
         assert states.shape == (41, 4, 4)
         st_query = dense_choi(ev.state_at(grid[20]))
@@ -425,6 +473,19 @@ class TestChannelSuperoperator:
         assert np.abs(ev.state_at(ev.times[4]) - ev.states[4]).max() <= 1e-13
         assert len(ev._anchors) == 1
 
+    @pytest.mark.parametrize("gamma", [0.1, 1.0])
+    def test_anchor_that_loses_trace_is_rejected_and_not_cached(self, gamma):
+        # the rounding of exp(L t) grows with ||L|| t: at t = 1e12 the map
+        # keeps 1 - 6e-5 of its trace, from t = 1e50 on none of it, with
+        # every entry finite
+        ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=gamma), 2.0, 11)
+        for t in (1e12, 1e50, 1e300):
+            with pytest.raises(InvalidSubsystemError, match="trace"):
+                ev.state_at(t)
+            assert ev._anchors == {}
+        assert abs(np.trace(dense_choi(ev.state_at(1e6))) - 1.0) <= 1e-9
+        assert len(ev._anchors) == 1
+
 
 class TestAnchoredProbes:
     """`state_at` sums the Taylor terms of its nearest anchor."""
@@ -481,7 +542,7 @@ class TestAnchoredProbes:
         model = LindbladModel(d=4, omega=1.0, gamma=0.1)
         ts = np.linspace(0.0, 13.0, 40)
         fresh = [evolve_choi(model, 12.0, 201).state_at(t) for t in ts]
-        anchor = 16 * (lindblad._ORDER + 1) * len(evolve_choi(model, 12.0, 201)._target)
+        anchor = 8 * (lindblad._ORDER + 1) * len(evolve_choi(model, 12.0, 201)._target)
         monkeypatch.setattr(lindblad, "_ANCHOR_BYTES", 1 if kept == 1 else kept * anchor + 100)
         ev = evolve_choi(model, 12.0, 201)
         assert ev._capacity == kept

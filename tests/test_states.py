@@ -257,18 +257,27 @@ class TestEntropyArrays:
 
 
 def max_entangled_blocks(d: int) -> np.ndarray:
-    """|Phi+><Phi+| as padded Choi blocks: block k = 0 is the all-ones matrix / d."""
-    blocks = np.zeros((1, 2 * d - 1, d, d), dtype=complex)
-    blocks[0, d - 1] = np.tril(np.ones((d, d))) / d
+    """|Phi+><Phi+| as Choi blocks: block m = 0 is the all-ones matrix / d."""
+    blocks = np.zeros((1, d, d, d))
+    blocks[0, 0] = np.tril(np.ones((d, d))) / d
     return blocks
 
 
-def max_mixed_blocks(d: int) -> np.ndarray:
-    """I/d^2 as padded Choi blocks: 1/d^2 on every diagonal entry that is a level pair."""
-    blocks = np.zeros((1, 2 * d - 1, d, d), dtype=complex)
-    for k in range(-(d - 1), d):
-        for a in range(max(k, 0), min(d, d + k)):
-            blocks[0, k + d - 1, a, a] = 1.0 / d ** 2
+def damped_blocks(d: int) -> np.ndarray:
+    """Choi blocks of full damping, Lambda(X) = Tr(X) |0><0|: |0><0| (x) I/d,
+    1/d at row 0 of every block m = 0..d-1."""
+    blocks = np.zeros((1, d, d, d))
+    blocks[0, :, 0, 0] = 1.0 / d
+    return blocks
+
+
+def decay_blocks(d: int) -> np.ndarray:
+    """Choi blocks of the channel |i><j| -> delta_ij (|0><0| + .. + |i><i|) / (i + 1):
+    1/(d (a + m + 1)) on every diagonal entry <a, a+m| rho |a, a+m> of the true blocks."""
+    blocks = np.zeros((1, d, d, d))
+    for m in range(d):
+        for a in range(d - m):
+            blocks[0, m, a, a] = 1.0 / (d * (a + m + 1))
     return blocks
 
 
@@ -277,8 +286,8 @@ class TestChoiEntropyArrays:
     def test_extreme_states(self, d):
         ent = np.array(choi_entropy_arrays(max_entangled_blocks(d)))[:, 0]
         assert np.abs(ent - [math.log(d), math.log(d), 0.0]).max() < 1e-14
-        ent = np.array(choi_entropy_arrays(max_mixed_blocks(d)))[:, 0]
-        assert np.abs(ent - [math.log(d), math.log(d), 2 * math.log(d)]).max() < 1e-14
+        ent = np.array(choi_entropy_arrays(damped_blocks(d)))[:, 0]
+        assert np.abs(ent - [0.0, math.log(d), math.log(d)]).max() < 1e-14
 
     def test_matches_dense_entropies(self):
         for conv in ("spin", "truncated-oscillator"):
@@ -286,61 +295,61 @@ class TestChoiEntropyArrays:
             blocks = choi_entropy_arrays(ev.states)
             dense = entropy_arrays(dense_choi(ev.states), (3, 3))
             assert np.abs(np.array(blocks) - np.array(dense)).max() < 1e-12
+        for d in (2, 3, 5):
+            blocks = decay_blocks(d)
+            expected = entropy_arrays(dense_choi(blocks), (d, d))
+            assert np.abs(np.array(choi_entropy_arrays(blocks)) - np.array(expected)).max() < 1e-14
 
     def test_upper_triangle_is_not_read(self, rng):
         blocks = max_entangled_blocks(3)
-        noisy = blocks + np.triu(rng.normal(size=(5, 3, 3)), 1)
+        noisy = blocks + np.triu(rng.normal(size=(3, 3, 3)), 1)
         assert np.array_equal(np.array(choi_entropy_arrays(noisy)),
                               np.array(choi_entropy_arrays(blocks)))
 
     def test_padding_is_not_read(self, rng):
-        # entries outside block k's levels max(k, 0) .. min(d, d + k) - 1,
-        # the diagonal included, change neither the entropies nor the checks
+        # entries outside block m's levels 0 .. d - m - 1, the diagonal
+        # included, change neither the entropies nor the checks
         d = 3
-        k = np.arange(2 * d - 1)[:, None] - (d - 1)
-        level = (np.arange(d) >= k) & (np.arange(d) < d + k)
-        padding = ~(level[:, :, None] & level[:, None, :])
-        blocks = max_mixed_blocks(d)
-        noisy = blocks + padding * (rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3)))
+        outside = np.maximum.outer(np.arange(d), np.arange(d)) >= d - np.arange(d)[:, None, None]
+        blocks = decay_blocks(d)
+        noisy = blocks + outside * rng.normal(size=(3, 3, 3))
         assert np.abs(noisy - blocks)[0].diagonal(axis1=-2, axis2=-1).max() > 0.1
         assert np.array_equal(np.array(choi_entropy_arrays(noisy)),
                               np.array(choi_entropy_arrays(blocks)))
 
     @pytest.mark.parametrize("corrupt", [
         # <0,0|rho|0,0> up, <0,1|rho|0,1> down: same trace and rho_S, rho_A != I/d
-        lambda b: (b.__setitem__((2, 0, 0), b[2, 0, 0] + 1e-6),
+        lambda b: (b.__setitem__((0, 0, 0), b[0, 0, 0] + 1e-6),
                    b.__setitem__((1, 0, 0), b[1, 0, 0] - 1e-6)),
-        lambda b: b.__setitem__((2, 1, 0), 1.0),           # negative eigenvalue
-        lambda b: b.__setitem__((2, 1, 1), b[2, 1, 1] + 2e-10j),   # non-real diagonal
+        lambda b: b.__setitem__((0, 1, 0), 1.0),           # negative eigenvalue
+        lambda b: b.__setitem__((0, 1, 1), b[0, 1, 1] + 2e-10j),   # non-real diagonal
         lambda b: b.__imul__(1.0 + 2e-9),                  # trace
-        lambda b: b.__setitem__((2, 2, 2), np.nan),        # not finite
-        # a 1x1 corner block <0,2|rho|0,2> (or <2,0|rho|2,0>) at -1e-6, its
-        # weight moved to <1,2|rho|1,2> (<1,0|rho|1,0>): same trace and rho_A,
-        # rho_S stays positive
-        lambda b: (b.__setitem__((1, 1, 1), b[1, 1, 1] + b[0, 0, 0] + 1e-6),
-                   b.__setitem__((0, 0, 0), -1e-6)),
-        lambda b: (b.__setitem__((3, 1, 1), b[3, 1, 1] + b[4, 2, 2] + 1e-6),
-                   b.__setitem__((4, 2, 2), -1e-6)),
-    ], ids=["ancilla", "negative", "non-real-diagonal", "trace", "nan",
-            "negative-low-corner", "negative-high-corner"])
+        lambda b: b.__setitem__((0, 2, 2), np.nan),        # not finite
+        # the 1x1 corner block <0,2|rho|0,2> at -1e-6, its weight moved to
+        # <1,2|rho|1,2>: same trace and rho_A, rho_S stays positive
+        lambda b: (b.__setitem__((1, 1, 1), b[1, 1, 1] + b[2, 0, 0] + 1e-6),
+                   b.__setitem__((2, 0, 0), -1e-6)),
+    ], ids=["ancilla", "negative", "non-real-diagonal", "trace", "nan", "negative-low-corner"])
     def test_rejects_invalid_state(self, corrupt):
         # one bad state anywhere in the stack rejects the stack
-        blocks = np.concatenate([max_mixed_blocks(3)] * 3)
+        blocks = np.concatenate([decay_blocks(3)] * 3).astype(complex)
         corrupt(blocks[1])
         with pytest.raises(InvalidStateError):
             choi_entropy_arrays(blocks)
 
     def test_accepts_rounding_noise(self):
-        blocks = max_mixed_blocks(3)
-        blocks[0, 2, 1, 1] += 0.4e-10j
+        blocks = decay_blocks(3).astype(complex)
+        blocks[0, 0, 1, 1] += 0.4e-10j
+        blocks[0, 1, 1, 0] -= 0.4e-10j
         blocks *= 1.0 + 0.5e-9
-        choi_entropy_arrays(blocks)
+        assert np.array_equal(np.array(choi_entropy_arrays(blocks)),
+                              np.array(choi_entropy_arrays(blocks.real)))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidSubsystemError):
-            choi_entropy_arrays(max_mixed_blocks(3)[0])
+            choi_entropy_arrays(decay_blocks(3)[0])
         with pytest.raises(InvalidSubsystemError):
-            choi_entropy_arrays(np.zeros((1, 6, 3, 3)))
+            choi_entropy_arrays(np.zeros((1, 5, 3, 3)))
         with pytest.raises(InvalidSubsystemError):
             choi_entropy_arrays(np.zeros((1, 1, 1, 1)))
 

@@ -402,7 +402,7 @@ class TestQuditPipeline:
     def test_trajectory_then_witness_matches_pipeline(self):
         model = LindbladModel(d=3, omega=1.0, gamma=0.2)
         ev, traj = qudit_entropy_trajectory(model, t_max=6.0, n_points=301)
-        assert ev.states.shape == (301, 5, 3, 3)
+        assert ev.states.shape == (301, 3, 3, 3)
         res = witness_from_trajectory(ev, traj)
         ref = witness_qudit_model(model, t_max=6.0, n_points=301)
         assert res.report == ref.report
@@ -414,7 +414,7 @@ class TestQuditPipeline:
         # every refinement probe and both report states go through one
         # choi_entropy_arrays stack exactly once, the probes of the t1 and t2
         # searches stacked together at each step; each stack eigensolves the
-        # 2d-3 blocks larger than 1x1 at their true sizes and nothing else,
+        # d-1 blocks larger than 1x1 at their true sizes and nothing else,
         # and no state is validated a second time as a DensityMatrix
         from qmemwitness import witness
 
@@ -449,7 +449,7 @@ class TestQuditPipeline:
         assert probes[-2:] == [rep.t1, rep.t2]
         assert sum(stacked) == len(probes)
         assert stacked == [2] * len(stacked)
-        sizes = [d - abs(k) for k in range(2 - d, d - 1)]
+        sizes = [d - m for m in range(d - 1)]
         assert solves == [(n, size, size) for n in stacked for size in sizes]
 
     def test_scan_rows_ordered_and_complete(self):
