@@ -10,16 +10,13 @@ All entropies are natural-log (nats); Gaussian machinery uses hbar = 1
 with vacuum covariance I/2.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
-    AmplitudeVanishingError,
     DomainError,
     ExtremumNotFoundError,
-    InvalidChannelError,
-    InvalidDimensionError,
     InvalidStateError,
-    InvalidSubsystemError,
     QmemError,
-    UnphysicalStateError,
 )
 from .gaussian import (
     DhoAmplitude,
@@ -36,22 +33,19 @@ from .gaussian import (
     minimize_delta_S_over_r,
 )
 from .lindblad import (
+    CONVENTION_SPIN,
+    CONVENTION_TRUNCATED,
+    CONVENTIONS,
+    DEFAULT_CONVENTION,
     ChoiEvolution,
     LindbladModel,
     dense_choi,
     evolve_choi,
 )
 from .states import (
-    CONVENTION_SPIN,
-    CONVENTION_TRUNCATED,
-    CONVENTIONS,
-    DEFAULT_CONVENTION,
     DensityMatrix,
     choi_entropy_arrays,
     entropy_arrays,
-    ladder_operators,
-    max_entangled_state,
-    partial_trace,
     von_neumann_entropy,
 )
 from .witness import (
@@ -73,4 +67,6 @@ from .witness import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules the imports above bind
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import gaussian
 from .errors import ExtremumNotFoundError, QmemError
-from .lindblad import LindbladModel
-from .states import CONVENTIONS, DEFAULT_CONVENTION, DensityMatrix
+from .lindblad import CONVENTIONS, DEFAULT_CONVENTION, LindbladModel
+from .states import DensityMatrix
 from .witness import (
     DETECTION_THRESHOLD,
     evaluate_criterion,

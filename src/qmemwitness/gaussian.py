@@ -16,12 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AmplitudeVanishingError,
-    DomainError,
-    InvalidChannelError,
-    UnphysicalStateError,
-)
+from .errors import DomainError, InvalidStateError
 from .optimize import golden_section
 
 SYMMETRY_TOL = 1e-12
@@ -61,11 +56,11 @@ class GaussianChannel:
         m = np.array(self.m, dtype=float)
         n = np.array(self.n, dtype=float)
         if m.shape != (2, 2) or n.shape != (2, 2):
-            raise InvalidChannelError("channel matrices must be 2x2")
+            raise DomainError("channel matrices must be 2x2")
         if not (np.isfinite(m).all() and np.isfinite(n).all()):
-            raise InvalidChannelError("channel matrices must be finite")
+            raise DomainError("channel matrices must be finite")
         if _asymmetric(n):
-            raise InvalidChannelError("noise matrix N must be symmetric")
+            raise DomainError("noise matrix N must be symmetric")
         m.setflags(write=False)
         n.setflags(write=False)
         object.__setattr__(self, "m", m)
@@ -90,16 +85,16 @@ class TwoModeBlocks:
         g = np.array(self.gamma_block, dtype=float)
         for blk, name in ((a, "alpha"), (b, "beta"), (g, "gamma_block")):
             if blk.shape != (2, 2):
-                raise UnphysicalStateError(f"{name} must be 2x2, got {blk.shape}")
+                raise InvalidStateError(f"{name} must be 2x2, got {blk.shape}")
         if not all(np.isfinite(blk).all() for blk in (a, b, g)):
-            raise UnphysicalStateError("covariance blocks must be finite")
+            raise InvalidStateError("covariance blocks must be finite")
         if _asymmetric(a) or _asymmetric(b):
-            raise UnphysicalStateError("alpha and beta must be symmetric")
+            raise InvalidStateError("alpha and beta must be symmetric")
         sig = np.block([[a, g], [g.T, b]])
         lo = np.linalg.eigvalsh(sig + 0.5j * np.kron(np.eye(2), OMEGA_1)).min()
         if lo < -PHYSICALITY_TOL:
-            raise UnphysicalStateError(f"two-mode state violates sigma + i Omega/2 >= 0 "
-                                       f"(min eigenvalue {lo:.3e})")
+            raise InvalidStateError(f"two-mode state violates sigma + i Omega/2 >= 0 "
+                                    f"(min eigenvalue {lo:.3e})")
         for blk in (a, b, g):
             blk.setflags(write=False)
         object.__setattr__(self, "alpha", a)
@@ -171,23 +166,23 @@ def entropy_gaussian(sigma) -> float:
     pairs +/- 2 nu_k, where nu_k are the symplectic eigenvalues, and the
     entropy is sum_k h(nu_k). The vacuum has R = I exactly, so it gives
     nu = 1/2 and entropy 0.0 with no rounding window. Non-finite, empty,
-    non-square or odd-sized input raises UnphysicalStateError, and so do
+    non-square or odd-sized input raises InvalidStateError, and so do
     an asymmetry above 1e-12 max(1, largest |entry|) and any nu below 1/2
     by more than 1e-9.
     """
     sig = np.asarray(sigma, dtype=float)
     if sig.ndim != 2 or sig.shape[0] != sig.shape[1] or sig.shape[0] % 2 or sig.size == 0:
-        raise UnphysicalStateError(f"covariance must be 2n x 2n with n >= 1, got {sig.shape}")
+        raise InvalidStateError(f"covariance must be 2n x 2n with n >= 1, got {sig.shape}")
     if not np.isfinite(sig).all():
-        raise UnphysicalStateError("covariance must be finite")
+        raise InvalidStateError("covariance must be finite")
     if _asymmetric(sig):
-        raise UnphysicalStateError("covariance must be symmetric")
+        raise InvalidStateError("covariance must be symmetric")
     w, v = np.linalg.eigh(2.0 * sig)
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
     modes = sig.shape[0] // 2
     nu = np.linalg.eigvalsh(root @ (1j * np.kron(np.eye(modes), OMEGA_1)) @ root)[modes:] / 2.0
     if nu[0] < 0.5 - PHYSICALITY_TOL:
-        raise UnphysicalStateError(f"symplectic eigenvalue {nu[0]} below the vacuum bound 1/2")
+        raise InvalidStateError(f"symplectic eigenvalue {nu[0]} below the vacuum bound 1/2")
     return float(np.sum(h(nu)))
 
 
@@ -340,7 +335,8 @@ def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
     affects the witness). `amplitude` must have been computed for
     `params` (DomainError otherwise), and t must coincide with one of its
     grid times. With on_vanishing="full-loss" an amplitude zero at t
-    yields the full-loss channel (M = 0, N = I/2) instead of raising.
+    yields the full-loss channel (M = 0, N = I/2) instead of raising
+    DomainError.
     """
     if amplitude.params != params:
         raise DomainError(f"amplitude was computed for {amplitude.params}, not {params}")
@@ -353,9 +349,7 @@ def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
     if abs(c_t) <= AMPLITUDE_CUTOFF:
         if on_vanishing == "full-loss":
             return GaussianChannel(m=np.zeros((2, 2)), n=0.5 * np.eye(2))
-        raise AmplitudeVanishingError(
-            f"amplitude vanished at t={times[k]:.6g}", time=float(times[k])
-        )
+        raise DomainError(f"amplitude vanished at t={times[k]:.6g}")
     return GaussianChannel(
         m=np.array([[c_t.real, c_t.imag], [-c_t.imag, c_t.real]]),
         n=0.5 * (1.0 - abs(c_t) ** 2) * np.eye(2),
@@ -368,9 +362,12 @@ def first_loss_reversal(eta) -> tuple[int, int] | None:
     k1 is the first interior local maximum of eta (>= both neighbours, so
     a plateau counts at its first point) after which eta drops by more
     than 1e-9 (a noise margin); k2 is the first index of the minimum
-    of eta from k1 on. A monotone loss gives None.
+    of eta from k1 on. A monotone loss gives None; a non-finite eta raises
+    DomainError (NaN would otherwise read as "no reversal").
     """
     e = np.asarray(eta, dtype=float)
+    if not np.isfinite(e).all():
+        raise DomainError("loss curve must be finite")
     mid = e[1:-1]
     tail_min = np.minimum.accumulate(e[::-1])[::-1]
     hits = np.flatnonzero((mid >= e[:-2]) & (mid >= e[2:]) & (tail_min[1:-1] < mid - 1e-9))

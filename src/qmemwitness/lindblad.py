@@ -35,8 +35,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidSubsystemError
-from .states import CONVENTIONS, DEFAULT_CONVENTION, TRACE_TOL, ladder_operators
+from .errors import DomainError
+from .states import TRACE_TOL
+
+#: Ladder conventions for the d-level system: "spin" has the elements
+#: <n+1|J_+|n> = sqrt((n+1)(d-1-n)) of the angular-momentum ladder for
+#: j = (d-1)/2 (basis index n = m + j), "truncated-oscillator" the bosonic
+#: sqrt(n+1) cut off at level d-1; both give sigma_+ = |1><0| for d = 2.
+CONVENTION_SPIN = "spin"
+CONVENTION_TRUNCATED = "truncated-oscillator"
+CONVENTIONS = (CONVENTION_SPIN, CONVENTION_TRUNCATED)
+
+#: Default convention. The spin ladder makes all exchange frequencies of the
+#: qudit-memory model commensurate, which is what produces the strong
+#: entanglement revivals the witness relies on for d > 2.
+DEFAULT_CONVENTION = CONVENTION_SPIN
 
 # stacked propagator powers P^0 .. P^(_POWERS - 1) produce up to that many
 # grid states of a sector with one product
@@ -106,13 +119,13 @@ class LindbladModel:
 
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 2:
-            raise InvalidDimensionError(f"d must be an integer >= 2, got {self.d}")
+            raise DomainError(f"d must be an integer >= 2, got {self.d}")
         if not (math.isfinite(self.omega) and self.omega > 0):
-            raise InvalidDimensionError(f"omega must be finite and > 0, got {self.omega}")
+            raise DomainError(f"omega must be finite and > 0, got {self.omega}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise InvalidDimensionError(f"gamma must be finite and >= 0, got {self.gamma}")
+            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.convention not in CONVENTIONS:
-            raise InvalidDimensionError(f"unknown convention {self.convention!r}")
+            raise DomainError(f"unknown convention {self.convention!r}")
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -125,10 +138,12 @@ class LindbladModel:
         entry of rho at pair (k, b) by i^(m_k) (-i)^(m_b) (m: memory levels)."""
         d, n = self.d, 2 * self.d
         s = np.arange(d - 1)
-        # -i V H_eff V^dag for H_eff = H - i gamma/2 |1><1|_M, and the jump
-        # X = sum_s |s,0><s,1|, which V leaves real
+        # -i V H_eff V^dag for H_eff = H - i gamma/2 |1><1|_M, whose exchange
+        # carries the ladder elements <s+1|J_+|s> of the convention, and the
+        # jump X = sum_s |s,0><s,1|, which V leaves real
         rate = np.diag(np.tile([0.0, -0.5 * self.gamma], d))
-        exchange = self.omega * ladder_operators(d, self.convention)[0].real[s + 1, s]
+        exchange = self.omega * np.sqrt((s + 1.0) * (d - 1.0 - s)
+                                        if self.convention == CONVENTION_SPIN else s + 1.0)
         rate[2 * s + 1, 2 * s + 2], rate[2 * s + 2, 2 * s + 1] = exchange, -exchange
         jump = np.eye(n, k=1) * (np.arange(n) % 2 == 0)[:, None]
         excitations = np.arange(n) // 2 + np.arange(n) % 2
@@ -196,10 +211,10 @@ class ChoiEvolution:
     def state_at(self, t: float) -> np.ndarray:
         """S-A state as real blocks (d, d, d) at time t, summed from the
         Taylor terms of the nearest anchor; t must be >= 0 with ||L|| t finite
-        and the map at t representable (InvalidSubsystemError otherwise)."""
+        and the map at t representable (DomainError otherwise)."""
         t = float(t)
         if not (math.isfinite(t * self._norm) and t >= 0):
-            raise InvalidSubsystemError(f"t must be >= 0 with ||L|| t finite, got {t}")
+            raise DomainError(f"t must be >= 0 with ||L|| t finite, got {t}")
         k = round(t * self._norm)
         # the terms are a function of k alone, so the result does not
         # depend on the cache
@@ -210,12 +225,12 @@ class ChoiEvolution:
             with np.errstate(over="ignore", invalid="ignore"):   # checked below
                 terms = _anchor_terms(self._sectors, k / self._norm, self.model.d)
             if not np.isfinite(terms).all():   # exp(L_q k h) overflowed; not cached
-                raise InvalidSubsystemError(f"the map at t = {t} overflows")
+                raise DomainError(f"the map at t = {t} overflows")
             # the rounding of exp(L_q k h) grows with ||L|| k h and drains
             # the trace long before it overflows; such an anchor is not cached
             err = abs(terms[0, :self._diagonal].sum() - 1.0)
             if not err <= TRACE_TOL:
-                raise InvalidSubsystemError(f"the map at t = {t} loses {err:.3e} of its trace")
+                raise DomainError(f"the map at t = {t} loses {err:.3e} of its trace")
         self._anchors[k] = terms
         d = self.model.d
         blocks = np.zeros(d ** 3)
@@ -244,11 +259,11 @@ def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolut
     """Evolve |Phi+>_SA (x) |0><0|_M on `n_points` uniform times over [0, t_max]
     and trace out M, giving the channel at each time applied to half of
     |Phi+>. t_max must be finite and > 0 and n_points an integer >= 2
-    (InvalidSubsystemError otherwise)."""
+    (DomainError otherwise)."""
     t_max = float(t_max)
     if not (math.isfinite(t_max) and t_max > 0 and float(n_points).is_integer()
             and n_points >= 2):
-        raise InvalidSubsystemError(
+        raise DomainError(
             f"need finite t_max > 0 and integer n_points >= 2, got {t_max} and {n_points}")
     d, n = model.d, int(n_points)
     # a power of two keeps the doubling below unclipped; a shorter stack is a
@@ -259,7 +274,7 @@ def evolve_choi(model: LindbladModel, t_max: float, n_points: int) -> ChoiEvolut
     dt = t_max / (n - 1)   # Python floats overflow to inf silently
     norm = float(max(np.abs(generator).sum(axis=0).max() for generator, *_ in sectors))
     if not math.isfinite(dt * norm):   # _expm's scaling takes log2(||L|| dt)
-        raise InvalidSubsystemError(f"grid step {dt} overflows ||L|| dt (||L|| = {norm})")
+        raise DomainError(f"grid step {dt} overflows ||L|| dt (||L|| = {norm})")
     states = np.zeros((n, d, d, d))
     flat = states.reshape(n, -1)
     for generator, units, rows, (row, col), target in sectors:

@@ -1,4 +1,4 @@
-"""Finite-dimensional state algebra: density matrices, partial traces, entropies.
+"""Finite-dimensional state algebra: density matrices and their entropies.
 
 All entropies are in nats (natural logarithm) throughout the package.
 
@@ -15,30 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidDimensionError,
-    InvalidStateError,
-    InvalidSubsystemError,
-)
+from .errors import DomainError, InvalidStateError
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 EIGENVALUE_CLIP = 1e-12
-
-#: Ladder-operator conventions for a d-level system.
-CONVENTION_SPIN = "spin"
-CONVENTION_TRUNCATED = "truncated-oscillator"
-CONVENTIONS = (CONVENTION_SPIN, CONVENTION_TRUNCATED)
-
-#: Default convention. The spin ladder makes all exchange frequencies of the
-#: qudit-memory model commensurate, which is what produces the strong
-#: entanglement revivals the witness relies on for d > 2.
-DEFAULT_CONVENTION = CONVENTION_SPIN
 
 
 @dataclass(frozen=True)
@@ -62,7 +48,7 @@ class DensityMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidStateError(f"expected a square matrix, got shape {arr.shape}")
         if any(d < 1 for d in dims) or math.prod(dims) != arr.shape[0]:
-            raise InvalidSubsystemError(
+            raise DomainError(
                 f"subsystem dimensions {dims} do not factor a {arr.shape[0]}-dim space"
             )
         _check_trace(arr)
@@ -75,16 +61,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    @classmethod
-    def from_vector(cls, psi: np.ndarray, dims: Sequence[int]) -> "DensityMatrix":
-        """Density matrix of a pure state, normalizing the vector."""
-        v = np.asarray(psi, dtype=complex).ravel()
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise InvalidStateError("zero vector")
-        v = v / nrm
-        return cls(np.outer(v, v.conj()), tuple(dims))
-
 
 def _check_entropies(s_sys, s_anc, s_joint) -> None:
     """Non-negativity, Araki-Lieb and subadditivity of entropy arrays; NaN fails."""
@@ -95,41 +71,6 @@ def _check_entropies(s_sys, s_anc, s_joint) -> None:
         raise InvalidStateError("triangle (Araki-Lieb) inequality violated")
     if not np.all(s_joint <= s_sys + s_anc + 1e-8):
         raise InvalidStateError("subadditivity violated")
-
-
-def max_entangled_state(d: int) -> DensityMatrix:
-    """|Phi+><Phi+| with |Phi+> = sum_l |ll> / sqrt(d), dims (d, d)."""
-    if int(d) != d or d < 2:
-        raise InvalidDimensionError(f"d must be an integer >= 2, got {d}")
-    d = int(d)
-    psi = np.zeros(d * d, dtype=complex)
-    psi[:: d + 1] = 1.0 / math.sqrt(d)
-    return DensityMatrix(np.outer(psi, psi.conj()), (d, d))
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out all subsystems not listed in `keep`.
-
-    Kept subsystems stay in their original order regardless of the order
-    in which `keep` lists them.
-    """
-    keep_set = set(int(k) for k in keep)
-    n_sub = len(rho.dims)
-    if not keep_set:
-        raise InvalidSubsystemError("keep must not be empty")
-    if any(k < 0 or k >= n_sub for k in keep_set):
-        raise InvalidSubsystemError(
-            f"subsystem indices {sorted(keep_set)} invalid for dims {rho.dims}"
-        )
-    traced = [i for i in range(n_sub) if i not in keep_set]
-    data = rho.data.reshape(rho.dims + rho.dims)
-    remaining = n_sub
-    for idx in sorted(traced, reverse=True):
-        data = np.trace(data, axis1=idx, axis2=idx + remaining)
-        remaining -= 1
-    kept_dims = tuple(rho.dims[i] for i in sorted(keep_set))
-    side = math.prod(kept_dims)
-    return DensityMatrix(data.reshape(side, side), kept_dims)
 
 
 def _check_trace(stack: np.ndarray) -> None:
@@ -189,10 +130,10 @@ def entropy_arrays(
     """
     arr = np.asarray(states, dtype=complex)
     if len(dims) != 2:
-        raise InvalidSubsystemError(f"expected bipartite dims, got {tuple(dims)}")
+        raise DomainError(f"expected bipartite dims, got {tuple(dims)}")
     dS, dA = (int(x) for x in dims)
     if arr.ndim != 3 or arr.shape[1:] != (dS * dA, dS * dA):
-        raise InvalidSubsystemError(
+        raise DomainError(
             f"state stack shape {arr.shape} incompatible with dims ({dS}, {dA})"
         )
     _check_trace(arr)
@@ -220,7 +161,7 @@ def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     arr = np.asarray(blocks)
     d = arr.shape[-1] if arr.ndim == 4 else 0
     if d < 2 or arr.shape[1:] != (d, d, d):
-        raise InvalidSubsystemError(f"block stack shape {arr.shape} is not (T, d, d, d)")
+        raise DomainError(f"block stack shape {arr.shape} is not (T, d, d, d)")
     if not np.isfinite(arr).all():
         raise InvalidStateError("matrix has non-finite entries")
     if np.iscomplexobj(arr):
@@ -250,32 +191,3 @@ def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     _check_entropies(s_sys, s_anc, s_joint)
     return s_sys, s_anc, s_joint
 
-
-def ladder_operators(
-    d: int, convention: str = DEFAULT_CONVENTION
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raising/lowering pair (J_plus, J_minus) for a d-level system.
-
-    convention:
-      * "spin": matrix elements sqrt((n+1)(d-1-n)), the angular-momentum
-        ladder for j = (d-1)/2 with basis index n = m + j.
-      * "truncated-oscillator": matrix elements sqrt(n+1), the bosonic
-        ladder cut off at level d-1.
-
-    Both reduce to sigma_+/sigma_- for d = 2, with sigma_+ = |1><0|.
-    """
-    if int(d) != d or d < 2:
-        raise InvalidDimensionError(f"d must be an integer >= 2, got {d}")
-    if convention not in CONVENTIONS:
-        raise InvalidDimensionError(
-            f"unknown ladder convention {convention!r}; choose one of {CONVENTIONS}"
-        )
-    d = int(d)
-    n = np.arange(d - 1, dtype=float)
-    if convention == CONVENTION_SPIN:
-        elems = np.sqrt((n + 1.0) * (d - 1.0 - n))
-    else:
-        elems = np.sqrt(n + 1.0)
-    j_plus = np.zeros((d, d), dtype=complex)
-    j_plus[np.arange(1, d), np.arange(d - 1)] = elems
-    return j_plus, j_plus.conj().T

@@ -22,10 +22,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import gaussian as _gaussian
-from .errors import ExtremumNotFoundError, InvalidStateError, InvalidSubsystemError, QmemError
-from .lindblad import ChoiEvolution, LindbladModel, evolve_choi
+from .errors import DomainError, ExtremumNotFoundError, InvalidStateError, QmemError
+from .lindblad import DEFAULT_CONVENTION, ChoiEvolution, LindbladModel, evolve_choi
 from .optimize import golden_section
-from .states import DEFAULT_CONVENTION, DensityMatrix, choi_entropy_arrays, entropy_arrays
+from .states import DensityMatrix, choi_entropy_arrays, entropy_arrays
 
 #: delta_s must undershoot zero by more than this before detection is
 #: declared, so rounding noise never produces a false positive.
@@ -46,7 +46,7 @@ class WitnessReport:
     module docstring, and quantum memory is detected when it lies below
     DETECTION_THRESHOLD. Times are optional (None when the snapshots do
     not come from a trajectory). Every field must be finite
-    (InvalidStateError otherwise).
+    (InvalidStateError otherwise) and t1 must precede t2 (DomainError).
     """
 
     s_sys_t1: float
@@ -62,7 +62,7 @@ class WitnessReport:
             # a NaN delta_s would read as "not detected"
             raise InvalidStateError(f"witness report fields must be finite, got {self}")
         if self.t1 is not None and self.t2 is not None and not self.t1 < self.t2:
-            raise ValueError(f"t1={self.t1} must precede t2={self.t2}")
+            raise DomainError(f"t1={self.t1} must precede t2={self.t2}")
 
     @property
     def delta_s(self) -> float:
@@ -98,7 +98,7 @@ def evaluate_criterion(
 ) -> WitnessReport:
     """Evaluate the witness on two bipartite snapshots with equal dims."""
     if len(rho_t1.dims) != 2 or rho_t1.dims != rho_t2.dims:
-        raise InvalidSubsystemError(
+        raise DomainError(
             f"snapshots must share bipartite dims, got {rho_t1.dims} and {rho_t2.dims}"
         )
     pair = entropy_arrays(np.array([rho_t1.data, rho_t2.data]), rho_t1.dims)
@@ -323,30 +323,28 @@ def find_critical_ratio(
     convention: str = DEFAULT_CONVENTION,
     t_max: float = 12.0,
     n_points: int = 2001,
-    collect: list | None = None,
 ) -> float:
     """Damping ratio at which the witness stops detecting, by log-bisection
     down to a ratio bracket of 1.02; it must detect (delta_s below
-    DETECTION_THRESHOLD) at ratio_lo and not at ratio_hi. Every evaluated
-    QuditWitnessResult is appended to `collect` when given (for audits).
+    DETECTION_THRESHOLD) at ratio_lo and not at ratio_hi, with
+    0 < ratio_lo < ratio_hi finite (DomainError otherwise).
     """
+    lo, hi = float(ratio_lo), float(ratio_hi)
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise DomainError(f"need finite 0 < ratio_lo < ratio_hi, got {ratio_lo} and {ratio_hi}")
 
     def delta_at(ratio: float) -> float:
         model = LindbladModel(d=d, omega=1.0, gamma=ratio, convention=convention)
-        res = witness_qudit_model(model, t_max=t_max, n_points=n_points)
-        if collect is not None:
-            collect.append(res)
-        return res.report.delta_s
+        return witness_qudit_model(model, t_max=t_max, n_points=n_points).report.delta_s
 
-    lo, hi = float(ratio_lo), float(ratio_hi)
     f_lo, f_hi = delta_at(lo), delta_at(hi)
     if not (f_lo < DETECTION_THRESHOLD <= f_hi):
         raise ExtremumNotFoundError(
             f"need detection at {lo} and none at {hi}: delta_s = {f_lo:.4g}, {f_hi:.4g}")
     while hi / lo > 1.02:
-        mid = math.sqrt(lo * hi)
+        mid = math.sqrt(lo) * math.sqrt(hi)   # lo * hi can underflow to 0
         if delta_at(mid) < DETECTION_THRESHOLD:
             lo = mid
         else:
             hi = mid
-    return math.sqrt(lo * hi)
+    return math.sqrt(lo) * math.sqrt(hi)

@@ -11,17 +11,31 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from qmemwitness import (
-    DomainError,
-    GaussianChannel,
-    InvalidChannelError,
-    TwoModeBlocks,
-    cp_check,
-)
+from qmemwitness import DomainError, GaussianChannel, TwoModeBlocks, cp_check
 from qmemwitness.gaussian import SQUEEZING_MAX
 
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = SIGMA_PLUS.conj().T
+
+
+def max_entangled(d: int) -> np.ndarray:
+    """|Phi+><Phi+| with |Phi+> = sum_l |ll> / sqrt(d), a d^2 x d^2 array."""
+    psi = np.zeros(d * d, dtype=complex)
+    psi[:: d + 1] = 1.0 / math.sqrt(d)
+    return np.outer(psi, psi.conj())
+
+
+def reduced_state(rho: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every subsystem of `dims` not listed in `keep`; the kept
+    ones stay in their original order whatever the order of `keep`."""
+    dims = tuple(dims)
+    data = np.asarray(rho).reshape(dims + dims)
+    remaining = len(dims)
+    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        data = np.trace(data, axis1=idx, axis2=idx + remaining)
+        remaining -= 1
+    side = math.prod(dims[i] for i in sorted(set(keep)))
+    return data.reshape(side, side)
 
 
 def partial_trace_out_memory_loops(rho_sma: np.ndarray, d: int) -> np.ndarray:
@@ -232,7 +246,7 @@ def apply_channel(state: TwoModeBlocks, ch: GaussianChannel) -> TwoModeBlocks:
         alpha' = M^T alpha M + N,   gamma' = M^T gamma,   beta' = beta.
     """
     if not cp_check(ch):
-        raise InvalidChannelError("channel violates complete positivity")
+        raise DomainError("channel violates complete positivity")
     return TwoModeBlocks(
         alpha=ch.m.T @ state.alpha @ ch.m + ch.n,
         beta=state.beta,
@@ -281,9 +295,11 @@ def random_density_matrix(rng, dims, rank=None):
     return m / m.trace()
 
 
-def random_pure_vector(rng, n: int) -> np.ndarray:
+def random_pure_state(rng, n: int) -> np.ndarray:
+    """|v><v| for a random unit vector v of length n."""
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 def random_kraus_set(rng, d: int, k: int) -> list[np.ndarray]:

@@ -24,19 +24,20 @@ from qmemwitness import (
     evolve_choi,
     find_critical_ratio,
     h,
-    max_entangled_state,
     minimize_delta_S_over_r,
     ordering_check,
     scan_qudit,
     von_neumann_entropy,
     witness_qudit_model,
 )
+from qmemwitness import witness
 from oracles import (
     apply_kraus_choi,
     dho_closed_form,
     lossy_channel,
+    max_entangled,
     random_kraus_set,
-    random_pure_vector,
+    random_pure_state,
 )
 
 RESONANT = DhoParams(g2=1.0, kappa=0.25, omega=1.0, omega_big=1.0)
@@ -56,9 +57,9 @@ def test_criterion_1_entropic_identities(rng):
     for d in range(2, 9):
         mixed = DensityMatrix(np.eye(d) / d, (d,))
         ok &= abs(von_neumann_entropy(mixed) - math.log(d)) < 1e-12
-        ok &= von_neumann_entropy(max_entangled_state(d)) <= 1e-10
+        ok &= von_neumann_entropy(max_entangled(d)) <= 1e-10
         for _ in range(3):
-            pure = DensityMatrix.from_vector(random_pure_vector(rng, d * d), (d, d))
+            pure = DensityMatrix(random_pure_state(rng, d * d), (d, d))
             ok &= von_neumann_entropy(pure) <= 1e-10
     elapsed = time.perf_counter() - t0
     _line(1, "entropic identities", ok, elapsed, 1.0)
@@ -117,7 +118,7 @@ def test_criterion_4_qudit_trace_reproduction():
     assert elapsed < 60.0
 
 
-def test_criterion_5_critical_ratio_scan():
+def test_criterion_5_critical_ratio_scan(monkeypatch):
     t0 = time.perf_counter()
     collected = []
 
@@ -126,10 +127,16 @@ def test_criterion_5_critical_ratio_scan():
     d2_ok = all(row.error is None and row.delta_s < 0 and row.detected
                 for row in rows_d2)
 
+    def collecting(*args, **kwargs):
+        # every cell the bisection evaluates, for criterion 9
+        collected.append(witness_qudit_model(*args, **kwargs))
+        return collected[-1]
+
+    monkeypatch.setattr(witness, "witness_qudit_model", collecting)
     brackets = {3: (0.05, 0.5), 4: (0.01, 0.2), 5: (1e-3, 0.05)}
     critical = {}
     for d, (lo, hi) in brackets.items():
-        critical[d] = find_critical_ratio(d, lo, hi, collect=collected)
+        critical[d] = find_critical_ratio(d, lo, hi)
     decreasing = critical[3] > critical[4] > critical[5] > 0.0
     finite = all(math.isfinite(v) for v in critical.values())
 
@@ -207,7 +214,7 @@ def test_criterion_8_classical_memory_negative_control():
     ok = True
     for case in range(50):
         d = 2 if case % 2 == 0 else 3
-        phi = max_entangled_state(d).data
+        phi = max_entangled(d)
         k1 = random_kraus_set(rng, d, int(rng.integers(1, d * d + 1)))
         k2 = random_kraus_set(rng, d, int(rng.integers(1, d * d + 1)))
         rho1 = apply_kraus_choi(k1, phi, d)

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qmemwitness
-from qmemwitness import cli, delta_S_lossy, max_entangled_state, minimize_delta_S_over_r
+from qmemwitness import DensityMatrix, cli, delta_S_lossy, minimize_delta_S_over_r
 from qmemwitness.cli import _COMMANDS, _write_csv, main
 from qmemwitness.gaussian import SQUEEZING_MAX
 from qmemwitness.witness import DETECTION_THRESHOLD
+from oracles import max_entangled
+
+BELL = DensityMatrix(max_entangled(2), (2, 2))
 
 
 def run(argv):
@@ -49,6 +52,30 @@ def write_cov_state(path, alpha, beta, gamma):
         "gamma": np.asarray(gamma).tolist(),
     }
     path.write_text(json.dumps(payload))
+
+
+def test_public_surface():
+    # what the CLI, the benchmark and the criteria call, and no more
+    assert sorted(qmemwitness.__all__) == [
+        "CONVENTIONS", "CONVENTION_SPIN", "CONVENTION_TRUNCATED", "ChoiEvolution",
+        "DEFAULT_CONVENTION", "DETECTION_THRESHOLD", "DensityMatrix", "DhoAmplitude",
+        "DhoParams", "DomainError", "EntropyTrajectory", "ExtremumNotFoundError",
+        "GaussianChannel", "InvalidStateError", "LindbladModel", "QmemError",
+        "QuditScanRow", "QuditWitnessResult", "TwoModeBlocks", "WitnessReport",
+        "choi_entropy_arrays", "cp_check", "delta_S_lossy", "dense_choi", "dho_amplitude",
+        "dho_channel", "entropy_arrays", "entropy_gaussian", "evaluate_criterion",
+        "evaluate_criterion_gaussian", "evolve_choi", "find_critical_ratio",
+        "find_witness_times", "first_loss_reversal", "h", "minimize_delta_S_over_r",
+        "ordering_check", "qudit_entropy_trajectory", "scan_qudit", "von_neumann_entropy",
+        "witness_from_trajectory", "witness_qudit_model",
+    ]
+    exported = [getattr(qmemwitness, name) for name in qmemwitness.__all__]
+    errors = [e for e in exported if isinstance(e, type) and issubclass(e, BaseException)]
+    assert sorted(e.__name__ for e in errors) == [
+        "DomainError", "ExtremumNotFoundError", "InvalidStateError", "QmemError"]
+    assert all(issubclass(e, qmemwitness.QmemError) for e in errors)
+    assert issubclass(qmemwitness.DomainError, ValueError)
+    assert issubclass(qmemwitness.InvalidStateError, ValueError)
 
 
 def test_import_loads_no_ode_solver():
@@ -510,8 +537,8 @@ class TestWitnessEval:
     def test_density_matrix_pair(self, tmp_path, capsys):
         f1 = tmp_path / "s1.json"
         f2 = tmp_path / "s2.json"
-        write_dm_state(f1, max_entangled_state(2))
-        write_dm_state(f2, max_entangled_state(2))
+        write_dm_state(f1, BELL)
+        write_dm_state(f2, BELL)
         assert run(["witness-eval", "--state-t1", f1, "--state-t2", f2]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["quantum_memory_detected"] is False
@@ -547,7 +574,7 @@ class TestWitnessEval:
 
     def test_output_file(self, tmp_path):
         f1 = tmp_path / "s1.json"
-        write_dm_state(f1, max_entangled_state(2))
+        write_dm_state(f1, BELL)
         out = tmp_path / "report.json"
         assert run(["witness-eval", "--state-t1", f1, "--state-t2", f1,
                     "--output", out]) == 0
@@ -556,7 +583,7 @@ class TestWitnessEval:
     def test_mixed_kinds_rejected(self, tmp_path):
         f1 = tmp_path / "s1.json"
         f2 = tmp_path / "s2.json"
-        write_dm_state(f1, max_entangled_state(2))
+        write_dm_state(f1, BELL)
         write_cov_state(f2, np.eye(2) / 2, np.eye(2) / 2, np.zeros((2, 2)))
         assert run(["witness-eval", "--state-t1", f1, "--state-t2", f2]) == 2
 
@@ -588,14 +615,14 @@ class TestWitnessEval:
                "real": np.full((4, 4), np.nan).tolist(), "imag": np.zeros((4, 4)).tolist()}
         f1.write_text(json.dumps(nan))
         f2 = tmp_path / "s2.json"
-        write_dm_state(f2, max_entangled_state(2))
+        write_dm_state(f2, BELL)
         assert run(["witness-eval", "--state-t1", f1, "--state-t2", f2]) == 3
         assert run(["witness-eval", "--state-t1", f2, "--state-t2", f1]) == 3
         assert capsys.readouterr().out == ""
 
     def test_unordered_times_rejected(self, tmp_path):
         f1 = tmp_path / "s1.json"
-        write_dm_state(f1, max_entangled_state(2))
+        write_dm_state(f1, BELL)
         assert run(["witness-eval", "--state-t1", f1, "--state-t2", f1,
                     "--t1", 2.0, "--t2", 1.0]) == 2
 
@@ -640,7 +667,7 @@ class TestWitnessEval:
 
         monkeypatch.setattr(cli, "_load_state", unreachable)
         f1 = tmp_path / "s1.json"
-        write_dm_state(f1, max_entangled_state(2))
+        write_dm_state(f1, BELL)
         assert run(["witness-eval", "--state-t1", f1, "--state-t2", f1, "--t1", "nan"]) == 2
         assert "t1 must be finite" in capsys.readouterr().err
 
@@ -688,7 +715,7 @@ class TestFlagDomains:
     def test_out_of_domain_is_config_error(self, tmp_path, command, name, case, capsys):
         value = PAST_BOUND[name] if case == "past-bound" else float(case)
         state = tmp_path / "s.json"
-        write_dm_state(state, max_entangled_state(2))
+        write_dm_state(state, BELL)
         out = tmp_path / ("out.json" if command == "witness-eval" else "out.csv")
         small = {key: v for key, v in SMALL[command].items() if key != name}
         base = [command, "--output", out]

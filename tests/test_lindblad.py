@@ -8,14 +8,11 @@ from scipy.linalg import expm
 
 from qmemwitness import (
     DensityMatrix,
-    InvalidDimensionError,
-    InvalidSubsystemError,
+    DomainError,
     LindbladModel,
     dense_choi,
     entropy_arrays,
     evolve_choi,
-    max_entangled_state,
-    partial_trace,
     qudit_entropy_trajectory,
     von_neumann_entropy,
 )
@@ -25,18 +22,20 @@ from oracles import (
     choi_via_dense_liouvillian,
     coherence_orders,
     liouvillian_dense,
+    max_entangled,
     partial_trace_out_memory_loops,
     qubit_damping_amplitude,
     qudit_dop853_states,
     qudit_generator_dense,
     random_density_matrix,
+    reduced_state,
     sector_phase,
 )
 
 
 def extended_initial(d: int) -> DensityMatrix:
     """|Phi+>_SA (x) |0><0|_M arranged as S (x) M (x) A."""
-    phi = max_entangled_state(d).data.reshape(d, d, d, d)
+    phi = max_entangled(d).reshape(d, d, d, d)
     mem = np.zeros((2, 2), dtype=complex)
     mem[0, 0] = 1.0
     rho = np.einsum("mn,sapq->smapnq", mem, phi)
@@ -66,20 +65,20 @@ def apply_generator(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
 
 class TestModelValidation:
     def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(DomainError):
             LindbladModel(d=1)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(DomainError):
             LindbladModel(d=2, omega=0.0)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(DomainError):
             LindbladModel(d=2, gamma=-0.1)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(DomainError):
             LindbladModel(d=2, convention="nope")
 
     @pytest.mark.parametrize("omega, gamma", [
         (1.0, math.nan), (1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1),
     ])
     def test_rejects_non_finite_parameters(self, omega, gamma):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(DomainError):
             LindbladModel(d=2, omega=omega, gamma=gamma)
 
 
@@ -245,10 +244,10 @@ class TestEvolve:
         rho0_sm = np.kron(np.eye(2) / 2, mem)
         generator = assembled_liouvillian(model)
         for t, state in zip(ev.times, dense_choi(ev.states)):
-            rho_s = partial_trace(DensityMatrix(state, (2, 2)), {0}).data
+            rho_s = reduced_state(state, (2, 2), {0})
             assert abs(rho_s[1, 1].real - math.cos(t) ** 2 / 2) < 1e-8
             rho_sm = (expm(generator * t) @ rho0_sm.ravel()).reshape(4, 4)
-            rho_m = partial_trace(DensityMatrix(rho_sm, (2, 2)), {1}).data
+            rho_m = reduced_state(rho_sm, (2, 2), {1})
             assert abs(rho_m[1, 1].real - math.sin(t) ** 2 / 2) < 1e-8
 
     def test_trace_and_positivity_along_flow(self, rng):
@@ -269,7 +268,7 @@ class TestEvolve:
         for t_max, n_points in ((0.0, 3), (-1.0, 3), (math.nan, 3), (math.inf, 3),
                                 (2.0, 1), (2.0, 2.5), (2.0, math.nan), (2.0, math.inf),
                                 (sys.float_info.max, 2)):   # ||L|| dt overflows
-            with pytest.raises(InvalidSubsystemError):
+            with pytest.raises(DomainError):
                 evolve_choi(model, t_max, n_points)
 
     @pytest.mark.parametrize("d, conv", SECTOR_CASES)
@@ -294,7 +293,7 @@ class TestReducedChoiTrajectory:
         model = LindbladModel(d=3, gamma=0.2)
         ev = evolve_choi(model, 1.0, 2)
         assert ev.times[0] == 0.0
-        assert np.abs(dense_choi(ev.states[0]) - max_entangled_state(3).data).max() < 1e-12
+        assert np.abs(dense_choi(ev.states[0]) - max_entangled(3)).max() < 1e-12
 
     def test_trace_and_untouched_ancilla(self):
         d = 3
@@ -302,7 +301,7 @@ class TestReducedChoiTrajectory:
         ev = evolve_choi(model, 5.0, 26)
         for state in dense_choi(ev.states):
             assert abs(np.trace(state) - 1.0) < 1e-8
-            anc = partial_trace(DensityMatrix(state, (d, d)), {1}).data
+            anc = reduced_state(state, (d, d), {1})
             assert np.abs(anc - np.eye(d) / d).max() < 1e-8
 
     def test_swap_revival_of_system_entropy(self):
@@ -345,7 +344,7 @@ class TestReducedChoiTrajectory:
         full = qudit_dop853_states(d, 1.0, 0.25, "spin", extended_initial(d).data,
                                    [0.0, 1.7])[-1]
         loops = partial_trace_out_memory_loops(full, d)
-        direct = partial_trace(DensityMatrix(full, (d, 2, d)), {0, 2}).data
+        direct = reduced_state(full, (d, 2, d), {0, 2})
         assert np.abs(direct - loops).max() < 1e-12
         state = dense_choi(evolve_choi(model, 1.7, 2).states[-1])
         assert np.abs(state - loops).max() < 1e-9
@@ -429,7 +428,7 @@ class TestChannelSuperoperator:
         mem[0, 0] = 1.0
         rho0 = np.kron(np.kron(rho_s, mem), np.eye(d) / d)
         final = qudit_dop853_states(d, 1.0, 0.3, "spin", rho0, [0.0, t])[-1]
-        via_evolve = partial_trace(DensityMatrix(final, (d, 2, d)), {0}).data
+        via_evolve = reduced_state(final, (d, 2, d), {0})
         assert np.abs(via_choi - via_evolve).max() < 1e-8
 
     def test_choi_positive_and_normalized(self):
@@ -452,14 +451,14 @@ class TestChannelSuperoperator:
     def test_rejects_negative_time(self):
         ev = evolve_choi(LindbladModel(d=2), 2.0, 2)
         for t in (math.nan, -1.0, -1e-300, math.inf):
-            with pytest.raises(InvalidSubsystemError):
+            with pytest.raises(DomainError):
                 ev.state_at(t)
 
     def test_rejects_time_whose_anchor_index_overflows(self):
         # ||L|| t is infinite although t is finite: no anchor index exists
         ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=0.1), 2.0, 2)
         for t in (1e308, sys.float_info.max):
-            with pytest.raises(InvalidSubsystemError, match="finite"):
+            with pytest.raises(DomainError, match="finite"):
                 ev.state_at(t)
 
     def test_overflowing_anchor_is_rejected_and_not_cached(self):
@@ -467,7 +466,7 @@ class TestChannelSuperoperator:
         ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=0.0), 2.0, 11)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidSubsystemError, match="overflows"):
+            with pytest.raises(DomainError, match="overflows"):
                 ev.state_at(1e200)
         assert ev._anchors == {}
         assert np.abs(ev.state_at(ev.times[4]) - ev.states[4]).max() <= 1e-13
@@ -480,7 +479,7 @@ class TestChannelSuperoperator:
         # every entry finite
         ev = evolve_choi(LindbladModel(d=2, omega=1.0, gamma=gamma), 2.0, 11)
         for t in (1e12, 1e50, 1e300):
-            with pytest.raises(InvalidSubsystemError, match="trace"):
+            with pytest.raises(DomainError, match="trace"):
                 ev.state_at(t)
             assert ev._anchors == {}
         assert abs(np.trace(dense_choi(ev.state_at(1e6))) - 1.0) <= 1e-9
@@ -558,6 +557,6 @@ class TestGridConvergence:
         coarse = dense_choi(evolve_choi(model, 6.0, 31).states)
         fine = dense_choi(evolve_choi(model, 6.0, 61).states)
         for k, state in enumerate(coarse):
-            s_c = von_neumann_entropy(partial_trace(DensityMatrix(state, (2, 2)), {0}))
-            s_f = von_neumann_entropy(partial_trace(DensityMatrix(fine[2 * k], (2, 2)), {0}))
+            s_c = von_neumann_entropy(reduced_state(state, (2, 2), {0}))
+            s_f = von_neumann_entropy(reduced_state(fine[2 * k], (2, 2), {0}))
             assert abs(s_c - s_f) < 1e-6

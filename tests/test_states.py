@@ -5,21 +5,23 @@ import pytest
 
 from qmemwitness import (
     DensityMatrix,
-    InvalidDimensionError,
+    DomainError,
     InvalidStateError,
-    InvalidSubsystemError,
     LindbladModel,
     choi_entropy_arrays,
     dense_choi,
     entropy_arrays,
     evolve_choi,
-    ladder_operators,
-    max_entangled_state,
-    partial_trace,
     von_neumann_entropy,
 )
 from qmemwitness.states import _check_entropies, _hermitian_spectra
-from oracles import random_density_matrix, random_pure_vector, random_unitary
+from oracles import (
+    max_entangled,
+    random_density_matrix,
+    random_pure_state,
+    random_unitary,
+    reduced_state,
+)
 
 
 def entropies(rho: DensityMatrix) -> tuple[float, float, float]:
@@ -44,7 +46,7 @@ class TestDensityMatrix:
             DensityMatrix(m, (2,))
 
     def test_rejects_dim_mismatch(self):
-        with pytest.raises(InvalidSubsystemError):
+        with pytest.raises(DomainError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
     def test_accepts_eigenvalue_noise(self):
@@ -63,67 +65,68 @@ class TestDensityMatrix:
 
 
 class TestMaxEntangledState:
+    """The probe |Phi+><Phi+|, which the library holds as the t = 0 Choi state."""
+
+    @staticmethod
+    def probe(d: int) -> np.ndarray:
+        return evolve_choi(LindbladModel(d), 1.0, 2).states[0]
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_pure_and_joint_entropy_zero(self, d):
-        rho = max_entangled_state(d)
-        purity = np.trace(rho.data @ rho.data).real
+        rho = dense_choi(self.probe(d))
+        purity = np.trace(rho @ rho).real
         assert abs(purity - 1.0) < 1e-12
         assert von_neumann_entropy(rho) < 1e-10
 
     def test_bell_reduced_states_are_maximally_mixed(self):
-        rho = max_entangled_state(2)
+        rho = dense_choi(self.probe(2))
         for keep in ({0}, {1}):
-            red = partial_trace(rho, keep)
-            assert np.abs(red.data - np.eye(2) / 2).max() < 1e-12
+            red = reduced_state(rho, (2, 2), keep)
+            assert np.abs(red - np.eye(2) / 2).max() < 1e-12
 
     def test_d4_system_entropy_is_ln4(self):
-        s_sys, _, _ = entropies(max_entangled_state(4))
-        assert abs(s_sys - math.log(4)) < 1e-12
+        s_sys, _, _ = choi_entropy_arrays(self.probe(4)[None])
+        assert abs(s_sys[0] - math.log(4)) < 1e-12
 
     def test_rejects_small_d(self):
-        with pytest.raises(InvalidDimensionError):
-            max_entangled_state(1)
+        with pytest.raises(DomainError):
+            LindbladModel(d=1)
 
 
 class TestPartialTrace:
+    """The partial-trace oracle that the marginal checks compare against."""
+
     def test_traces_ancilla_to_maximally_mixed(self):
         for d in (2, 3, 4):
-            red = partial_trace(max_entangled_state(d), {0})
-            assert np.abs(red.data - np.eye(d) / d).max() < 1e-12
+            red = reduced_state(max_entangled(d), (d, d), {0})
+            assert np.abs(red - np.eye(d) / d).max() < 1e-12
 
     def test_product_state_recovers_factor(self, rng):
         a = random_density_matrix(rng, [2])
         b = random_density_matrix(rng, [3])
         c = random_density_matrix(rng, [2])
-        rho = DensityMatrix(np.kron(np.kron(a, b), c), (2, 3, 2))
-        assert np.abs(partial_trace(rho, {1}).data - b).max() < 1e-12
+        rho = np.kron(np.kron(a, b), c)
+        assert np.abs(reduced_state(rho, (2, 3, 2), {1}) - b).max() < 1e-12
         # tensor-then-trace returns each factor (keep order independent)
-        assert np.abs(partial_trace(rho, [2, 0]).data - np.kron(a, c)).max() < 1e-12
+        assert np.abs(reduced_state(rho, (2, 3, 2), [2, 0]) - np.kron(a, c)).max() < 1e-12
 
     def test_trace_preserved_and_psd(self, rng):
-        rho = DensityMatrix(random_density_matrix(rng, [2, 2, 3]), (2, 2, 3))
-        red = partial_trace(rho, {0, 2})
-        assert abs(np.trace(red.data) - 1.0) < 1e-12
-        assert red.dims == (2, 3)
-        assert np.linalg.eigvalsh(red.data).min() > -1e-12
+        rho = random_density_matrix(rng, [2, 2, 3])
+        red = reduced_state(rho, (2, 2, 3), {0, 2})
+        assert abs(np.trace(red) - 1.0) < 1e-12
+        assert red.shape == (6, 6)
+        assert np.linalg.eigvalsh(red).min() > -1e-12
 
     def test_keep_all_is_identity(self, rng):
-        rho = DensityMatrix(random_density_matrix(rng, [2, 3]), (2, 3))
-        assert np.abs(partial_trace(rho, {0, 1}).data - rho.data).max() == 0.0
-
-    def test_errors(self, rng):
-        rho = DensityMatrix(random_density_matrix(rng, [2, 2]), (2, 2))
-        with pytest.raises(InvalidSubsystemError):
-            partial_trace(rho, set())
-        with pytest.raises(InvalidSubsystemError):
-            partial_trace(rho, {2})
+        rho = random_density_matrix(rng, [2, 3])
+        assert np.abs(reduced_state(rho, (2, 3), {0, 1}) - rho).max() == 0.0
 
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self, rng):
         for dims in ([2], [3], [2, 2]):
             n = int(np.prod(dims))
-            rho = DensityMatrix.from_vector(random_pure_vector(rng, n), dims)
+            rho = DensityMatrix(random_pure_state(rng, n), dims)
             assert von_neumann_entropy(rho) < 1e-10
 
     @pytest.mark.parametrize("d", range(2, 9))
@@ -168,7 +171,7 @@ class TestEntropyTriple:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_max_entangled(self, d):
-        s_sys, s_anc, s_joint = entropies(max_entangled_state(d))
+        s_sys, s_anc, s_joint = entropies(DensityMatrix(max_entangled(d), (d, d)))
         assert abs(s_sys - math.log(d)) < 1e-10
         assert abs(s_anc - math.log(d)) < 1e-10
         assert s_joint < 1e-10
@@ -182,12 +185,12 @@ class TestEntropyTriple:
 
     def test_rejects_non_bipartite(self, rng):
         rho = DensityMatrix(random_density_matrix(rng, [2, 2, 2]), (2, 2, 2))
-        with pytest.raises(InvalidSubsystemError):
+        with pytest.raises(DomainError):
             entropies(rho)
 
     def test_schmidt_symmetry_on_pure_states(self, rng):
         for _ in range(20):
-            rho = DensityMatrix.from_vector(random_pure_vector(rng, 12), (3, 4))
+            rho = DensityMatrix(random_pure_state(rng, 12), (3, 4))
             s_sys, s_anc, s_joint = entropies(rho)
             assert abs(s_sys - s_anc) < 1e-9
             assert s_joint < 1e-10
@@ -213,8 +216,8 @@ class TestEntropyArrays:
         s_sys, s_anc, s_joint = entropy_arrays(stack, (2, 3))
         for k, rho in enumerate(stack):
             dm = DensityMatrix(rho, (2, 3))
-            assert abs(s_sys[k] - von_neumann_entropy(partial_trace(dm, {0}))) < 1e-12
-            assert abs(s_anc[k] - von_neumann_entropy(partial_trace(dm, {1}))) < 1e-12
+            assert abs(s_sys[k] - von_neumann_entropy(reduced_state(rho, (2, 3), {0}))) < 1e-12
+            assert abs(s_anc[k] - von_neumann_entropy(reduced_state(rho, (2, 3), {1}))) < 1e-12
             assert abs(s_joint[k] - von_neumann_entropy(dm)) < 1e-12
 
     def test_accepts_eigenvalue_noise(self):
@@ -248,11 +251,11 @@ class TestEntropyArrays:
             entropy_arrays(stack, (2, 3))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(InvalidSubsystemError):
+        with pytest.raises(DomainError):
             entropy_arrays(np.array([np.eye(4) / 4]), (2, 3))
-        with pytest.raises(InvalidSubsystemError):
+        with pytest.raises(DomainError):
             entropy_arrays(np.eye(4) / 4, (2, 2))
-        with pytest.raises(InvalidSubsystemError):
+        with pytest.raises(DomainError):
             entropy_arrays(np.array([np.eye(8) / 8]), (2, 2, 2))
 
 
@@ -346,42 +349,54 @@ class TestChoiEntropyArrays:
                               np.array(choi_entropy_arrays(blocks.real)))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(InvalidSubsystemError):
+        with pytest.raises(DomainError):
             choi_entropy_arrays(decay_blocks(3)[0])
-        with pytest.raises(InvalidSubsystemError):
+        with pytest.raises(DomainError):
             choi_entropy_arrays(np.zeros((1, 5, 3, 3)))
-        with pytest.raises(InvalidSubsystemError):
+        with pytest.raises(DomainError):
             choi_entropy_arrays(np.zeros((1, 1, 1, 1)))
 
 
+def exchange_entries(model: LindbladModel) -> np.ndarray:
+    """(omega <s+1|J_+|s>, its mirror entry) for s = 0..d-2, as the model's
+    generator carries them: the entries between |s,1><0,0| and |s+1,0><0,0|
+    in sector s + 1 (basis index 2 n_S + n_M), the first into |s,1><0,0|."""
+    out = []
+    for s in range(model.d - 1):
+        pairs, generator = model.sector(s + 1)
+        row = {tuple(p): i for i, p in enumerate(pairs.tolist())}
+        up, down = row[(2 * s + 1, 0)], row[(2 * s + 2, 0)]
+        out.append((generator[up, down], generator[down, up]))
+    return np.array(out)
+
+
 class TestLadderOperators:
+    """The ladder conventions, read from the model that owns them."""
+
     @pytest.mark.parametrize("convention", ["spin", "truncated-oscillator"])
     def test_d2_is_sigma_pm(self, convention):
-        j_plus, j_minus = ladder_operators(2, convention)
-        assert np.array_equal(j_plus, np.array([[0, 0], [1, 0]], dtype=complex))
-        assert np.array_equal(j_minus, j_plus.conj().T)
+        model = LindbladModel(2, convention=convention)
+        assert np.array_equal(exchange_entries(model)[:, 0], [1.0])
 
     def test_d3_truncated(self):
-        j_plus, _ = ladder_operators(3, "truncated-oscillator")
-        e1 = np.zeros(3)
-        e1[1] = 1.0
-        assert np.abs(j_plus @ e1 - math.sqrt(2) * np.eye(3)[:, 2]).max() < 1e-15
+        model = LindbladModel(3, convention="truncated-oscillator")
+        assert np.abs(exchange_entries(model)[:, 0] - [1.0, math.sqrt(2)]).max() < 1e-15
 
     def test_d3_spin(self):
-        # j = 1: raising from m = 0 (basis index 1) carries sqrt(2)
-        j_plus, _ = ladder_operators(3, "spin")
-        e_m0 = np.zeros(3)
-        e_m0[1] = 1.0
-        assert np.abs(j_plus @ e_m0 - math.sqrt(2) * np.eye(3)[:, 2]).max() < 1e-15
+        # j = 1: raising from m = -1 and from m = 0 both carry sqrt(2)
+        model = LindbladModel(3, convention="spin")
+        assert np.abs(exchange_entries(model)[:, 0] - math.sqrt(2)).max() < 1e-15
 
-    def test_adjoint_pairing(self, rng):
+    def test_adjoint_pairing(self):
+        # J_- = J_+^dag makes -i H real antisymmetric in the memory gauge
         for d in (2, 4, 6):
             for conv in ("spin", "truncated-oscillator"):
-                j_plus, j_minus = ladder_operators(d, conv)
-                assert np.array_equal(j_minus, j_plus.conj().T)
+                entries = exchange_entries(LindbladModel(d, omega=0.7, convention=conv))
+                assert np.array_equal(entries[:, 1], -entries[:, 0])
+                assert (entries[:, 0] > 0).all()
 
     def test_errors(self):
-        with pytest.raises(InvalidDimensionError):
-            ladder_operators(1)
-        with pytest.raises(InvalidDimensionError):
-            ladder_operators(3, "bosonic")
+        with pytest.raises(DomainError):
+            LindbladModel(1)
+        with pytest.raises(DomainError):
+            LindbladModel(3, convention="bosonic")

@@ -5,10 +5,10 @@ import pytest
 
 from qmemwitness import (
     DensityMatrix,
+    DomainError,
     EntropyTrajectory,
     ExtremumNotFoundError,
     InvalidStateError,
-    InvalidSubsystemError,
     LindbladModel,
     QmemError,
     TwoModeBlocks,
@@ -18,7 +18,6 @@ from qmemwitness import (
     find_critical_ratio,
     find_witness_times,
     h,
-    max_entangled_state,
     ordering_check,
     scan_qudit,
     qudit_entropy_trajectory,
@@ -32,9 +31,10 @@ from oracles import (
     apply_channel,
     apply_kraus_choi,
     lossy_channel,
+    max_entangled,
     random_density_matrix,
     random_kraus_set,
-    random_pure_vector,
+    random_pure_state,
     random_unitary,
     two_mode_squeezed,
 )
@@ -42,9 +42,10 @@ from oracles import (
 
 class TestWitnessReport:
     def test_rejects_unordered_times(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             WitnessReport(s_sys_t1=1.0, neg_cond_sa_t2=0.5, neg_cond_as_t2=0.2,
                           t1=2.0, t2=1.0)
+        assert isinstance(err.value, DomainError)
 
     def test_to_dict_roundtrip(self):
         rep = WitnessReport(s_sys_t1=1.0, neg_cond_sa_t2=0.5, neg_cond_as_t2=0.2,
@@ -75,7 +76,7 @@ class TestWitnessReport:
 
 class TestEvaluateCriterion:
     def test_identity_on_max_entangled(self):
-        rho = max_entangled_state(3)
+        rho = DensityMatrix(max_entangled(3), (3, 3))
         rep = evaluate_criterion(rho, rho)
         assert abs(rep.s_sys_t1 - math.log(3)) < 1e-10
         assert abs(rep.neg_cond_sa_t2 - math.log(3)) < 1e-10
@@ -84,7 +85,7 @@ class TestEvaluateCriterion:
 
     def test_identity_on_random_pure_states(self, rng):
         for _ in range(10):
-            rho = DensityMatrix.from_vector(random_pure_vector(rng, 9), (3, 3))
+            rho = DensityMatrix(random_pure_state(rng, 9), (3, 3))
             rep = evaluate_criterion(rho, rho)
             assert abs(rep.delta_s) < 1e-9
             assert not rep.quantum_memory_detected
@@ -100,12 +101,13 @@ class TestEvaluateCriterion:
             assert not rep.quantum_memory_detected
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidSubsystemError):
-            evaluate_criterion(max_entangled_state(2), max_entangled_state(3))
+        with pytest.raises(DomainError):
+            evaluate_criterion(DensityMatrix(max_entangled(2), (2, 2)),
+                               DensityMatrix(max_entangled(3), (3, 3)))
 
     def test_local_unitary_invariance(self, rng):
         d = 3
-        rho1 = max_entangled_state(d)
+        rho1 = DensityMatrix(max_entangled(d), (d, d))
         kraus = random_kraus_set(rng, d, 2)
         rho2_data = apply_kraus_choi(kraus, rho1.data, d)
         rho2 = DensityMatrix(rho2_data, (d, d))
@@ -124,7 +126,7 @@ class TestEvaluateCriterion:
             for _ in range(10):
                 k1 = random_kraus_set(rng, d, rng.integers(1, d * d + 1))
                 k2 = random_kraus_set(rng, d, rng.integers(1, d * d + 1))
-                phi = max_entangled_state(d).data
+                phi = max_entangled(d)
                 rho1_data = apply_kraus_choi(k1, phi, d)
                 rho2_data = apply_kraus_choi(k2, rho1_data, d)
                 rep = evaluate_criterion(DensityMatrix(rho1_data, (d, d)),
@@ -491,6 +493,21 @@ class TestQuditPipeline:
         self._stub_delta(monkeypatch, lambda r: -1.0 if r < 0.2 else -5e-10)
         ratio = find_critical_ratio(3, 0.1, 0.3)
         assert 0.2 / 1.02 <= ratio <= 0.2 * 1.02
+
+    def test_critical_ratio_bisects_a_subnormal_bracket(self, monkeypatch):
+        # sqrt(lo * hi) underflowed to 0 here and the next step divided by it
+        self._stub_delta(monkeypatch, lambda r: -1.0 if r < 1e-310 else 1.0)
+        ratio = find_critical_ratio(3, 5e-324, 1e-300)
+        assert 1e-310 / 1.02 <= ratio <= 1e-310 * 1.02
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.3), (-0.1, 0.3), (0.3, 0.1), (0.2, 0.2),
+                                        (math.nan, 0.3), (0.1, math.nan), (0.1, math.inf)])
+    def test_critical_ratio_rejects_bad_bracket(self, monkeypatch, lo, hi):
+        # checked before any witness evaluation: a zero end used to divide
+        # by zero after two of them, an inverted pair to skip the bisection
+        self._stub_delta(monkeypatch, lambda r: pytest.fail("bracket was evaluated"))
+        with pytest.raises(DomainError):
+            find_critical_ratio(3, lo, hi)
 
     def test_critical_ratio_bracket_needs_detection_at_lower_end(self, monkeypatch):
         self._stub_delta(monkeypatch, lambda r: -5e-10 if r < 0.2 else 1.0)
