@@ -219,8 +219,7 @@ _TRACE_SPEC = {
 
 def _cmd_qudit_trace(cfg: dict) -> int:
     _require_qudit_budget(cfg["d"], cfg["points"])
-    model = LindbladModel(d=cfg["d"], omega=1.0, gamma=cfg["gamma_over_omega"],
-                          convention=cfg["convention"])
+    model = LindbladModel(d=cfg["d"], gamma=cfg["gamma_over_omega"], convention=cfg["convention"])
     _progress(f"qudit-trace: d={cfg['d']} gamma/omega={cfg['gamma_over_omega']:g}")
     sidecar = _sidecar("qudit-trace", cfg)
     ev, traj = qudit_entropy_trajectory(model, t_max=cfg["t_max"], n_points=cfg["points"])

@@ -334,10 +334,11 @@ def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
     -arg c_t, so M_t follows c_t through its zeros (the rotation never
     affects the witness). `amplitude` must have been computed for
     `params` (DomainError otherwise), and t must coincide with one of its
-    grid times. With on_vanishing="full-loss" an amplitude zero at t
-    yields the full-loss channel (M = 0, N = I/2) instead of raising
-    DomainError.
+    grid times. on_vanishing is "raise" (DomainError where the amplitude
+    vanishes) or "full-loss" (the full-loss channel M = 0, N = I/2 there).
     """
+    if on_vanishing not in ("raise", "full-loss"):
+        raise DomainError(f"on_vanishing must be 'raise' or 'full-loss', got {on_vanishing!r}")
     if amplitude.params != params:
         raise DomainError(f"amplitude was computed for {amplitude.params}, not {params}")
     times = amplitude.times

@@ -1,8 +1,9 @@
 """Qudit + damped-memory-qubit master equation and channel extraction.
 
 A d-level system S exchanges excitations with a memory qubit M,
-H = omega (J_- (x) sigma_+ + J_+ (x) sigma_-), and M is damped at rate gamma
-by D[1_S (x) sigma_-]; the reduced map Lambda_t(X) = Tr_M exp(L t)
+H = J_- (x) sigma_+ + J_+ (x) sigma_-, and M is damped at rate gamma by
+D[1_S (x) sigma_-]; times are in units of 1/omega, the exchange rate, and
+gamma stands for gamma/omega. The reduced map Lambda_t(X) = Tr_M exp(L t)
 (X (x) |0><0|_M) is exact. L conserves the coherence order q = N_ket - N_bra,
 N = n_S + n_M, so it splits into blocks L_q of at most 4d - 2 states (Buca &
 Prosen, New J. Phys. 14, 073007 (2012)). |i><j| (x) |0><0|_M lies in sector
@@ -31,7 +32,7 @@ zeros elsewhere (block d - 1 is a 1x1 corner).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -104,30 +105,27 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Parameters of the qudit-memory model.
+    """Parameters of the qudit-memory model, with times in units of 1/omega
+    (omega the exchange rate).
 
     d : system dimension (>= 2)
-    omega : exchange coupling rate (1/time), finite and > 0
-    gamma : memory damping rate (1/time), finite and >= 0
-    convention : ladder convention for the system operators
+    gamma : memory damping rate over omega, finite and >= 0 (keyword only)
+    convention : ladder convention for the system operators (keyword only)
     """
 
     d: int
-    omega: float = 1.0
+    _: KW_ONLY
     gamma: float = 0.0
     convention: str = DEFAULT_CONVENTION
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 2:
+        if not (math.isfinite(self.d) and int(self.d) == self.d and self.d >= 2):
             raise DomainError(f"d must be an integer >= 2, got {self.d}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise DomainError(f"omega must be finite and > 0, got {self.omega}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.convention not in CONVENTIONS:
             raise DomainError(f"unknown convention {self.convention!r}")
         object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "gamma", float(self.gamma))
 
     def sector(self, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +140,8 @@ class LindbladModel:
         # carries the ladder elements <s+1|J_+|s> of the convention, and the
         # jump X = sum_s |s,0><s,1|, which V leaves real
         rate = np.diag(np.tile([0.0, -0.5 * self.gamma], d))
-        exchange = self.omega * np.sqrt((s + 1.0) * (d - 1.0 - s)
-                                        if self.convention == CONVENTION_SPIN else s + 1.0)
+        exchange = np.sqrt((s + 1.0) * (d - 1.0 - s)
+                           if self.convention == CONVENTION_SPIN else s + 1.0)
         rate[2 * s + 1, 2 * s + 2], rate[2 * s + 2, 2 * s + 1] = exchange, -exchange
         jump = np.eye(n, k=1) * (np.arange(n) % 2 == 0)[:, None]
         excitations = np.arange(n) // 2 + np.arange(n) % 2
@@ -199,8 +197,7 @@ class ChoiEvolution:
         self.times = times
         self.states = states
         self._target = np.concatenate([target for *_, target in sectors])
-        # the anchors k h lie on h = 1 / norm, norm = max_q ||L_q||_1 > 0; kept
-        # as norm, since 1 / norm overflows for a subnormal omega
+        # the anchors k h lie on h = 1 / norm, norm = max_q ||L_q||_1 > 0
         self._norm = norm
         self._sectors = [sector[:4] for sector in sectors]
         self._diagonal = len(sectors[0][-1])   # sector 0, first, holds the diagonal

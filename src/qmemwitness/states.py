@@ -6,9 +6,10 @@ Tolerances follow a single policy: Hermiticity is required to 1e-10,
 unit trace to 1e-9, and eigenvalues may undershoot zero by at most 1e-9
 (eigensolver noise); anything worse, NaN and inf included, is rejected as
 an invalid state. `_check_trace` and `_hermitian_spectra` hold these
-checks; `DensityMatrix` and `entropy_arrays` both validate through them,
-`choi_entropy_arrays` applies them to block-diagonal Choi states, and a
-state is validated once, where its entropies are taken.
+checks; `DensityMatrix` and `entropy_arrays` both validate through them
+(an `evaluate_criterion` snapshot is checked when built and again when its
+entropies are taken), and `choi_entropy_arrays` checks the engine's Choi
+states at the same tolerances, from their block diagonals and spectra.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
+        dims = _integer_dims(self.dims)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidStateError(f"expected a square matrix, got shape {arr.shape}")
-        if any(d < 1 for d in dims) or math.prod(dims) != arr.shape[0]:
+        if math.prod(dims) != arr.shape[0]:
             raise DomainError(
                 f"subsystem dimensions {dims} do not factor a {arr.shape[0]}-dim space"
             )
@@ -57,9 +58,13 @@ class DensityMatrix:
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
+
+def _integer_dims(dims: Sequence) -> tuple[int, ...]:
+    """`dims` as ints; DomainError unless every entry is a finite integer >= 1."""
+    out = tuple(int(d) if math.isfinite(d) else 0 for d in dims)
+    if out != tuple(dims) or min(out, default=1) < 1:
+        raise DomainError(f"subsystem dimensions must be integers >= 1, got {tuple(dims)}")
+    return out
 
 
 def _check_entropies(s_sys, s_anc, s_joint) -> None:
@@ -131,7 +136,7 @@ def entropy_arrays(
     arr = np.asarray(states, dtype=complex)
     if len(dims) != 2:
         raise DomainError(f"expected bipartite dims, got {tuple(dims)}")
-    dS, dA = (int(x) for x in dims)
+    dS, dA = _integer_dims(dims)
     if arr.ndim != 3 or arr.shape[1:] != (dS * dA, dS * dA):
         raise DomainError(
             f"state stack shape {arr.shape} incompatible with dims ({dS}, {dA})"
@@ -148,27 +153,21 @@ def entropy_arrays(
 def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`entropy_arrays` for Choi states of trace-preserving, phase-covariant
     maps that never raise the excitation, as real blocks (T, d, d, d) laid
-    out as in `lindblad` (lower triangles read). The marginals are
-    diagonal, so only the joint spectrum takes eigensolves: block m at its
-    true size d - m, each a strided view stacked over T (no copy), and the
-    1x1 corner m = d - 1 read from the diagonal; entries outside the true
-    blocks (the padding) are read only for finiteness and realness. A
-    complex stack is read as its real part when no imaginary part exceeds
-    half the Hermiticity tolerance (on a diagonal entry, |A - A^dag| is
-    twice it); trace and rho_A = I/d are checked at the tolerances of
-    `entropy_arrays`.
+    out as in `lindblad` (lower triangles read); a complex or misshapen
+    stack raises DomainError. The marginals are diagonal, so only the
+    joint spectrum takes eigensolves: block m at its true size d - m, each
+    a strided view stacked over T (no copy), and the 1x1 corner m = d - 1
+    read from the diagonal; entries outside the true blocks (the padding)
+    are read only for finiteness. Trace and rho_A = I/d are checked at the
+    tolerances of `entropy_arrays`.
     """
     arr = np.asarray(blocks)
     d = arr.shape[-1] if arr.ndim == 4 else 0
-    if d < 2 or arr.shape[1:] != (d, d, d):
-        raise DomainError(f"block stack shape {arr.shape} is not (T, d, d, d)")
+    if d < 2 or arr.shape[1:] != (d, d, d) or arr.dtype.kind not in "iuf":
+        raise DomainError(f"block stack of shape {arr.shape} and dtype {arr.dtype} "
+                          "is not real (T, d, d, d)")
     if not np.isfinite(arr).all():
         raise InvalidStateError("matrix has non-finite entries")
-    if np.iscomplexobj(arr):
-        imag = 2 * np.abs(arr.imag).max(initial=0.0)
-        if not imag <= HERMITICITY_TOL:
-            raise InvalidStateError(f"not real: 2 max |Im| = {imag:.3e}")
-        arr = arr.real
     diag = arr.diagonal(axis1=-2, axis2=-1)
     a, i = np.triu_indices(d)
     probs = np.zeros((len(arr), d, d))   # [:, a, i] = <a, i| rho |a, i>, zero for a > i

@@ -146,15 +146,15 @@ class EntropyTrajectory:
         return self.s_system - self.s_joint
 
 
-def _interior_extrema(values: np.ndarray, kind: str, noise_floor: float) -> np.ndarray:
+def _interior_extrema(values: np.ndarray, kind: str) -> np.ndarray:
     """Indices of interior local minima/maxima with prominence above noise.
 
     A point counts when it is <= both neighbours (plateaus included) and
-    the larger neighbour exceeds it by more than `noise_floor`.
+    the larger neighbour exceeds it by more than _EXTREMUM_NOISE_FLOOR.
     """
     v = values if kind == "min" else -values
     mid, left, right = v[1:-1], v[:-2], v[2:]
-    hit = (mid <= left) & (mid <= right) & (np.maximum(left, right) - mid > noise_floor)
+    hit = (mid <= left) & (mid <= right) & (np.maximum(left, right) - mid > _EXTREMUM_NOISE_FLOOR)
     return np.flatnonzero(hit) + 1
 
 
@@ -180,14 +180,14 @@ def find_witness_times(
         raise ExtremumNotFoundError("trajectory too short to contain extrema")
     tol = _TIME_TOLERANCE * (times[-1] - times[0])
 
-    i_mins = _interior_extrema(traj.s_system, "min", _EXTREMUM_NOISE_FLOOR)
+    i_mins = _interior_extrema(traj.s_system, "min")
     if i_mins.size == 0:
         raise ExtremumNotFoundError("no interior local minimum of s_system")
     i1 = i_mins[0]
     # t1 refines inside (times[i1 - 1], times[i1 + 1]): maxima before i1
     # precede it and maxima after i1 follow it, but one at i1 follows it
     # only if t1 refines to its left, so the next one is searched as well
-    i_maxs = _interior_extrema(traj.neg_cond_sa, "max", _EXTREMUM_NOISE_FLOOR)
+    i_maxs = _interior_extrema(traj.neg_cond_sa, "max")
     i_maxs = i_maxs[i_maxs >= i1][:1 + (i1 in i_maxs)]
 
     def objective(x, idx):
@@ -253,7 +253,7 @@ def witness_from_trajectory(ev: ChoiEvolution, traj: EntropyTrajectory) -> Qudit
     report = _report_on_pair(*entropies_at((t1, t2)), t1, t2)
     neg_sa = traj.neg_cond_sa
     revivals = tuple((float(traj.times[i]), float(neg_sa[i]))
-                     for i in _interior_extrema(neg_sa, "max", _EXTREMUM_NOISE_FLOOR)
+                     for i in _interior_extrema(neg_sa, "max")
                      if traj.times[i] > t1)
     return QuditWitnessResult(report, traj, revivals, ordering_check(traj))
 
@@ -296,23 +296,23 @@ def scan_qudit(
 ) -> list[QuditScanRow]:
     """Witness scan over dimensions and damping-to-coupling ratios.
 
-    omega is fixed to 1 and gamma set to the ratio. Failing cells are
-    recorded in their row and the scan continues; rows come out ordered
-    by (d, ratio).
+    Each ratio is the model's gamma (times in units of 1/omega). Failing
+    cells are recorded in their row and the scan continues; rows come out
+    ordered by (d, ratio).
     """
     rows = []
     for d in d_list:
         for ratio in gamma_over_omega_grid:
             if progress is not None:
                 progress(f"d={d} gamma/omega={ratio:g}")
-            model = LindbladModel(d=d, omega=1.0, gamma=float(ratio), convention=convention)
             try:
+                model = LindbladModel(d=d, gamma=float(ratio), convention=convention)
                 res = witness_qudit_model(model, t_max=t_max, n_points=n_points)
                 rep = res.report
-                rows.append(QuditScanRow(int(d), float(ratio), rep.t1, rep.t2, rep.delta_s,
+                rows.append(QuditScanRow(model.d, float(ratio), rep.t1, rep.t2, rep.delta_s,
                                          rep.quantum_memory_detected, res.ordering_ok, None))
-            except QmemError as exc:
-                rows.append(QuditScanRow(int(d), float(ratio), *[None] * 5, str(exc)))
+            except QmemError as exc:   # d as given, which int() may not take
+                rows.append(QuditScanRow(d, float(ratio), *[None] * 5, str(exc)))
     return rows
 
 
@@ -334,7 +334,7 @@ def find_critical_ratio(
         raise DomainError(f"need finite 0 < ratio_lo < ratio_hi, got {ratio_lo} and {ratio_hi}")
 
     def delta_at(ratio: float) -> float:
-        model = LindbladModel(d=d, omega=1.0, gamma=ratio, convention=convention)
+        model = LindbladModel(d=d, gamma=ratio, convention=convention)
         return witness_qudit_model(model, t_max=t_max, n_points=n_points).report.delta_s
 
     f_lo, f_hi = delta_at(lo), delta_at(hi)

@@ -112,7 +112,7 @@ def choi_blocks_via_sector_expm(model, t):
     no Taylor series: <a| Lambda(|j+q><j|) |a-q> / d, summed over M by loops,
     goes to block j + q - a, row a, column a - q for every a <= j + q."""
     d, n = model.d, 2 * model.d
-    dense = liouvillian_dense(d, model.omega, model.gamma, model.convention)
+    dense = liouvillian_dense(d, 1.0, model.gamma, model.convention)
     orders = coherence_orders(d)
     blocks = np.zeros((d, d, d), dtype=complex)
     for q in range(d):

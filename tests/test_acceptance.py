@@ -95,7 +95,7 @@ def test_criterion_3_lossy_grid():
 
 def test_criterion_4_qudit_trace_reproduction():
     t0 = time.perf_counter()
-    model = LindbladModel(d=4, omega=1.0, gamma=0.05)
+    model = LindbladModel(d=4, gamma=0.05)
     full = witness_qudit_model(model, t_max=12.0, n_points=2001)
     half = witness_qudit_model(model, t_max=12.0, n_points=1001)
     _SHARED["criterion4"] = (full, half)
@@ -187,7 +187,7 @@ def test_criterion_7_channel_validity(rng):
     t0 = time.perf_counter()
     choi_ok = True
     for d in (2, 3, 4):
-        ev = evolve_choi(LindbladModel(d=d, omega=1.0, gamma=0.05), 12.0, 2)
+        ev = evolve_choi(LindbladModel(d=d, gamma=0.05), 12.0, 2)
         for t in np.sort(rng.uniform(0.0, 12.0, size=20)):
             choi = dense_choi(ev.state_at(float(t)))
             choi_ok &= np.linalg.eigvalsh(choi).min() >= -1e-8

@@ -752,6 +752,13 @@ class TestDhoChannel:
         assert np.abs(ch.m).max() == 0.0
         assert np.abs(ch.n - np.eye(2) / 2).max() == 0.0
 
+    @pytest.mark.parametrize("mode", ["full_loss", "Raise", ""])
+    def test_unknown_vanishing_mode_rejected(self, mode):
+        # rejected on entry, also at t = 0 where the amplitude does not vanish
+        fake = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0], [-1j, -1j], RESONANT)
+        with pytest.raises(DomainError, match="on_vanishing"):
+            dho_channel(fake, RESONANT, 0.0, on_vanishing=mode)
+
     def test_rotation_blind_witness(self):
         # extra phase-space rotations on the system leave the witness alone
         ts = np.linspace(0.0, 3.0, 301)

@@ -29,7 +29,7 @@ POINTS = 11
        t=st.floats(0.0, 2 * T_MAX), k=st.integers(0, POINTS - 1))
 def test_sector_state_matches_dense_generator(d, gamma, convention, t, k):
     # t ranges beyond the evolved span: state_at is exact at any t >= 0
-    model = LindbladModel(d=d, omega=1.0, gamma=gamma, convention=convention)
+    model = LindbladModel(d=d, gamma=gamma, convention=convention)
     ev = evolve_choi(model, T_MAX, POINTS)
     assert np.abs(ev.state_at(ev.times[k]) - ev.states[k]).max() <= 1e-13
     blocks = ev.state_at(t)

@@ -1,0 +1,12 @@
+"""The README's library quick tour runs as documented."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_tour_runs():
+    tour = README.read_text().split("## Library quick tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    exec(compile(code, f"{README.name} quick tour", "exec"), {})

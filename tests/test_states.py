@@ -49,10 +49,16 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2, 1.5), (math.inf, 1), (math.nan, 1), (4, 1, 0)])
+    def test_rejects_non_integer_dims(self, dims):
+        # int() truncated 2.5 to 2 and raised OverflowError at inf
+        with pytest.raises(DomainError, match="must be integers"):
+            DensityMatrix(np.eye(4) / 4, dims)
+
     def test_accepts_eigenvalue_noise(self):
         m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         dm = DensityMatrix(m, (2,))
-        assert dm.dim == 2
+        assert dm.data.shape == (2, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_matrix(self, bad):
@@ -258,6 +264,11 @@ class TestEntropyArrays:
         with pytest.raises(DomainError):
             entropy_arrays(np.array([np.eye(8) / 8]), (2, 2, 2))
 
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2, 1.5), (math.inf, 1), (math.nan, 1)])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(DomainError, match="must be integers"):
+            entropy_arrays(np.array([np.eye(4) / 4]), dims)
+
 
 def max_entangled_blocks(d: int) -> np.ndarray:
     """|Phi+><Phi+| as Choi blocks: block m = 0 is the all-ones matrix / d."""
@@ -325,28 +336,32 @@ class TestChoiEntropyArrays:
         lambda b: (b.__setitem__((0, 0, 0), b[0, 0, 0] + 1e-6),
                    b.__setitem__((1, 0, 0), b[1, 0, 0] - 1e-6)),
         lambda b: b.__setitem__((0, 1, 0), 1.0),           # negative eigenvalue
-        lambda b: b.__setitem__((0, 1, 1), b[0, 1, 1] + 2e-10j),   # non-real diagonal
         lambda b: b.__imul__(1.0 + 2e-9),                  # trace
         lambda b: b.__setitem__((0, 2, 2), np.nan),        # not finite
         # the 1x1 corner block <0,2|rho|0,2> at -1e-6, its weight moved to
         # <1,2|rho|1,2>: same trace and rho_A, rho_S stays positive
         lambda b: (b.__setitem__((1, 1, 1), b[1, 1, 1] + b[2, 0, 0] + 1e-6),
                    b.__setitem__((2, 0, 0), -1e-6)),
-    ], ids=["ancilla", "negative", "non-real-diagonal", "trace", "nan", "negative-low-corner"])
+    ], ids=["ancilla", "negative", "trace", "nan", "negative-low-corner"])
     def test_rejects_invalid_state(self, corrupt):
         # one bad state anywhere in the stack rejects the stack
-        blocks = np.concatenate([decay_blocks(3)] * 3).astype(complex)
+        blocks = np.concatenate([decay_blocks(3)] * 3)
         corrupt(blocks[1])
         with pytest.raises(InvalidStateError):
             choi_entropy_arrays(blocks)
 
-    def test_accepts_rounding_noise(self):
+    @pytest.mark.parametrize("imag", [0.0, 1e-300, 2e-10])
+    def test_rejects_complex_stack(self, imag):
+        # an imaginary part is never dropped, however small, nor a zero one
         blocks = decay_blocks(3).astype(complex)
-        blocks[0, 0, 1, 1] += 0.4e-10j
-        blocks[0, 1, 1, 0] -= 0.4e-10j
-        blocks *= 1.0 + 0.5e-9
-        assert np.array_equal(np.array(choi_entropy_arrays(blocks)),
-                              np.array(choi_entropy_arrays(blocks.real)))
+        blocks[0, 1, 1, 1] += 1j * imag
+        with pytest.raises(DomainError, match="is not real"):
+            choi_entropy_arrays(blocks)
+
+    def test_accepts_rounding_noise(self):
+        # a trace 0.5e-9 off 1 lies inside the 1e-9 tolerance
+        noisy = np.array(choi_entropy_arrays(decay_blocks(3) * (1.0 + 0.5e-9)))
+        assert np.abs(noisy - np.array(choi_entropy_arrays(decay_blocks(3)))).max() < 1e-8
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DomainError):
@@ -391,7 +406,7 @@ class TestLadderOperators:
         # J_- = J_+^dag makes -i H real antisymmetric in the memory gauge
         for d in (2, 4, 6):
             for conv in ("spin", "truncated-oscillator"):
-                entries = exchange_entries(LindbladModel(d, omega=0.7, convention=conv))
+                entries = exchange_entries(LindbladModel(d, convention=conv))
                 assert np.array_equal(entries[:, 1], -entries[:, 0])
                 assert (entries[:, 0] > 0).all()
 

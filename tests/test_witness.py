@@ -24,7 +24,7 @@ from qmemwitness import (
     witness_from_trajectory,
     witness_qudit_model,
 )
-from qmemwitness import states
+from qmemwitness import states, witness
 from qmemwitness.optimize import golden_section
 from qmemwitness.witness import DETECTION_THRESHOLD, _interior_extrema
 from oracles import (
@@ -206,11 +206,11 @@ def find_witness_times_sequential(traj, evaluate):
         a, b, *_ = golden_section(lambda x, _: f(x), times[i - 1], times[i + 1], tol)
         return float(0.5 * (a[0] + b[0]))
 
-    i_mins = _interior_extrema(traj.s_system, "min", 1e-10)
+    i_mins = _interior_extrema(traj.s_system, "min")
     if i_mins.size == 0:
         raise ExtremumNotFoundError("no interior local minimum of s_system")
     t1 = refine(i_mins[0], lambda x: evaluate(x).s_system)
-    i_maxs = _interior_extrema(traj.neg_cond_sa, "max", 1e-10)
+    i_maxs = _interior_extrema(traj.neg_cond_sa, "max")
     i_maxs = i_maxs[times[i_maxs] > t1]
     if i_maxs.size == 0:
         raise ExtremumNotFoundError("no local maximum of -S(S|A) after t1")
@@ -239,8 +239,8 @@ class TestBatchedSearchKeepsTheSequentialRule:
         # both extrema sit at grid index 20: the peak there counts only when
         # t1 refines to its left
         traj, evaluate = two_peak_trajectory(dip)
-        assert _interior_extrema(traj.s_system, "min", 1e-10).tolist() == [20]
-        assert _interior_extrema(traj.neg_cond_sa, "max", 1e-10).tolist() == [20, 40]
+        assert _interior_extrema(traj.s_system, "min").tolist() == [20]
+        assert _interior_extrema(traj.neg_cond_sa, "max").tolist() == [20, 40]
         sizes = []
 
         def counted(x):
@@ -258,7 +258,7 @@ class TestBatchedSearchKeepsTheSequentialRule:
     ])
     def test_qudit_cells(self, d, gamma, conv):
         ev, traj = qudit_entropy_trajectory(
-            LindbladModel(d=d, omega=1.0, gamma=gamma, convention=conv))
+            LindbladModel(d=d, gamma=gamma, convention=conv))
 
         def evaluate(ts):
             return EntropyTrajectory(ts, *states.choi_entropy_arrays(
@@ -267,8 +267,8 @@ class TestBatchedSearchKeepsTheSequentialRule:
         got = find_witness_times(traj, evaluate)
         assert got == find_witness_times_sequential(traj, evaluate)
         if gamma == 0.005:
-            i1 = _interior_extrema(traj.s_system, "min", 1e-10)[0]
-            assert i1 in _interior_extrema(traj.neg_cond_sa, "max", 1e-10)
+            i1 = _interior_extrema(traj.s_system, "min")[0]
+            assert i1 in _interior_extrema(traj.neg_cond_sa, "max")
             assert got[0] > traj.times[i1]
             assert got[1] == pytest.approx(2.2214, abs=1e-3)
 
@@ -302,11 +302,12 @@ class TestVectorizedScansMatchLoops:
         yield np.array([1.0, np.nan, 0.0, 1.0, 0.5, 2.0])
         yield np.array([0.3, 0.1])
 
-    def test_interior_extrema(self, rng):
+    def test_interior_extrema(self, rng, monkeypatch):
         for values in self.arrays(rng):
             for kind in ("min", "max"):
                 for floor in (0.0, 1e-10, 0.05):
-                    got = _interior_extrema(values, kind, floor)
+                    monkeypatch.setattr(witness, "_EXTREMUM_NOISE_FLOOR", floor)
+                    got = _interior_extrema(values, kind)
                     assert got.tolist() == interior_extrema_loops(values, kind, floor)
 
     def test_ordering_check(self, rng):
@@ -379,7 +380,7 @@ class TestGoldenSection:
 
 class TestOrderingCheck:
     def test_max_entangled_probe_ordering(self):
-        res = witness_qudit_model(LindbladModel(d=2, omega=1.0, gamma=0.1),
+        res = witness_qudit_model(LindbladModel(d=2, gamma=0.1),
                                   t_max=6.0, n_points=301)
         assert ordering_check(res.trajectory)
 
@@ -392,7 +393,7 @@ class TestOrderingCheck:
 
 class TestQuditPipeline:
     def test_d2_detects_and_reports(self):
-        res = witness_qudit_model(LindbladModel(d=2, omega=1.0, gamma=0.2),
+        res = witness_qudit_model(LindbladModel(d=2, gamma=0.2),
                                   t_max=8.0, n_points=401)
         rep = res.report
         assert rep.quantum_memory_detected
@@ -402,7 +403,7 @@ class TestQuditPipeline:
         assert res.revival_maxima[0][0] == pytest.approx(rep.t2, abs=0.05)
 
     def test_trajectory_then_witness_matches_pipeline(self):
-        model = LindbladModel(d=3, omega=1.0, gamma=0.2)
+        model = LindbladModel(d=3, gamma=0.2)
         ev, traj = qudit_entropy_trajectory(model, t_max=6.0, n_points=301)
         assert ev.states.shape == (301, 3, 3, 3)
         res = witness_from_trajectory(ev, traj)
@@ -418,10 +419,8 @@ class TestQuditPipeline:
         # searches stacked together at each step; each stack eigensolves the
         # d-1 blocks larger than 1x1 at their true sizes and nothing else,
         # and no state is validated a second time as a DensityMatrix
-        from qmemwitness import witness
-
         d = 3
-        ev, traj = qudit_entropy_trajectory(LindbladModel(d=d, omega=1.0, gamma=0.2),
+        ev, traj = qudit_entropy_trajectory(LindbladModel(d=d, gamma=0.2),
                                             t_max=6.0, n_points=301)
         probes, stacked, solves = [], [], []
         state_at, entropies = ev.state_at, witness.choi_entropy_arrays
@@ -471,14 +470,20 @@ class TestQuditPipeline:
             assert row.error is not None
             assert row.delta_s is None and row.detected is None
 
+    def test_scan_records_bad_dimensions(self):
+        # int() of inf or NaN raised OverflowError or ValueError and aborted
+        # the scan; a bad d is a DomainError of its cell, and the scan goes on
+        rows = scan_qudit([math.inf, math.nan, 2.5, 1, 2], [0.5], t_max=8.0, n_points=401)
+        assert [r.error for r in rows[:4]] == [f"d must be an integer >= 2, got {d}"
+                                               for d in (math.inf, math.nan, 2.5, 1)]
+        assert rows[4].error is None and rows[4].detected and type(rows[4].d) is int
+
     def test_critical_ratio_requires_bracket(self):
         with pytest.raises(ExtremumNotFoundError):
             find_critical_ratio(2, 0.1, 0.3, t_max=8.0, n_points=401)
 
     @staticmethod
     def _stub_delta(monkeypatch, delta_of_ratio):
-        from qmemwitness import witness
-
         class Stub:
             def __init__(self, delta_s):
                 self.report = self
