@@ -307,19 +307,21 @@ def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
     b = params.kappa + 1j * (params.omega + params.omega_big)
     c0 = params.g2 + 1j * params.omega * (params.kappa + 1j * params.omega_big)
     s = -b / 2.0
-    mu = np.sqrt(complex(s * s - c0))
-    z = 2.0 * mu * grid
-    nz = z != 0.0
-    t_phi = np.where(nz, -np.expm1(-z) / np.where(nz, z, 1.0), 1.0) * grid
-    half_sum = (1.0 + np.exp(-z)) / 2.0
-    # lambda_+ = s + mu cancels when |det A| << |s|^2 (strong damping);
-    # det A / lambda_- does not, since Re s < 0 <= Re mu
-    lam = s + mu if abs(s + mu) >= abs(s) / 2.0 else c0 / (s - mu)
-    growth = np.exp(lam * grid)
-    # (A - s I) (1, -i omega) = (-i omega - s, -c0 - i omega s)
-    w = -1j * params.omega
-    c = growth * (half_sum + t_phi * (w - s))
-    c_dot = growth * (half_sum * w + t_phi * (-c0 + w * s))
+    # past overflow the amplitude is not finite, which from_arrays rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.sqrt(complex(s * s - c0))
+        z = 2.0 * mu * grid
+        nz = z != 0.0
+        t_phi = np.where(nz, -np.expm1(-z) / np.where(nz, z, 1.0), 1.0) * grid
+        half_sum = (1.0 + np.exp(-z)) / 2.0
+        # lambda_+ = s + mu cancels when |det A| << |s|^2 (strong damping);
+        # det A / lambda_- does not, since Re s < 0 <= Re mu
+        lam = s + mu if abs(s + mu) >= abs(s) / 2.0 else c0 / (s - mu)
+        growth = np.exp(lam * grid)
+        # (A - s I) (1, -i omega) = (-i omega - s, -c0 - i omega s)
+        w = -1j * params.omega
+        c = growth * (half_sum + t_phi * (w - s))
+        c_dot = growth * (half_sum * w + t_phi * (-c0 + w * s))
     return DhoAmplitude.from_arrays(grid, c, c_dot, params)
 
 

@@ -9,11 +9,14 @@ an invalid state. `_check_trace` and `_hermitian_spectra` hold these
 checks; `DensityMatrix` and `entropy_arrays` both validate through them
 (an `evaluate_criterion` snapshot is checked when built and again when its
 entropies are taken), and `choi_entropy_arrays` checks the engine's Choi
-states at the same tolerances, from their block diagonals and spectra.
+states at the same tolerances, from their block diagonals and spectra:
+LAPACK for the blocks larger than 2x2, closed forms for the 2x2 block and
+the 1x1 corner.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,9 +108,14 @@ def _hermitian_spectra(stack: np.ndarray) -> np.ndarray:
     return w
 
 
-def _entropies_from_spectra(w: np.ndarray) -> np.ndarray:
+def _entropy_terms(w: np.ndarray) -> np.ndarray:
+    """lam ln(lam) for every eigenvalue, 0 where lam <= 1e-12 (0 ln 0 := 0)."""
     keep = w > EIGENVALUE_CLIP
-    return -np.where(keep, w * np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
+    return np.where(keep, w * np.log(np.where(keep, w, 1.0)), 0.0)
+
+
+def _entropies_from_spectra(w: np.ndarray) -> np.ndarray:
+    return -_entropy_terms(w).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
@@ -150,16 +158,63 @@ def entropy_arrays(
     return s_sys, s_anc, s_joint
 
 
+@functools.lru_cache(maxsize=None)
+def _choi_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries `choi_entropy_arrays` reads from a (d, d, d) block array.
+
+    `entries` lists their flat indices, ascending: the diagonals of the
+    true blocks and b. They are gathered one row each, then a row of
+    zeros, and the other two arrays hold row numbers:
+    - `table` (d, 2, d): [j, 0, a] is <a, j| rho |a, j> and [j, 1, i] is
+      <j, i| rho |j, i> (states |system, ancilla>), so a sum over j gives
+      rho_S and rho_A. <a, i| rho |a, i> sits on block i - a at level a
+      and vanishes for a > i, where the table holds the zero row;
+    - `tail`: the 1x1 corner (block d - 1), then p, q (diagonal) and b
+      (lower) of the 2x2 block d - 2.
+    """
+    m = (d - 2) * d * d
+    entries = sorted([k * d * d + a * (d + 1) for k in range(d) for a in range(d - k)] + [m + d])
+    row = {flat: r for r, flat in enumerate(entries)}
+
+    def prob(a, i):
+        return row[(i - a) * d * d + a * (d + 1)] if a <= i else len(entries)
+
+    table = [[[prob(a, j) for a in range(d)], [prob(j, i) for i in range(d)]] for j in range(d)]
+    tail = [row[(d - 1) * d * d], row[m], row[m + d + 1], row[m + d]]
+    layout = np.array(entries), np.array(table), np.array(tail)
+    for a in layout:   # shared by every call at this d
+        a.setflags(write=False)
+    return layout
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 by halving, with elementwise adds only: the order in
+    which a column's terms are added depends on len(x) alone, so a state's
+    entropies do not depend on the stack it sits in (numpy's reduction of a
+    short axis switches to pairwise order when the stack holds one state)."""
+    while len(x) > 1:
+        half = len(x) // 2
+        s = x[:half] + x[half:2 * half]
+        if len(x) % 2:
+            s[-1] += x[-1]
+        x = s
+    return x[0]
+
+
 def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`entropy_arrays` for Choi states of trace-preserving, phase-covariant
     maps that never raise the excitation, as real blocks (T, d, d, d) laid
     out as in `lindblad` (lower triangles read); a complex or misshapen
     stack raises DomainError. The marginals are diagonal, so only the
-    joint spectrum takes eigensolves: block m at its true size d - m, each
-    a strided view stacked over T (no copy), and the 1x1 corner m = d - 1
-    read from the diagonal; entries outside the true blocks (the padding)
-    are read only for finiteness. Trace and rho_A = I/d are checked at the
-    tolerances of `entropy_arrays`.
+    joint spectrum takes eigensolves: block m < d - 2 goes to LAPACK at its
+    true size d - m, a strided view stacked over T (no copy); the 2x2
+    block d - 2 is solved in closed form, (p + q)/2 -+ hypot((p - q)/2, b),
+    and the 1x1 corner d - 1 is read from the diagonal. Entries outside
+    the true blocks (the padding) are read only for finiteness. Trace and
+    rho_A = I/d are checked at the tolerances of `entropy_arrays`. The
+    marginals, the spectrum and their entropy terms are laid out one row
+    per component over T and summed in a fixed order, so each state's
+    entropies are the same whichever stack it is in.
     """
     arr = np.asarray(blocks)
     d = arr.shape[-1] if arr.ndim == 4 else 0
@@ -168,25 +223,34 @@ def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
                           "is not real (T, d, d, d)")
     if not np.isfinite(arr).all():
         raise InvalidStateError("matrix has non-finite entries")
-    diag = arr.diagonal(axis1=-2, axis2=-1)
-    a, i = np.triu_indices(d)
-    probs = np.zeros((len(arr), d, d))   # [:, a, i] = <a, i| rho |a, i>, zero for a > i
-    probs[:, a, i] = diag[:, i - a, a]
-    p_sys, p_anc = probs.sum(axis=-1), probs.sum(axis=1)
-    err = np.abs(p_sys.sum(axis=-1) - 1.0).max(initial=0.0)
+    n_t = len(arr)
+    entries, table, tail = _choi_layout(d)
+    picked = np.empty((len(entries) + 1, n_t))
+    picked[:-1] = np.take(arr.reshape(n_t, d ** 3), entries, axis=1).T
+    picked[-1] = 0.0
+    marginals = _row_sums(picked[table])
+    err = np.abs(_row_sums(marginals[0]) - 1.0).max(initial=0.0)
     if not err <= TRACE_TOL:
         raise InvalidStateError(f"trace deviates from 1 by {err:.3e}")
-    err = np.abs(p_anc - 1.0 / d).max(initial=0.0)
+    err = np.abs(marginals[1] - 1.0 / d).max(initial=0.0)
     if not err <= TRACE_TOL:
         raise InvalidStateError(f"ancilla marginal deviates from I/d by {err:.3e}")
-    spectra = [diag[:, d - 1, :1]]
-    for m in range(d - 1):
-        spectra.append(np.linalg.eigvalsh(arr[:, m, :d - m, :d - m], UPLO="L"))
-    w = np.concatenate(spectra, axis=1)
-    lo = min(x.min(initial=np.inf) for x in (p_sys, p_anc, w))
+    # rows: rho_S, rho_A, then the joint spectrum (corner, blocks 0 .. d - 2)
+    w = np.empty((2 * d + d * (d + 1) // 2, n_t))
+    w[:2 * d] = marginals.reshape(2 * d, n_t)
+    corner, p, q, b = picked[tail]
+    w[2 * d] = corner
+    row = 2 * d + 1
+    for m in range(d - 2):
+        w[row:row + d - m] = np.linalg.eigvalsh(arr[:, m, :d - m, :d - m], UPLO="L").T
+        row += d - m
+    mean, radius = (p + q) / 2, np.hypot((p - q) / 2, b)
+    w[-2], w[-1] = mean - radius, mean + radius
+    lo = w.min(initial=np.inf)
     if lo < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"negative eigenvalue {lo:.3e} below tolerance")
-    s_sys, s_anc, s_joint = (_entropies_from_spectra(x) for x in (p_sys, p_anc, w))
+    terms = _entropy_terms(w)
+    s_sys, s_anc = -_row_sums(terms[:2 * d].reshape(2, d, n_t).swapaxes(0, 1))
+    s_joint = -_row_sums(terms[2 * d:])
     _check_entropies(s_sys, s_anc, s_joint)
     return s_sys, s_anc, s_joint
-

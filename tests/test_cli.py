@@ -517,6 +517,17 @@ class TestGaussDho:
     def test_bad_kappa(self, tmp_path):
         assert run(["gauss-dho", "--kappa", 0, "--output", tmp_path / "x.csv"]) == 2
 
+    def test_overflow_is_numerical_error_without_warnings(self, tmp_path):
+        # numpy's overflow warnings stayed on stderr ahead of the error
+        env = {**os.environ, "PYTHONPATH": str(Path(qmemwitness.__file__).resolve().parents[1])}
+        code = ("import sys; from qmemwitness.cli import main; sys.exit(main(['gauss-dho', "
+                "'--g2', '1e300', '--t-max', '1e300', '--output', sys.argv[1]]))")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.csv")], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 3
+        assert "amplitude and its derivative must be finite" in out.stderr
+        assert "RuntimeWarning" not in out.stderr
+
     def test_over_memory_budget_is_config_error(self, tmp_path, capsys):
         # 1 KiB per point + 8 MiB
         out = tmp_path / "x.csv"

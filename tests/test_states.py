@@ -295,6 +295,22 @@ def decay_blocks(d: int) -> np.ndarray:
     return blocks
 
 
+def with_low_eigenvalue(state: np.ndarray, lam: float) -> np.ndarray:
+    """Sets b, the lower entry of the 2x2 block d - 2 of one (d, d, d) state,
+    so that block's lower eigenvalue is lam; trace and marginals stay."""
+    d = state.shape[-1]
+    p, q = state[d - 2, 0, 0], state[d - 2, 1, 1]
+    state[d - 2, 1, 0] = math.sqrt(p * q - lam * (p + q - lam))
+    return state
+
+
+def degenerate_two_level() -> np.ndarray:
+    """d = 2, block 0 = diag(1/2, 1/2) and an empty corner: p = q, b = 0."""
+    blocks = np.zeros((1, 2, 2, 2))
+    blocks[0, 0] = np.eye(2) / 2
+    return blocks
+
+
 class TestChoiEntropyArrays:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_extreme_states(self, d):
@@ -304,15 +320,46 @@ class TestChoiEntropyArrays:
         assert np.abs(ent - [0.0, math.log(d), math.log(d)]).max() < 1e-14
 
     def test_matches_dense_entropies(self):
-        for conv in ("spin", "truncated-oscillator"):
-            ev = evolve_choi(LindbladModel(d=3, gamma=0.3, convention=conv), 6.0, 61)
-            blocks = choi_entropy_arrays(ev.states)
-            dense = entropy_arrays(dense_choi(ev.states), (3, 3))
-            assert np.abs(np.array(blocks) - np.array(dense)).max() < 1e-12
-        for d in (2, 3, 5):
+        # LAPACK blocks, the closed-form 2x2 block and the corner against
+        # complex eigh on the dense Choi state
+        for d in (2, 3, 4, 5, 6):
+            for conv in ("spin", "truncated-oscillator"):
+                for gamma in (0.0, 0.005, 0.3, 1.0):
+                    model = LindbladModel(d=d, gamma=gamma, convention=conv)
+                    states = evolve_choi(model, 12.0, 121).states
+                    blocks = choi_entropy_arrays(states)
+                    dense = entropy_arrays(dense_choi(states), (d, d))
+                    assert np.abs(np.array(blocks) - np.array(dense)).max() < 1e-12
             blocks = decay_blocks(d)
             expected = entropy_arrays(dense_choi(blocks), (d, d))
             assert np.abs(np.array(choi_entropy_arrays(blocks)) - np.array(expected)).max() < 1e-14
+
+    @pytest.mark.parametrize("blocks", [
+        max_entangled_blocks(2),                                # rank 1, as at t = 0
+        with_low_eigenvalue(decay_blocks(3)[0], 0.0)[None],     # rank 1 beside a 3x3 block
+        degenerate_two_level(),                                 # p = q, b = 0
+        max_entangled_blocks(3),                                # p = q = b = 0
+        with_low_eigenvalue(decay_blocks(2)[0], 1.01e-12)[None],  # just above the clip
+        with_low_eigenvalue(decay_blocks(2)[0], 0.99e-12)[None],  # just below it
+        with_low_eigenvalue(decay_blocks(3)[0], -5e-10)[None],  # inside the eigenvalue floor
+    ], ids=["rank-1", "rank-1-d3", "degenerate", "zero", "above-clip", "below-clip",
+            "negative-noise"])
+    def test_closed_form_block_matches_dense(self, blocks):
+        d = blocks.shape[-1]
+        expected = entropy_arrays(dense_choi(blocks), (d, d))
+        assert np.abs(np.array(choi_entropy_arrays(blocks)) - np.array(expected)).max() < 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 12))
+    def test_entropies_do_not_depend_on_the_stack(self, d):
+        # a state alone, among three, or in the whole trajectory: the same
+        # bits (numpy sums a one-state stack's short axis in another order)
+        states = evolve_choi(LindbladModel(d=d, gamma=0.3), 12.0, 201).states
+        whole = np.array(choi_entropy_arrays(states))
+        for k in range(len(states)):
+            lo = min(max(k - 1, 0), len(states) - 3)
+            alone = np.array(choi_entropy_arrays(states[k:k + 1]))[:, 0]
+            among = np.array(choi_entropy_arrays(states[lo:lo + 3]))[:, k - lo]
+            assert np.array_equal(alone, whole[:, k]) and np.array_equal(among, whole[:, k])
 
     def test_upper_triangle_is_not_read(self, rng):
         blocks = max_entangled_blocks(3)
@@ -335,14 +382,16 @@ class TestChoiEntropyArrays:
         # <0,0|rho|0,0> up, <0,1|rho|0,1> down: same trace and rho_S, rho_A != I/d
         lambda b: (b.__setitem__((0, 0, 0), b[0, 0, 0] + 1e-6),
                    b.__setitem__((1, 0, 0), b[1, 0, 0] - 1e-6)),
-        lambda b: b.__setitem__((0, 1, 0), 1.0),           # negative eigenvalue
+        lambda b: b.__setitem__((0, 1, 0), 1.0),           # negative eigenvalue, 3x3 block
         lambda b: b.__imul__(1.0 + 2e-9),                  # trace
         lambda b: b.__setitem__((0, 2, 2), np.nan),        # not finite
         # the 1x1 corner block <0,2|rho|0,2> at -1e-6, its weight moved to
         # <1,2|rho|1,2>: same trace and rho_A, rho_S stays positive
         lambda b: (b.__setitem__((1, 1, 1), b[1, 1, 1] + b[2, 0, 0] + 1e-6),
                    b.__setitem__((2, 0, 0), -1e-6)),
-    ], ids=["ancilla", "negative", "trace", "nan", "negative-low-corner"])
+        lambda b: with_low_eigenvalue(b, -1e-6),         # closed-form 2x2 block
+    ], ids=["ancilla", "negative", "trace", "nan", "negative-low-corner",
+            "negative-2x2-block"])
     def test_rejects_invalid_state(self, corrupt):
         # one bad state anywhere in the stack rejects the stack
         blocks = np.concatenate([decay_blocks(3)] * 3)

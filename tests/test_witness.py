@@ -417,8 +417,9 @@ class TestQuditPipeline:
         # every refinement probe and both report states go through one
         # choi_entropy_arrays stack exactly once, the probes of the t1 and t2
         # searches stacked together at each step; each stack eigensolves the
-        # d-1 blocks larger than 1x1 at their true sizes and nothing else,
-        # and no state is validated a second time as a DensityMatrix
+        # blocks larger than 2x2 at their true sizes and nothing else (the
+        # 2x2 block and the corner are closed form), and no state is
+        # validated a second time as a DensityMatrix
         d = 3
         ev, traj = qudit_entropy_trajectory(LindbladModel(d=d, gamma=0.2),
                                             t_max=6.0, n_points=301)
@@ -450,7 +451,7 @@ class TestQuditPipeline:
         assert probes[-2:] == [rep.t1, rep.t2]
         assert sum(stacked) == len(probes)
         assert stacked == [2] * len(stacked)
-        sizes = [d - m for m in range(d - 1)]
+        sizes = [d - m for m in range(d - 2)]
         assert solves == [(n, size, size) for n in stacked for size in sizes]
 
     def test_scan_rows_ordered_and_complete(self):
