@@ -259,8 +259,13 @@ def _cmd_qudit_scan(cfg: dict) -> int:
     _require(len(cfg["d_list"]) > 0, "d list must not be empty")
     _require(cfg["ratio_min"] < cfg["ratio_max"], "ratio_min must be smaller than ratio_max")
     _require_qudit_budget(max(cfg["d_list"]), cfg["points"])
+    # per cell its ratio, its QuditScanRow and its output columns (error
+    # messages of up to about 250 characters)
+    n_d, n_ratio = len(cfg["d_list"]), cfg["ratio_points"]
+    _require_memory(2 * _KIB * n_d * n_ratio + 8 * _MIB,
+                    f"a scan of {n_d * n_ratio} cells", "2 KiB cells + 8 MiB")
 
-    ratios = np.linspace(cfg["ratio_min"], cfg["ratio_max"], cfg["ratio_points"])
+    ratios = np.linspace(cfg["ratio_min"], cfg["ratio_max"], n_ratio)
     rows = scan_qudit(cfg["d_list"], ratios.tolist(), convention=cfg["convention"],
                       t_max=cfg["t_max"], n_points=cfg["points"], progress=_progress)
     # None (a failed cell) becomes NaN and prints as nan

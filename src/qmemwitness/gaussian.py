@@ -266,9 +266,13 @@ class DhoAmplitude:
     @classmethod
     def from_arrays(cls, times, c, c_dot, params: DhoParams) -> "DhoAmplitude":
         """Amplitude samples on a grid plus the coefficients they give for
-        `params`; non-finite c or c_dot raises DomainError."""
+        `params`; DomainError unless times, c and c_dot are 1-d arrays of
+        equal length and c and c_dot are finite."""
         times = np.asarray(times, dtype=float)
         c, c_dot = np.asarray(c, dtype=complex), np.asarray(c_dot, dtype=complex)
+        if times.ndim != 1 or not times.shape == c.shape == c_dot.shape:
+            raise DomainError(f"times, c and c_dot must be 1-d arrays of equal length, got "
+                              f"shapes {times.shape}, {c.shape} and {c_dot.shape}")
         if not (np.isfinite(c).all() and np.isfinite(c_dot).all()):
             raise DomainError("amplitude and its derivative must be finite")
         ok = np.abs(c) > AMPLITUDE_CUTOFF
@@ -365,10 +369,13 @@ def first_loss_reversal(eta) -> tuple[int, int] | None:
     k1 is the first interior local maximum of eta (>= both neighbours, so
     a plateau counts at its first point) after which eta drops by more
     than 1e-9 (a noise margin); k2 is the first index of the minimum
-    of eta from k1 on. A monotone loss gives None; a non-finite eta raises
-    DomainError (NaN would otherwise read as "no reversal").
+    of eta from k1 on. A monotone loss gives None; an eta that is not 1-d
+    or not finite raises DomainError (NaN would otherwise read as "no
+    reversal", and k1 index a flattened array).
     """
     e = np.asarray(eta, dtype=float)
+    if e.ndim != 1:
+        raise DomainError(f"loss curve must be 1-d, got shape {e.shape}")
     if not np.isfinite(e).all():
         raise DomainError("loss curve must be finite")
     mid = e[1:-1]

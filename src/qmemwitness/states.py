@@ -9,9 +9,10 @@ an invalid state. `_check_trace` and `_hermitian_spectra` hold these
 checks; `DensityMatrix` and `entropy_arrays` both validate through them
 (an `evaluate_criterion` snapshot is checked when built and again when its
 entropies are taken), and `choi_entropy_arrays` checks the engine's Choi
-states at the same tolerances, from their block diagonals and spectra:
-LAPACK for the blocks larger than 2x2, closed forms for the 2x2 block and
-the 1x1 corner.
+states at the same tolerances: the marginals are the row and column sums
+of the d x d population matrix <a, j| rho |a, j> (system a, ancilla j),
+and the joint spectrum comes from LAPACK for the blocks larger than 2x2
+and from closed forms for the 2x2 block and the 1x1 corner.
 """
 
 from __future__ import annotations
@@ -159,32 +160,14 @@ def entropy_arrays(
 
 
 @functools.lru_cache(maxsize=None)
-def _choi_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries `choi_entropy_arrays` reads from a (d, d, d) block array.
-
-    `entries` lists their flat indices, ascending: the diagonals of the
-    true blocks and b. They are gathered one row each, then a row of
-    zeros, and the other two arrays hold row numbers:
-    - `table` (d, 2, d): [j, 0, a] is <a, j| rho |a, j> and [j, 1, i] is
-      <j, i| rho |j, i> (states |system, ancilla>), so a sum over j gives
-      rho_S and rho_A. <a, i| rho |a, i> sits on block i - a at level a
-      and vanishes for a > i, where the table holds the zero row;
-    - `tail`: the 1x1 corner (block d - 1), then p, q (diagonal) and b
-      (lower) of the 2x2 block d - 2.
-    """
-    m = (d - 2) * d * d
-    entries = sorted([k * d * d + a * (d + 1) for k in range(d) for a in range(d - k)] + [m + d])
-    row = {flat: r for r, flat in enumerate(entries)}
-
-    def prob(a, i):
-        return row[(i - a) * d * d + a * (d + 1)] if a <= i else len(entries)
-
-    table = [[[prob(a, j) for a in range(d)], [prob(j, i) for i in range(d)]] for j in range(d)]
-    tail = [row[(d - 1) * d * d], row[m], row[m + d + 1], row[m + d]]
-    layout = np.array(entries), np.array(table), np.array(tail)
-    for a in layout:   # shared by every call at this d
-        a.setflags(write=False)
-    return layout
+def _populations(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, j, flat) over a <= j: <a, j| rho |a, j> sits on block j - a at
+    level a, entry `flat` of a state's d^3."""
+    a, j = np.triu_indices(d)
+    index = a, j, (j - a) * d * d + a * (d + 1)
+    for x in index:   # shared by every call at this d
+        x.setflags(write=False)
+    return index
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -205,15 +188,17 @@ def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """`entropy_arrays` for Choi states of trace-preserving, phase-covariant
     maps that never raise the excitation, as real blocks (T, d, d, d) laid
     out as in `lindblad` (lower triangles read); a complex or misshapen
-    stack raises DomainError. The marginals are diagonal, so only the
-    joint spectrum takes eigensolves: block m < d - 2 goes to LAPACK at its
-    true size d - m, a strided view stacked over T (no copy); the 2x2
-    block d - 2 is solved in closed form, (p + q)/2 -+ hypot((p - q)/2, b),
-    and the 1x1 corner d - 1 is read from the diagonal. Entries outside
-    the true blocks (the padding) are read only for finiteness. Trace and
-    rho_A = I/d are checked at the tolerances of `entropy_arrays`. The
-    marginals, the spectrum and their entropy terms are laid out one row
-    per component over T and summed in a fixed order, so each state's
+    stack raises DomainError. The marginals are diagonal: the row and
+    column sums of the populations pop[a, j] = <a, j| rho |a, j> (system
+    a, ancilla j), block j - a at level a for a <= j and zero below. Only
+    the joint spectrum takes eigensolves: block m < d - 2 goes to LAPACK
+    at its true size d - m, a strided view stacked over T (no copy); the
+    2x2 block d - 2 is solved in closed form, (p + q)/2 -+ hypot((p - q)/2,
+    b), and the 1x1 corner d - 1 is read from the diagonal. The padding
+    outside the true blocks is read only for finiteness. Trace and
+    rho_A = I/d are checked at the tolerances of `entropy_arrays`.
+    Marginals, spectrum and entropy terms are laid out one row per
+    component over T and summed in a fixed order, so each state's
     entropies are the same whichever stack it is in.
     """
     arr = np.asarray(blocks)
@@ -224,26 +209,25 @@ def choi_entropy_arrays(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     if not np.isfinite(arr).all():
         raise InvalidStateError("matrix has non-finite entries")
     n_t = len(arr)
-    entries, table, tail = _choi_layout(d)
-    picked = np.empty((len(entries) + 1, n_t))
-    picked[:-1] = np.take(arr.reshape(n_t, d ** 3), entries, axis=1).T
-    picked[-1] = 0.0
-    marginals = _row_sums(picked[table])
-    err = np.abs(_row_sums(marginals[0]) - 1.0).max(initial=0.0)
-    if not err <= TRACE_TOL:
-        raise InvalidStateError(f"trace deviates from 1 by {err:.3e}")
-    err = np.abs(marginals[1] - 1.0 / d).max(initial=0.0)
-    if not err <= TRACE_TOL:
-        raise InvalidStateError(f"ancilla marginal deviates from I/d by {err:.3e}")
+    a, j, flat = _populations(d)
+    pop = np.zeros((d, d, n_t))   # np.take: arr[:, j - a, a, a] gathers 2x slower at d = 16
+    pop[a, j] = np.take(arr.reshape(n_t, d ** 3), flat, axis=1).T
     # rows: rho_S, rho_A, then the joint spectrum (corner, blocks 0 .. d - 2)
     w = np.empty((2 * d + d * (d + 1) // 2, n_t))
-    w[:2 * d] = marginals.reshape(2 * d, n_t)
-    corner, p, q, b = picked[tail]
-    w[2 * d] = corner
+    w[:d] = _row_sums(pop.swapaxes(0, 1))
+    w[d:2 * d] = _row_sums(pop)
+    err = np.abs(_row_sums(w[:d]) - 1.0).max(initial=0.0)
+    if not err <= TRACE_TOL:
+        raise InvalidStateError(f"trace deviates from 1 by {err:.3e}")
+    err = np.abs(w[d:2 * d] - 1.0 / d).max(initial=0.0)
+    if not err <= TRACE_TOL:
+        raise InvalidStateError(f"ancilla marginal deviates from I/d by {err:.3e}")
+    w[2 * d] = pop[0, d - 1]
     row = 2 * d + 1
     for m in range(d - 2):
         w[row:row + d - m] = np.linalg.eigvalsh(arr[:, m, :d - m, :d - m], UPLO="L").T
         row += d - m
+    p, q, b = pop[0, d - 2], pop[1, d - 1], arr[:, d - 2, 1, 0]
     mean, radius = (p + q) / 2, np.hypot((p - q) / 2, b)
     w[-2], w[-1] = mean - radius, mean + radius
     lo = w.min(initial=np.inf)

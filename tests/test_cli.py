@@ -250,6 +250,16 @@ class TestQuditTrace:
         assert "d=16 with 60001 points needs about 2.36 GiB" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scan_budget_counts_cells(self, tmp_path, capsys):
+        # 2 KiB per cell: the ratio grid alone would not fit in any memory
+        out = tmp_path / "s.csv"
+        assert run(["qudit-scan", "--d-list", 2, "--ratio-points", 10 ** 15,
+                    "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert "a scan of 1000000000000000 cells needs about" in err
+        assert "over the 2 GiB budget" in err
+        assert not out.exists()
+
     def test_budget_admits_d16_and_rejects_oversize_d_before_computing(
             self, tmp_path, monkeypatch, capsys):
         reached = []

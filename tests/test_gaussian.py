@@ -622,6 +622,14 @@ class TestFirstLossReversal:
         with pytest.raises(DomainError):
             first_loss_reversal(etas)
 
+    @pytest.mark.parametrize("etas", [
+        [[0.0, 0.5, 0.4], [0.3, 0.2, 0.1], [0.0, 0.1, 0.2]],   # read flat: (1, 6)
+        0.5,
+    ])
+    def test_rejects_loss_that_is_not_a_curve(self, etas):
+        with pytest.raises(DomainError, match="1-d"):
+            first_loss_reversal(etas)
+
     def test_monotone_loss(self):
         assert first_loss_reversal(np.linspace(0.0, 1.0, 50)) is None
         assert first_loss_reversal(np.linspace(1.0, 0.0, 50)) is None
@@ -693,6 +701,17 @@ class TestDhoCoefficients:
     def test_rejects_non_finite(self, c, c_dot):
         with pytest.raises(DomainError):
             DhoAmplitude.from_arrays([0.0, 0.5], [1.0, c], [-1j, c_dot], RESONANT)
+
+    @pytest.mark.parametrize("times, c, c_dot", [
+        ([0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
+        ([0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0, 0.0]),
+        ([0.0, 1.0], [1.0, 1.0], [0.0]),
+        ([[0.0, 1.0]], [[1.0, 1.0]], [[0.0, 0.0]]),
+        (0.0, 1.0, 0.0),
+    ], ids=["short-times", "short-c", "short-c-dot", "2-d", "0-d"])
+    def test_rejects_arrays_that_are_not_equal_curves(self, times, c, c_dot):
+        with pytest.raises(DomainError, match="1-d arrays of equal length"):
+            DhoAmplitude.from_arrays(times, c, c_dot, RESONANT)
 
 
 class TestDhoChannel:

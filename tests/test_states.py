@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -377,6 +378,27 @@ class TestChoiEntropyArrays:
         assert np.abs(noisy - blocks)[0].diagonal(axis1=-2, axis2=-1).max() > 0.1
         assert np.array_equal(np.array(choi_entropy_arrays(noisy)),
                               np.array(choi_entropy_arrays(blocks)))
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_population_mapping(self, d):
+        # 1e-6 of weight moved between two populations <a, j| rho |a, j>
+        # (block j - a, level a): within an ancilla column rho_A stays I/d
+        # and the entropies follow the dense state; across columns it does not
+        evolved = evolve_choi(LindbladModel(d=d, gamma=0.3), 3.0, 2).states[-1]
+        base = (decay_blocks(d)[0] + evolved) / 2
+        for m in range(d):   # every true block stays positive after a move
+            assert np.linalg.eigvalsh(base[m, :d - m, :d - m], UPLO="L").min() >= 0.02
+        populations = [(a, j) for j in range(d) for a in range(j + 1)]
+        for (a, j), (a2, j2) in itertools.permutations(populations, 2):
+            blocks = base[None].copy()
+            blocks[0, j - a, a, a] -= 1e-6
+            blocks[0, j2 - a2, a2, a2] += 1e-6
+            if j == j2:
+                expected = np.array(entropy_arrays(dense_choi(blocks), (d, d)))
+                assert np.abs(np.array(choi_entropy_arrays(blocks)) - expected).max() < 1e-12
+            else:
+                with pytest.raises(InvalidStateError, match="ancilla marginal deviates"):
+                    choi_entropy_arrays(blocks)
 
     @pytest.mark.parametrize("corrupt", [
         # <0,0|rho|0,0> up, <0,1|rho|0,1> down: same trace and rho_S, rho_A != I/d
