@@ -62,17 +62,18 @@ _CSV_FIELDS = {
 
 def _write_csv(path: str, header: list[str], blocks: Iterable[tuple]) -> None:
     """Write `header`, then the rows of each tuple of equally long float, bool,
-    int or str columns in `blocks`: per `_CSV_BLOCK_ROWS` slice, each column
-    is converted once and the slice is formatted by one %-template."""
+    int or str columns (arrays or lists) in `blocks`: per `_CSV_BLOCK_ROWS`
+    slice, each column is converted once and the slice is formatted by one
+    %-template. A list column is turned into an array one slice at a time,
+    so a str column is never held as one fixed-width array."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         for columns in blocks:
-            columns = [np.asarray(col) for col in columns]
-            fields = [_CSV_FIELDS[col.dtype.kind] for col in columns]
-            line = ",".join(field for field, _ in fields) + "\n"
             for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-                values = [convert(col[start:start + _CSV_BLOCK_ROWS])
-                          for col, (_, convert) in zip(columns, fields)]
+                parts = [np.asarray(col[start:start + _CSV_BLOCK_ROWS]) for col in columns]
+                fields = [_CSV_FIELDS[part.dtype.kind] for part in parts]
+                line = ",".join(field for field, _ in fields) + "\n"
+                values = [convert(part) for part, (_, convert) in zip(parts, fields)]
                 fh.write(((line * len(values[0])) % tuple(
                     itertools.chain.from_iterable(zip(*values)))).encode("ascii"))
 

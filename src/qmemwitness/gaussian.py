@@ -9,6 +9,7 @@ so the vacuum covariance matrix is I/2. States are zero-mean throughout
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -32,12 +33,22 @@ _COARSE_POINTS = 40
 #: Single-mode symplectic form.
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+# the identity that scales the DHO noise matrix, shared by every channel
+_EYE_2 = np.eye(2)
+_EYE_2.setflags(write=False)
+
 
 def _asymmetric(x: np.ndarray) -> bool:
     """True when x - x^T exceeds SYMMETRY_TOL relative to max(1, largest |entry|),
-    the rounding scale of a matrix built in floating point."""
-    skew = np.abs(x - x.T).max()
-    return bool(skew > SYMMETRY_TOL and skew > SYMMETRY_TOL * np.abs(x).max())
+    the rounding scale of a matrix built in floating point. x must be
+    finite; a 2x2 x is read as four Python floats, which gives the same
+    skew and scale without numpy's per-operation cost."""
+    if x.shape == (2, 2):
+        (a, b), (c, d) = x.tolist()
+        skew, scale = abs(b - c), max(abs(a), abs(b), abs(c), abs(d))
+    else:
+        skew, scale = np.abs(x - x.T).max(), np.abs(x).max()
+    return bool(skew > SYMMETRY_TOL and skew > SYMMETRY_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,7 @@ class GaussianChannel:
         n = np.array(self.n, dtype=float)
         if m.shape != (2, 2) or n.shape != (2, 2):
             raise DomainError("channel matrices must be 2x2")
-        if not (np.isfinite(m).all() and np.isfinite(n).all()):
+        if not all(map(math.isfinite, itertools.chain(*m.tolist(), *n.tolist()))):
             raise DomainError("channel matrices must be finite")
         if _asymmetric(n):
             raise DomainError("noise matrix N must be symmetric")
@@ -267,12 +278,18 @@ class DhoAmplitude:
     def from_arrays(cls, times, c, c_dot, params: DhoParams) -> "DhoAmplitude":
         """Amplitude samples on a grid plus the coefficients they give for
         `params`; DomainError unless times, c and c_dot are 1-d arrays of
-        equal length and c and c_dot are finite."""
-        times = np.asarray(times, dtype=float)
-        c, c_dot = np.asarray(c, dtype=complex), np.asarray(c_dot, dtype=complex)
+        equal length, the times are finite and strictly increasing, and c
+        and c_dot are finite. The arrays are read-only copies of the
+        input, so the grid stays what was checked."""
+        times = np.array(times, dtype=float)
+        c, c_dot = np.array(c, dtype=complex), np.array(c_dot, dtype=complex)
         if times.ndim != 1 or not times.shape == c.shape == c_dot.shape:
             raise DomainError(f"times, c and c_dot must be 1-d arrays of equal length, got "
                               f"shapes {times.shape}, {c.shape} and {c_dot.shape}")
+        if not np.isfinite(times).all():
+            raise DomainError("time grid must be finite")
+        if np.any(np.diff(times) <= 0):
+            raise DomainError("time grid must be strictly increasing")
         if not (np.isfinite(c).all() and np.isfinite(c_dot).all()):
             raise DomainError("amplitude and its derivative must be finite")
         ok = np.abs(c) > AMPLITUDE_CUTOFF
@@ -280,6 +297,8 @@ class DhoAmplitude:
         g = -(c_dot[ok] + 1j * params.omega * c[ok]) / c[ok]
         gamma_t[ok] = 2.0 * g.real
         omega_t[ok] = params.omega + g.imag
+        for x in (times, c, c_dot, gamma_t, omega_t):
+            x.setflags(write=False)
         return cls(times, c, c_dot, gamma_t, omega_t, params)
 
 
@@ -306,8 +325,6 @@ def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or abs(grid[0]) > 1e-14 or not np.isfinite(grid).all():
         raise DomainError("time grid must be 1-d, finite and start at 0")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise DomainError("time grid must be strictly increasing")
     b = params.kappa + 1j * (params.omega + params.omega_big)
     c0 = params.g2 + 1j * params.omega * (params.kappa + 1j * params.omega_big)
     s = -b / 2.0
@@ -339,27 +356,36 @@ def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
     where the accumulated phase Phi_t = int_0^t omega_s ds equals
     -arg c_t, so M_t follows c_t through its zeros (the rotation never
     affects the witness). `amplitude` must have been computed for
-    `params` (DomainError otherwise), and t must coincide with one of its
-    grid times. on_vanishing is "raise" (DomainError where the amplitude
-    vanishes) or "full-loss" (the full-loss channel M = 0, N = I/2 there).
+    `params` (DomainError otherwise), and t must lie within
+    1e-9 max(t_end, 1) of one of its grid times (DomainError otherwise,
+    also for NaN and +-inf); the nearest one is used, the earlier of two
+    equally near. The lookup is a binary search plus a neighbour compare,
+    O(log T) on the T grid times, and relies on the grid being finite and
+    strictly increasing, which `DhoAmplitude.from_arrays` guarantees.
+    on_vanishing is "raise" (DomainError where the amplitude vanishes) or
+    "full-loss" (the full-loss channel M = 0, N = I/2 there).
     """
     if on_vanishing not in ("raise", "full-loss"):
         raise DomainError(f"on_vanishing must be 'raise' or 'full-loss', got {on_vanishing!r}")
     if amplitude.params != params:
         raise DomainError(f"amplitude was computed for {amplitude.params}, not {params}")
     times = amplitude.times
-    span = max(times[-1], 1.0)
-    k = int(np.argmin(np.abs(times - t)))
-    if not abs(times[k] - t) <= 1e-9 * span:
+    k = int(np.searchsorted(times, t))   # first grid time >= t; len(times) for NaN
+    if k == len(times) or (k and abs(times[k - 1] - t) <= abs(times[k] - t)):
+        k -= 1
+    dist = abs(times[k] - t)
+    while k and abs(times[k - 1] - t) == dist:   # argmin's first index if distances round equal
+        k -= 1
+    if not dist <= 1e-9 * max(times[-1], 1.0):
         raise DomainError(f"t={t} is not a grid time of the amplitude trajectory")
     c_t = complex(amplitude.c[k])
     if abs(c_t) <= AMPLITUDE_CUTOFF:
         if on_vanishing == "full-loss":
-            return GaussianChannel(m=np.zeros((2, 2)), n=0.5 * np.eye(2))
+            return GaussianChannel(m=np.zeros((2, 2)), n=0.5 * _EYE_2)
         raise DomainError(f"amplitude vanished at t={times[k]:.6g}")
     return GaussianChannel(
         m=np.array([[c_t.real, c_t.imag], [-c_t.imag, c_t.real]]),
-        n=0.5 * (1.0 - abs(c_t) ** 2) * np.eye(2),
+        n=0.5 * (1.0 - abs(c_t) ** 2) * _EYE_2,
     )
 
 

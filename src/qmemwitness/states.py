@@ -72,14 +72,18 @@ def _integer_dims(dims: Sequence) -> tuple[int, ...]:
 
 
 def _check_entropies(s_sys, s_anc, s_joint) -> None:
-    """Non-negativity, Araki-Lieb and subadditivity of entropy arrays; NaN fails."""
+    """Non-negativity, Araki-Lieb and subadditivity of entropy arrays; NaN fails.
+    The three tests share one mask; the failed one is named only after a failure."""
     lowest = np.minimum(np.minimum(s_sys, s_anc), s_joint)
-    if not np.all(lowest >= -1e-9):
+    tests = (lowest >= -1e-9, np.abs(s_sys - s_anc) <= s_joint + 1e-8,
+             s_joint <= s_sys + s_anc + 1e-8)
+    if (tests[0] & tests[1] & tests[2]).all():
+        return
+    if not tests[0].all():
         raise InvalidStateError(f"negative or undefined entropy (min {np.min(lowest):.3e})")
-    if not np.all(np.abs(s_sys - s_anc) <= s_joint + 1e-8):
+    if not tests[1].all():
         raise InvalidStateError("triangle (Araki-Lieb) inequality violated")
-    if not np.all(s_joint <= s_sys + s_anc + 1e-8):
-        raise InvalidStateError("subadditivity violated")
+    raise InvalidStateError("subadditivity violated")
 
 
 def _check_trace(stack: np.ndarray) -> None:

@@ -208,11 +208,13 @@ def find_witness_times(
 
 
 def ordering_check(traj: EntropyTrajectory) -> bool:
-    """True iff -S(S|A) >= -S(A|S) - 1e-9 at every grid time.
+    """True iff -S(S|A) >= -S(A|S) - 1e-9 at every grid time, i.e. S_A >= S_S.
 
     Meaningful for trajectories started from a maximally entangled
     system-ancilla probe, where the ancilla marginal stays maximally
-    mixed.
+    mixed. For the engine's states it is an invariant check, not a
+    finding: `choi_entropy_arrays` enforces rho_A = I/d, so S_A = ln d
+    >= S_S, and False means that invariant broke.
     """
     return bool(np.all(traj.neg_cond_sa >= traj.neg_cond_as - 1e-9))
 
@@ -229,7 +231,8 @@ def qudit_entropy_trajectory(
 
 @dataclass(frozen=True)
 class QuditWitnessResult:
-    """Full outcome of one qudit-model witness run."""
+    """Full outcome of one qudit-model witness run; `ordering_ok` is
+    `ordering_check` of the trajectory, an invariant check for engine states."""
 
     report: WitnessReport
     trajectory: EntropyTrajectory

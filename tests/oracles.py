@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from qmemwitness import DomainError, GaussianChannel, TwoModeBlocks, cp_check
-from qmemwitness.gaussian import SQUEEZING_MAX
+from qmemwitness.gaussian import SQUEEZING_MAX, SYMMETRY_TOL
 
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = SIGMA_PLUS.conj().T
@@ -279,6 +279,37 @@ def dho_expm(g2, kappa, omega, omega_big, ts):
     a = np.array([[0.0, 1.0], [-c, -b]])
     y = np.array([expm(a * t) @ np.array([1.0, -1j * omega]) for t in ts])
     return y[:, 0], y[:, 1]
+
+
+def dho_channel_by_argmin(times, c, t, on_vanishing="raise"):
+    """(M, N) of the damped-oscillator channel at grid time t, with the grid
+    index taken as argmin |times - t| over the whole grid (the lookup
+    `dho_channel` made before its binary search). Raises DomainError with
+    the messages of `dho_channel` for a time off the grid and a vanished
+    amplitude."""
+    times = np.asarray(times, dtype=float)
+    span = max(times[-1], 1.0)
+    k = int(np.argmin(np.abs(times - t)))
+    if not abs(times[k] - t) <= 1e-9 * span:
+        raise DomainError(f"t={t} is not a grid time of the amplitude trajectory")
+    c_t = complex(c[k])
+    if abs(c_t) <= 1e-12:
+        if on_vanishing == "full-loss":
+            return np.zeros((2, 2)), 0.5 * np.eye(2)
+        raise DomainError(f"amplitude vanished at t={times[k]:.6g}")
+    return (np.array([[c_t.real, c_t.imag], [-c_t.imag, c_t.real]]),
+            0.5 * (1.0 - abs(c_t) ** 2) * np.eye(2))
+
+
+def channel_accepted_by_numpy(m, n) -> bool:
+    """Whether 2x2 channel matrices pass the array rule: every entry finite,
+    and max |N - N^T| within SYMMETRY_TOL max(1, largest |entry of N|)."""
+    m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
+    if not (np.isfinite(m).all() and np.isfinite(n).all()):
+        return False
+    with np.errstate(over="ignore"):
+        skew = np.abs(n - n.T).max()
+    return not (skew > SYMMETRY_TOL and skew > SYMMETRY_TOL * np.abs(n).max())
 
 
 def random_unitary(rng, n: int) -> np.ndarray:

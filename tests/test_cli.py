@@ -4,6 +4,7 @@ import os
 import string
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -106,6 +107,22 @@ def test_csv_rows_stream_in_blocks(tmp_path):
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
+def test_csv_list_column_is_converted_per_slice(tmp_path):
+    # one long message widens the str array of its own 64-row slice only:
+    # converted whole, the column would be an 8193 x 1000-character array (32 MB)
+    out = tmp_path / "x.csv"
+    messages = ["short"] * 8192 + ["x" * 1000]
+    tracemalloc.start()
+    try:
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 64):
+            _write_csv(out, ["error"], [(messages,)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert out.read_bytes() == ("\n".join(["error", *messages]) + "\n").encode("ascii")
+
+
 def _old_csv_value(value) -> str:
     """The per-value CSV rule the columnar writer must reproduce."""
     if isinstance(value, bool):
@@ -127,13 +144,17 @@ _CSV_KINDS = {
 
 @st.composite
 def _csv_blocks(draw):
-    """Column kinds, then blocks of rows of those kinds (as columns and as rows)."""
+    """Column kinds, then blocks of rows of those kinds (as columns and as
+    rows); each column is an array or, as the scan passes some, a list."""
     kinds = draw(st.lists(st.sampled_from(sorted(_CSV_KINDS)), min_size=1, max_size=6))
+    as_list = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
     blocks = draw(st.lists(st.lists(st.tuples(*(_CSV_KINDS[k] for k in kinds)), max_size=12),
                            min_size=1, max_size=3))
     dtypes = {"float": float, "bool": bool, "int": np.int64, "str": str}
-    columns = [tuple(np.array([row[i] for row in rows], dtype=dtypes[kind])
-                     for i, kind in enumerate(kinds)) for rows in blocks if rows]
+    columns = [tuple([row[i] for row in rows] if listed
+                     else np.array([row[i] for row in rows], dtype=dtypes[kind])
+                     for i, (kind, listed) in enumerate(zip(kinds, as_list)))
+               for rows in blocks if rows]
     return kinds, blocks, columns
 
 

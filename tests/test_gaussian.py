@@ -481,6 +481,27 @@ class TestDhoAmplitude:
         for bad in ([0.0, 1.0, math.inf], [0.0, math.nan], [math.nan, 1.0]):
             with pytest.raises(DomainError):
                 dho_amplitude(RESONANT, bad)
+        for bad in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+            with pytest.raises(DomainError, match="^time grid must be strictly increasing$"):
+                dho_amplitude(RESONANT, bad)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.0], [0.0, math.nan],
+                                       [0.0, math.inf]])
+    def test_from_arrays_rejects_grid(self, times):
+        # dho_channel's binary search needs finite, strictly increasing times
+        with pytest.raises(DomainError, match="time grid must be"):
+            DhoAmplitude.from_arrays(times, [1.0, 1.0], [0.0, 0.0], RESONANT)
+
+    def test_arrays_are_read_only_copies(self):
+        times, c, c_dot = np.array([0.0, 0.5]), np.array([1.0, 0.5j]), np.array([-1j, -1j])
+        amp = DhoAmplitude.from_arrays(times, c, c_dot, RESONANT)
+        times[1], c[1], c_dot[1] = 0.0, 0.0, 0.0   # the caller's arrays stay its own
+        assert amp.times.tolist() == [0.0, 0.5] and amp.c.tolist() == [1.0, 0.5j]
+        assert amp.c_dot.tolist() == [-1j, -1j]
+        for amp in (amp, dho_amplitude(RESONANT, [0.0, 0.5])):
+            for name in ("times", "c", "c_dot", "gamma_t", "omega_t"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(amp, name)[0] = 1.0
 
     @pytest.mark.parametrize("params", [RESONANT, DETUNED, DhoParams(0.3, 1.0, 2.0, 0.5)])
     def test_closed_form_matches_oracle_to_roundoff(self, params):

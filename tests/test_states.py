@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,25 @@ class TestEntropyTriple:
     def test_nan_rejected(self):
         with pytest.raises(InvalidStateError):
             _check_entropies(np.array([math.nan]), np.array([0.5]), np.array([0.5]))
+
+    @pytest.mark.parametrize("s_sys, s_anc, s_joint, message", [
+        ([0.5, -1.0], [0.5, 0.5], [0.5, 0.5], "negative or undefined entropy (min -1.000e+00)"),
+        ([0.5, math.nan], [0.5, 0.5], [0.5, 0.5], "negative or undefined entropy (min nan)"),
+        ([0.5, 0.5], [0.5, 0.5], [math.nan, 0.5], "negative or undefined entropy (min nan)"),
+        ([0.1, 0.5], [0.1, 0.5], [-2e-9, 3.0], "negative or undefined entropy (min -2.000e-09)"),
+        ([1.0, 0.2], [0.0, 0.2], [0.1, 0.2], "triangle (Araki-Lieb) inequality violated"),
+        ([0.2, 0.0], [0.2, 1.0], [0.3, 0.1], "triangle (Araki-Lieb) inequality violated"),
+        ([0.1, 0.2], [0.1, 0.2], [0.3, 0.2], "subadditivity violated"),
+    ], ids=["negative", "nan-system", "nan-joint", "negative-before-subadditivity",
+            "araki-lieb", "araki-lieb-before-subadditivity", "subadditivity"])
+    def test_names_the_first_failed_test(self, s_sys, s_anc, s_joint, message):
+        # the tests run in the order negativity, Araki-Lieb, subadditivity
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+            _check_entropies(*map(np.array, (s_sys, s_anc, s_joint)))
+
+    def test_accepts_entropies_at_the_tolerances(self):
+        _check_entropies(np.array([-1e-9, 1.0, 0.1]), np.array([0.0, 0.0, 0.1]),
+                         np.array([0.0, 1.0 - 1e-8, 0.2 + 1e-8]))
 
 
 class TestEntropyArrays:
