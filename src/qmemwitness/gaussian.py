@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +51,18 @@ def _asymmetric(x: np.ndarray) -> bool:
     return bool(skew > SYMMETRY_TOL and skew > SYMMETRY_TOL * scale)
 
 
+def _block_2x2(x, name: str, error: type[Exception]) -> np.ndarray:
+    """Read-only float copy of x; `error` unless it is 2x2 and finite,
+    checked on its four entries as Python floats."""
+    blk = np.array(x, dtype=float)
+    if blk.shape != (2, 2):
+        raise error(f"{name} must be 2x2, got {blk.shape}")
+    if not all(map(math.isfinite, itertools.chain(*blk.tolist()))):
+        raise error(f"{name} must be finite")
+    blk.setflags(write=False)
+    return blk
+
+
 @dataclass(frozen=True)
 class GaussianChannel:
     """Single-mode Gaussian channel sigma -> M^T sigma M + N.
@@ -64,41 +76,30 @@ class GaussianChannel:
     n: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=float)
-        n = np.array(self.n, dtype=float)
-        if m.shape != (2, 2) or n.shape != (2, 2):
-            raise DomainError("channel matrices must be 2x2")
-        if not all(map(math.isfinite, itertools.chain(*m.tolist(), *n.tolist()))):
-            raise DomainError("channel matrices must be finite")
+        m = _block_2x2(self.m, "channel matrix M", DomainError)
+        n = _block_2x2(self.n, "noise matrix N", DomainError)
         if _asymmetric(n):
             raise DomainError("noise matrix N must be symmetric")
-        m.setflags(write=False)
-        n.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)
 class TwoModeBlocks:
-    """Two-mode covariance matrix [[alpha, gamma], [gamma^T, beta]].
+    """Two-mode covariance matrix sigma = [[alpha, gamma], [gamma^T, beta]].
 
     alpha and beta are the reduced system/ancilla blocks, gamma_block the
-    correlation block.
+    correlation block; all four arrays are read-only.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     gamma_block: np.ndarray
+    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.array(self.alpha, dtype=float)
-        b = np.array(self.beta, dtype=float)
-        g = np.array(self.gamma_block, dtype=float)
-        for blk, name in ((a, "alpha"), (b, "beta"), (g, "gamma_block")):
-            if blk.shape != (2, 2):
-                raise InvalidStateError(f"{name} must be 2x2, got {blk.shape}")
-        if not all(np.isfinite(blk).all() for blk in (a, b, g)):
-            raise InvalidStateError("covariance blocks must be finite")
+        a, b, g = (_block_2x2(getattr(self, name), name, InvalidStateError)
+                   for name in ("alpha", "beta", "gamma_block"))
         if _asymmetric(a) or _asymmetric(b):
             raise InvalidStateError("alpha and beta must be symmetric")
         sig = np.block([[a, g], [g.T, b]])
@@ -106,16 +107,9 @@ class TwoModeBlocks:
         if lo < -PHYSICALITY_TOL:
             raise InvalidStateError(f"two-mode state violates sigma + i Omega/2 >= 0 "
                                     f"(min eigenvalue {lo:.3e})")
-        for blk in (a, b, g):
-            blk.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma_block", g)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.block([[self.alpha, self.gamma_block],
-                         [self.gamma_block.T, self.beta]])
+        sig.setflags(write=False)
+        for name, x in (("alpha", a), ("beta", b), ("gamma_block", g), ("sigma", sig)):
+            object.__setattr__(self, name, x)
 
 
 @dataclass(frozen=True)
@@ -264,28 +258,27 @@ class DhoAmplitude:
         gamma_t = 2 Re G,   omega_t = omega + Im G,
 
     (NaN where |c| is at or below the cutoff, since they diverge at
-    amplitude zeros), for the oscillator `params`.
+    amplitude zeros), for the oscillator `params`. DomainError unless
+    times, c and c_dot are 1-d arrays of equal, non-zero length, the times
+    finite and strictly increasing, and c and c_dot finite. The arrays are
+    read-only copies, so the grid stays what was checked.
     """
 
     times: np.ndarray
     c: np.ndarray
     c_dot: np.ndarray
-    gamma_t: np.ndarray
-    omega_t: np.ndarray
     params: DhoParams
+    gamma_t: np.ndarray = field(init=False)
+    omega_t: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_arrays(cls, times, c, c_dot, params: DhoParams) -> "DhoAmplitude":
-        """Amplitude samples on a grid plus the coefficients they give for
-        `params`; DomainError unless times, c and c_dot are 1-d arrays of
-        equal length, the times are finite and strictly increasing, and c
-        and c_dot are finite. The arrays are read-only copies of the
-        input, so the grid stays what was checked."""
-        times = np.array(times, dtype=float)
-        c, c_dot = np.array(c, dtype=complex), np.array(c_dot, dtype=complex)
+    def __post_init__(self):
+        times = np.array(self.times, dtype=float)
+        c, c_dot = np.array(self.c, dtype=complex), np.array(self.c_dot, dtype=complex)
         if times.ndim != 1 or not times.shape == c.shape == c_dot.shape:
             raise DomainError(f"times, c and c_dot must be 1-d arrays of equal length, got "
                               f"shapes {times.shape}, {c.shape} and {c_dot.shape}")
+        if times.size == 0:
+            raise DomainError("time grid must be non-empty")
         if not np.isfinite(times).all():
             raise DomainError("time grid must be finite")
         if np.any(np.diff(times) <= 0):
@@ -294,12 +287,13 @@ class DhoAmplitude:
             raise DomainError("amplitude and its derivative must be finite")
         ok = np.abs(c) > AMPLITUDE_CUTOFF
         gamma_t, omega_t = np.full(times.shape, np.nan), np.full(times.shape, np.nan)
-        g = -(c_dot[ok] + 1j * params.omega * c[ok]) / c[ok]
+        g = -(c_dot[ok] + 1j * self.params.omega * c[ok]) / c[ok]
         gamma_t[ok] = 2.0 * g.real
-        omega_t[ok] = params.omega + g.imag
-        for x in (times, c, c_dot, gamma_t, omega_t):
+        omega_t[ok] = self.params.omega + g.imag
+        for name, x in (("times", times), ("c", c), ("c_dot", c_dot),
+                        ("gamma_t", gamma_t), ("omega_t", omega_t)):
             x.setflags(write=False)
-        return cls(times, c, c_dot, gamma_t, omega_t, params)
+            object.__setattr__(self, name, x)
 
 
 def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
@@ -320,15 +314,14 @@ def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
 
     where lambda_+ = s + mu = det A / (s - mu). The form needs no branch
     at degenerate roots (mu = 0) and has no factor that overflows under
-    strong damping. Returns a `DhoAmplitude`.
+    strong damping. Returns a `DhoAmplitude`; DomainError for a grid that
+    does not start at 0 or that the amplitude type rejects.
     """
     grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1 or abs(grid[0]) > 1e-14 or not np.isfinite(grid).all():
-        raise DomainError("time grid must be 1-d, finite and start at 0")
     b = params.kappa + 1j * (params.omega + params.omega_big)
     c0 = params.g2 + 1j * params.omega * (params.kappa + 1j * params.omega_big)
     s = -b / 2.0
-    # past overflow the amplitude is not finite, which from_arrays rejects
+    # past overflow the amplitude is not finite, which DhoAmplitude rejects
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.sqrt(complex(s * s - c0))
         z = 2.0 * mu * grid
@@ -343,7 +336,10 @@ def dho_amplitude(params: DhoParams, t_grid: Sequence[float]) -> DhoAmplitude:
         w = -1j * params.omega
         c = growth * (half_sum + t_phi * (w - s))
         c_dot = growth * (half_sum * w + t_phi * (-c0 + w * s))
-    return DhoAmplitude.from_arrays(grid, c, c_dot, params)
+    amp = DhoAmplitude(grid, c, c_dot, params)
+    if not abs(amp.times[0]) <= 1e-14:
+        raise DomainError("time grid must start at 0")
+    return amp
 
 
 def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
@@ -361,7 +357,7 @@ def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
     also for NaN and +-inf); the nearest one is used, the earlier of two
     equally near. The lookup is a binary search plus a neighbour compare,
     O(log T) on the T grid times, and relies on the grid being finite and
-    strictly increasing, which `DhoAmplitude.from_arrays` guarantees.
+    strictly increasing, which every `DhoAmplitude` guarantees.
     on_vanishing is "raise" (DomainError where the amplitude vanishes) or
     "full-loss" (the full-loss channel M = 0, N = I/2 there).
     """

@@ -485,23 +485,38 @@ class TestDhoAmplitude:
             with pytest.raises(DomainError, match="^time grid must be strictly increasing$"):
                 dho_amplitude(RESONANT, bad)
 
-    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.0], [0.0, math.nan],
-                                       [0.0, math.inf]])
-    def test_from_arrays_rejects_grid(self, times):
-        # dho_channel's binary search needs finite, strictly increasing times
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0, 1.0], [0.0, math.nan],
+                                       [0.0, math.inf], []])
+    def test_constructor_rejects_grid(self, times):
+        # dho_channel's binary search needs non-empty, finite, strictly
+        # increasing times, so a bad grid fails where the amplitude is built
         with pytest.raises(DomainError, match="time grid must be"):
-            DhoAmplitude.from_arrays(times, [1.0, 1.0], [0.0, 0.0], RESONANT)
+            DhoAmplitude(times, np.ones(len(times)), np.zeros(len(times)), RESONANT)
 
     def test_arrays_are_read_only_copies(self):
         times, c, c_dot = np.array([0.0, 0.5]), np.array([1.0, 0.5j]), np.array([-1j, -1j])
-        amp = DhoAmplitude.from_arrays(times, c, c_dot, RESONANT)
-        times[1], c[1], c_dot[1] = 0.0, 0.0, 0.0   # the caller's arrays stay its own
+        m, n = np.eye(2), np.eye(2) / 2
+        alpha, beta, gamma_block = np.eye(2), np.eye(2), np.diag([0.5, -0.5])
+        amp = DhoAmplitude(times, c, c_dot, RESONANT)
+        ch = GaussianChannel(m=m, n=n)
+        state = TwoModeBlocks(alpha=alpha, beta=beta, gamma_block=gamma_block)
+        sigma = state.sigma.copy()
+        # the caller's arrays stay its own
+        for x in (times, c, c_dot, m, n, alpha, beta, gamma_block):
+            x[-1] = 0.0
         assert amp.times.tolist() == [0.0, 0.5] and amp.c.tolist() == [1.0, 0.5j]
         assert amp.c_dot.tolist() == [-1j, -1j]
-        for amp in (amp, dho_amplitude(RESONANT, [0.0, 0.5])):
-            for name in ("times", "c", "c_dot", "gamma_t", "omega_t"):
-                with pytest.raises(ValueError, match="read-only"):
-                    getattr(amp, name)[0] = 1.0
+        assert np.array_equal(ch.m, np.eye(2)) and np.array_equal(ch.n, np.eye(2) / 2)
+        assert np.array_equal(state.alpha, np.eye(2)) and np.array_equal(state.beta, np.eye(2))
+        assert np.array_equal(state.gamma_block, np.diag([0.5, -0.5]))
+        assert np.array_equal(state.sigma, sigma)
+        fields = [(a, name) for a in (amp, dho_amplitude(RESONANT, [0.0, 0.5]))
+                  for name in ("times", "c", "c_dot", "gamma_t", "omega_t")]
+        fields += [(ch, "m"), (ch, "n")]
+        fields += [(state, name) for name in ("alpha", "beta", "gamma_block", "sigma")]
+        for obj, name in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(obj, name)[0] = 1.0
 
     @pytest.mark.parametrize("params", [RESONANT, DETUNED, DhoParams(0.3, 1.0, 2.0, 0.5)])
     def test_closed_form_matches_oracle_to_roundoff(self, params):
@@ -590,7 +605,7 @@ class TestDhoPhase:
         cs = amp.c.copy()
         zeros = [0, 1, 37, 38, 39, 250, 600]   # at the start, inside and at the end
         cs[zeros] = 0.0
-        fake = DhoAmplitude.from_arrays(amp.times, cs, amp.c_dot, params)
+        fake = DhoAmplitude(amp.times, cs, amp.c_dot, params)
         for k, t in enumerate(amp.times.tolist()):
             if k in zeros:
                 assert np.isnan(fake.gamma_t[k]) and np.isnan(fake.omega_t[k])
@@ -599,7 +614,7 @@ class TestDhoPhase:
             else:
                 assert np.array_equal(dho_channel(fake, params, t).m,
                                       dho_channel(amp, params, t).m)
-        assert np.isnan(DhoAmplitude.from_arrays([0.0, 1.0], [0.0, 0.0], [1.0, 1.0], RESONANT)
+        assert np.isnan(DhoAmplitude([0.0, 1.0], [0.0, 0.0], [1.0, 1.0], RESONANT)
                         .gamma_t).all()
 
     def test_channel_reads_phase_at_t(self):
@@ -681,7 +696,7 @@ def rate_g(amp, omega):
 
 class TestDhoCoefficients:
     def test_zero_at_t0(self):
-        amp = DhoAmplitude.from_arrays([0.0], [1.0 + 0.0j], [-1j * RESONANT.omega], RESONANT)
+        amp = DhoAmplitude([0.0], [1.0 + 0.0j], [-1j * RESONANT.omega], RESONANT)
         assert abs(rate_g(amp, RESONANT.omega)[0]) < 1e-15
         assert amp.gamma_t[0] == 0.0
         assert abs(amp.omega_t[0] - RESONANT.omega) < 1e-15
@@ -711,7 +726,7 @@ class TestDhoCoefficients:
 
     def test_vanishing_amplitude_raises(self):
         # the rates are NaN at an amplitude zero, and the channel there raises
-        amp = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0 + 0.0j], [-1j, -1j], RESONANT)
+        amp = DhoAmplitude([0.0, 0.5], [1.0, 0.0 + 0.0j], [-1j, -1j], RESONANT)
         assert np.isnan(amp.gamma_t[1]) and np.isnan(amp.omega_t[1])
         assert amp.gamma_t[0] == 0.0 and amp.omega_t[0] == RESONANT.omega
         with pytest.raises(DomainError):
@@ -721,7 +736,7 @@ class TestDhoCoefficients:
                                           (1.0, complex(0.0, math.nan)), (1.0, math.inf)])
     def test_rejects_non_finite(self, c, c_dot):
         with pytest.raises(DomainError):
-            DhoAmplitude.from_arrays([0.0, 0.5], [1.0, c], [-1j, c_dot], RESONANT)
+            DhoAmplitude([0.0, 0.5], [1.0, c], [-1j, c_dot], RESONANT)
 
     @pytest.mark.parametrize("times, c, c_dot", [
         ([0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
@@ -732,7 +747,7 @@ class TestDhoCoefficients:
     ], ids=["short-times", "short-c", "short-c-dot", "2-d", "0-d"])
     def test_rejects_arrays_that_are_not_equal_curves(self, times, c, c_dot):
         with pytest.raises(DomainError, match="1-d arrays of equal length"):
-            DhoAmplitude.from_arrays(times, c, c_dot, RESONANT)
+            DhoAmplitude(times, c, c_dot, RESONANT)
 
 
 class TestDhoChannel:
@@ -785,7 +800,7 @@ class TestDhoChannel:
             dho_channel(amp, RESONANT, math.nan)
 
     def test_vanishing_amplitude_paths(self):
-        fake = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0], [-1j, -1j], RESONANT)
+        fake = DhoAmplitude([0.0, 0.5], [1.0, 0.0], [-1j, -1j], RESONANT)
         with pytest.raises(DomainError, match=r"vanished at t=0\.5$"):
             dho_channel(fake, RESONANT, 0.5)
         ch = dho_channel(fake, RESONANT, 0.5, on_vanishing="full-loss")
@@ -795,7 +810,7 @@ class TestDhoChannel:
     @pytest.mark.parametrize("mode", ["full_loss", "Raise", ""])
     def test_unknown_vanishing_mode_rejected(self, mode):
         # rejected on entry, also at t = 0 where the amplitude does not vanish
-        fake = DhoAmplitude.from_arrays([0.0, 0.5], [1.0, 0.0], [-1j, -1j], RESONANT)
+        fake = DhoAmplitude([0.0, 0.5], [1.0, 0.0], [-1j, -1j], RESONANT)
         with pytest.raises(DomainError, match="on_vanishing"):
             dho_channel(fake, RESONANT, 0.0, on_vanishing=mode)
 

@@ -107,7 +107,7 @@ def test_channel_lookup_matches_argmin(start, steps, data):
     times = np.cumsum([start, *steps])
     assume(np.all(np.diff(times) > 0))
     cs = data.draw(st.lists(_AMPLITUDE, min_size=times.size, max_size=times.size))
-    amp = DhoAmplitude.from_arrays(times, cs, np.zeros(times.size), _DHO)
+    amp = DhoAmplitude(times, cs, np.zeros(times.size), _DHO)
     eps = 0.5e-9 * max(times[-1], 1.0)
     queries = [*times, *(times + eps), *(times - eps), *((times[1:] + times[:-1]) / 2),
                times[0] - 1.0, times[-1] + 1.0, times[-1] + 3 * eps, math.nan, math.inf,
