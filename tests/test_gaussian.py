@@ -485,8 +485,8 @@ class TestDhoAmplitude:
             with pytest.raises(DomainError, match="^time grid must be strictly increasing$"):
                 dho_amplitude(RESONANT, bad)
 
-    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0, 1.0], [0.0, math.nan],
-                                       [0.0, math.inf], []])
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.0], [0.0, math.nan], [0.0, math.inf],
+                                       [0.0, 2.0, 1.0], []])
     def test_constructor_rejects_grid(self, times):
         # dho_channel's binary search needs non-empty, finite, strictly
         # increasing times, so a bad grid fails where the amplitude is built
