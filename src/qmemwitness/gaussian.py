@@ -63,7 +63,7 @@ def _block_2x2(x, name: str, error: type[Exception]) -> np.ndarray:
     return blk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # identity ==: arrays compare elementwise
 class GaussianChannel:
     """Single-mode Gaussian channel sigma -> M^T sigma M + N.
 
@@ -84,7 +84,7 @@ class GaussianChannel:
         object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # identity ==: arrays compare elementwise
 class TwoModeBlocks:
     """Two-mode covariance matrix sigma = [[alpha, gamma], [gamma^T, beta]].
 
@@ -249,7 +249,7 @@ def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0)
     return np.exp(u_star), f_star
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # identity ==: arrays compare elementwise
 class DhoAmplitude:
     """Oscillator amplitude c_t and its derivative c_dot at `times`, with
     the master-equation coefficients of the amplitude flow

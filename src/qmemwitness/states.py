@@ -32,7 +32,7 @@ EIGENVALUE_FLOOR = -1e-9
 EIGENVALUE_CLIP = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # identity ==: arrays compare elementwise
 class DensityMatrix:
     """A validated density matrix with an explicit subsystem split.
 

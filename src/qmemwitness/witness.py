@@ -24,7 +24,7 @@ import numpy as np
 from . import gaussian as _gaussian
 from .errors import DomainError, ExtremumNotFoundError, InvalidStateError, QmemError
 from .lindblad import DEFAULT_CONVENTION, ChoiEvolution, LindbladModel, evolve_choi
-from .optimize import golden_section
+from .optimize import brent_bounded
 from .states import DensityMatrix, choi_entropy_arrays, entropy_arrays
 
 #: delta_s must undershoot zero by more than this before detection is
@@ -120,7 +120,7 @@ def evaluate_criterion_gaussian(
     return WitnessReport(s_sys, neg_sa, neg_as, t1, t2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # identity ==: arrays compare elementwise
 class EntropyTrajectory:
     """Entropies (nats) of a bipartite state along a time grid, as arrays.
 
@@ -166,11 +166,13 @@ def find_witness_times(
 
     t1 is the first interior local minimum of s_system, t2 the first
     local maximum of -S(S|A) after t1 (extrema less prominent than 1e-10
-    are noise). Both times are refined by golden-section search down to
-    1e-6 of the grid span on the entropies `evaluate` returns, a map from
-    an array of times to their EntropyTrajectory (typically backed by
-    exact off-grid states); the brackets are searched together, so each
-    step makes one `evaluate` call.
+    are noise). Each is refined inside the two grid steps around its grid
+    point by Brent's bounded search (`optimize.brent_bounded`) on the
+    entropies `evaluate` returns, a map from an array of times to their
+    EntropyTrajectory (typically backed by exact off-grid states), and
+    reported at the search's best probe, within 1e-6 of the grid span of
+    the extremum. The brackets are searched in lockstep, so each round
+    makes one `evaluate` call.
 
     Raises ExtremumNotFoundError when either extremum is missing, e.g.
     on monotone trajectories (callers may extend the grid).
@@ -190,13 +192,18 @@ def find_witness_times(
     i_maxs = _interior_extrema(traj.neg_cond_sa, "max")
     i_maxs = i_maxs[i_maxs >= i1][:1 + (i1 in i_maxs)]
 
-    def objective(x, idx):
-        e = evaluate(x)
+    # each bracket is searched in the offset u = t - lo from its left end:
+    # Brent's final bracket holds the best probe and is at most
+    # 2/3 tol + 4 sqrt(eps)|u| wide, below tol wherever the grid sits
+    centres = np.concatenate(([i1], i_maxs))
+    lo = times[centres - 1]
+
+    def objective(u, idx):
+        e = evaluate(lo[idx] + u)
         return np.where(idx == 0, e.s_system, -e.neg_cond_sa)
 
-    centres = np.concatenate(([i1], i_maxs))
-    a, b, *_ = golden_section(objective, times[centres - 1], times[centres + 1], tol)
-    t1, *t_maxs = (float(t) for t in 0.5 * (a + b))
+    best, _ = brent_bounded(objective, np.zeros(lo.size), times[centres + 1] - lo, tol / 2)
+    t1, *t_maxs = (float(t) for t in lo + best)
     after = np.flatnonzero(times[i_maxs] > t1)
     if after.size == 0:
         raise ExtremumNotFoundError("no local maximum of -S(S|A) after t1")
@@ -229,7 +236,7 @@ def qudit_entropy_trajectory(
     return ev, EntropyTrajectory(ev.times, *choi_entropy_arrays(ev.states))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # identity ==: arrays compare elementwise
 class QuditWitnessResult:
     """Full outcome of one qudit-model witness run; `ordering_ok` is
     `ordering_check` of the trajectory, an invariant check for engine states."""
@@ -242,8 +249,10 @@ class QuditWitnessResult:
 
 def witness_from_trajectory(ev: ChoiEvolution, traj: EntropyTrajectory) -> QuditWitnessResult:
     """Select (t1, t2) on a trajectory from `qudit_entropy_trajectory` and
-    evaluate the witness. The times are refined on exact off-grid states to
-    1e-6 of the grid span, so delta_s does not depend on the output grid.
+    evaluate the witness. The times are refined on exact off-grid states by
+    Brent's bounded search to within 1e-6 of the grid span, and the witness
+    is evaluated at the best probes, so delta_s does not depend on the
+    output grid.
     `revival_maxima` lists every interior local maximum of -S(S|A) after t1
     as (time, value); entries beyond the first show whether later revivals
     could still detect. Raises ExtremumNotFoundError like `find_witness_times`.

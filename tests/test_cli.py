@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -77,6 +78,29 @@ def test_public_surface():
     assert all(issubclass(e, qmemwitness.QmemError) for e in errors)
     assert issubclass(qmemwitness.DomainError, ValueError)
     assert issubclass(qmemwitness.InvalidStateError, ValueError)
+
+
+def test_value_types_with_array_fields_compare_by_identity():
+    # == on ndarray fields is elementwise, so these types compare and hash
+    # by identity; before, == raised ValueError and hash() TypeError
+    q = qmemwitness
+    traj = q.EntropyTrajectory(*np.zeros((4, 3)))
+    report = q.WitnessReport(0.5, 0.2, 0.1, 1.0, 2.0)
+    values = [
+        q.DensityMatrix(np.eye(4) / 4, (2, 2)),
+        q.GaussianChannel(np.eye(2), np.zeros((2, 2))),
+        q.TwoModeBlocks(np.eye(2) / 2, np.eye(2) / 2, np.zeros((2, 2))),
+        q.dho_amplitude(q.DhoParams(1.0, 0.25, 1.0, 1.0), [0.0, 1.0]),
+        traj,
+        q.QuditWitnessResult(report, traj, (), True),
+    ]
+    for x in values:
+        assert x == x and x != copy.copy(x)
+        assert x in {x} and copy.copy(x) not in {x}
+    # the types without array fields keep value equality
+    assert report == q.WitnessReport(0.5, 0.2, 0.1, 1.0, 2.0)
+    assert q.DhoParams(1.0, 0.25, 1.0, 1.0) == q.DhoParams(1.0, 0.25, 1.0, 1.0)
+    assert q.LindbladModel(d=3, gamma=0.1) == q.LindbladModel(d=3, gamma=0.1)
 
 
 def test_import_loads_no_ode_solver():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import fminbound, minimize_scalar
 
 from qmemwitness import (
     DensityMatrix,
@@ -25,7 +26,7 @@ from qmemwitness import (
     witness_qudit_model,
 )
 from qmemwitness import states, witness
-from qmemwitness.optimize import golden_section
+from qmemwitness.optimize import brent_bounded, golden_section
 from qmemwitness.witness import DETECTION_THRESHOLD, _interior_extrema
 from oracles import (
     apply_channel,
@@ -189,6 +190,26 @@ class TestFindWitnessTimes:
         assert abs(t1 - 1.0) < 3e-4
         assert abs(t2 - 1.5) < 3e-4
 
+    @pytest.mark.parametrize("start", [0.0, 1e3, 1e5])
+    def test_refined_to_the_tolerance_wherever_the_grid_starts(self, start):
+        # an asymmetric dip near u = 0.9973, found to 1e-6 of the span
+        # also where |t| is far above the span
+        def f(u):
+            return (1.0 - 0.3 * np.exp(-((u - 1.0) ** 2) / 0.08) + 0.02 * (u - 1.0)
+                    + 0.3 * (u - 1.0) ** 3)
+
+        u_star = minimize_scalar(f, bounds=(0.9, 1.1), method="bounded",
+                                 options={"xatol": 1e-13}).x
+
+        def evaluate(t):
+            t = np.asarray(t, dtype=float)
+            u = t - start
+            s_joint = 1.0 - 0.4 * np.exp(-((u - 1.5) ** 2) / 0.08)
+            return EntropyTrajectory(t, f(u), np.ones_like(t), s_joint)
+
+        t1, _ = find_witness_times(evaluate(start + np.linspace(0.0, 3.0, 61)), evaluate)
+        assert abs(t1 - start - u_star) <= 1e-6 * 3.0
+
     def test_too_short_trajectory(self):
         ts = np.linspace(0.0, 3.0, 2)
         traj, evaluate = synthetic_trajectory(ts)
@@ -197,14 +218,17 @@ class TestFindWitnessTimes:
 
 
 def find_witness_times_sequential(traj, evaluate):
-    """Reference: one golden-section search per bracket, t1 first, then
-    the first local maximum of -S(S|A) whose grid time follows t1."""
+    """Reference: one scipy bounded Brent search per bracket, t1 first,
+    then the first local maximum of -S(S|A) whose grid time follows t1."""
     times = traj.times
     tol = 1e-6 * (times[-1] - times[0])
 
     def refine(i, f):
-        a, b, *_ = golden_section(lambda x, _: f(x), times[i - 1], times[i + 1], tol)
-        return float(0.5 * (a[0] + b[0]))
+        lo = times[i - 1]   # searched in the offset from the bracket's left end
+        res = minimize_scalar(lambda u: float(f(np.array([lo + u]))[0]),
+                              bounds=(0.0, times[i + 1] - lo), method="bounded",
+                              options={"xatol": tol / 2})
+        return float(lo + res.x)
 
     i_mins = _interior_extrema(traj.s_system, "min")
     if i_mins.size == 0:
@@ -250,13 +274,14 @@ class TestBatchedSearchKeepsTheSequentialRule:
         got = find_witness_times(traj, counted)
         assert got == find_witness_times_sequential(traj, evaluate)
         assert got[0] == pytest.approx(dip, abs=1e-4) and got[1] == pytest.approx(t2, abs=1e-4)
-        assert set(sizes) == {3}   # three brackets searched together
+        # three brackets searched together, finished searches dropped
+        assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
 
     @pytest.mark.parametrize("d, gamma, conv", [
         (3, 0.005, "spin"),   # t1 refines right of the grid index of a -S(S|A) peak
         (2, 0.2, "spin"), (3, 0.3, "truncated-oscillator"), (4, 0.05, "spin"),
     ])
-    def test_qudit_cells(self, d, gamma, conv):
+    def test_qudit_cells(self, d, gamma, conv, monkeypatch):
         ev, traj = qudit_entropy_trajectory(
             LindbladModel(d=d, gamma=gamma, convention=conv))
 
@@ -266,6 +291,18 @@ class TestBatchedSearchKeepsTheSequentialRule:
 
         got = find_witness_times(traj, evaluate)
         assert got == find_witness_times_sequential(traj, evaluate)
+        # the refinement rounds plus the report make 8 to 10 entropy calls
+        # on these cells
+        calls, entropies = [], witness.choi_entropy_arrays
+
+        def counted(blocks):
+            calls.append(len(blocks))
+            return entropies(blocks)
+
+        monkeypatch.setattr(witness, "choi_entropy_arrays", counted)
+        rep = witness_from_trajectory(ev, traj).report
+        assert (rep.t1, rep.t2) == got
+        assert len(calls) <= 10
         if gamma == 0.005:
             i1 = _interior_extrema(traj.s_system, "min")[0]
             assert i1 in _interior_extrema(traj.neg_cond_sa, "max")
@@ -378,6 +415,35 @@ class TestGoldenSection:
         assert evaluated[-1] < 40   # finished searches are not evaluated again
 
 
+class TestBrentBounded:
+    FUNCTIONS = (lambda u: u * u * (1.0 + u * u) - 0.5 * u, lambda u: math.cos(3.0 * u),
+                 lambda u: abs(u - 0.37), lambda u: 0.0,
+                 lambda u: math.floor(4.0 * u) / 4.0,          # plateaus
+                 lambda u: min(abs(u - 0.5), 0.2))             # flat away from a dip
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-4, 1e-2])
+    def test_matches_fminbound(self, rng, tol):
+        # brackets from 1e-5 to 3 wide, so the searches end in different rounds
+        a = rng.uniform(-2.0, 1.0, size=12)
+        b = a + np.geomspace(1e-5, 3.0, 12)
+        for f in self.FUNCTIONS:
+            calls = []
+
+            def g(x, idx):
+                calls.append(idx.tolist())
+                return np.array([f(float(v)) for v in x])
+
+            x, fx = brent_bounded(g, a, b, tol)
+            nfev = []
+            for i in range(a.size):
+                x_ref, f_ref, _, n = fminbound(f, a[i], b[i], xtol=tol, full_output=True)
+                assert (x[i], fx[i]) == (x_ref, f_ref)
+                nfev.append(n)
+            assert len(calls) == max(nfev)
+            # search i is probed in its first nfev[i] rounds only
+            assert [sum(i in c for c in calls) for i in range(a.size)] == nfev
+
+
 class TestOrderingCheck:
     def test_max_entangled_probe_ordering(self):
         res = witness_qudit_model(LindbladModel(d=2, gamma=0.1),
@@ -450,7 +516,14 @@ class TestQuditPipeline:
         assert len(probes) > 2
         assert probes[-2:] == [rep.t1, rep.t2]
         assert sum(stacked) == len(probes)
-        assert stacked == [2] * len(stacked)
+        # the first search round stacks every bracket, finished searches
+        # leave the stack, and the report stacks its two states
+        i1 = _interior_extrema(traj.s_system, "min")[0]
+        i_maxs = _interior_extrema(traj.neg_cond_sa, "max")
+        brackets = 1 + min(np.count_nonzero(i_maxs >= i1), 1 + (i1 in i_maxs))
+        rounds = stacked[:-1]
+        assert rounds[0] == brackets and rounds == sorted(rounds, reverse=True)
+        assert stacked[-1] == 2
         sizes = [d - m for m in range(d - 2)]
         assert solves == [(n, size, size) for n in stacked for size in sizes]
 
