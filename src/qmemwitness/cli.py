@@ -263,8 +263,8 @@ def _cmd_qudit_scan(cfg: dict) -> int:
     # per cell its ratio, its QuditScanRow and its output columns (error
     # messages of up to about 250 characters)
     n_d, n_ratio = len(cfg["d_list"]), cfg["ratio_points"]
-    _require_memory(2 * _KIB * n_d * n_ratio + 8 * _MIB,
-                    f"a scan of {n_d * n_ratio} cells", "2 KiB cells + 8 MiB")
+    _require_memory(_KIB * n_d * n_ratio + 8 * _MIB,
+                    f"a scan of {n_d * n_ratio} cells", "1 KiB cells + 8 MiB")
 
     ratios = np.linspace(cfg["ratio_min"], cfg["ratio_max"], n_ratio)
     rows = scan_qudit(cfg["d_list"], ratios.tolist(), convention=cfg["convention"],

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidStateError
-from .optimize import golden_section
+from .optimize import safeguarded_newton
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
@@ -32,10 +32,6 @@ _COARSE_POINTS = 40
 
 #: Single-mode symplectic form.
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-# the identity that scales the DHO noise matrix, shared by every channel
-_EYE_2 = np.eye(2)
-_EYE_2.setflags(write=False)
 
 
 def _asymmetric(x: np.ndarray) -> bool:
@@ -52,12 +48,20 @@ def _asymmetric(x: np.ndarray) -> bool:
 
 
 def _block_2x2(x, name: str, error: type[Exception]) -> np.ndarray:
-    """Read-only float copy of x; `error` unless it is 2x2 and finite,
-    checked on its four entries as Python floats."""
-    blk = np.array(x, dtype=float)
+    """Read-only float 2x2 array of x, built once; `error` unless x is 2x2
+    and finite, checked on its four entries as Python floats. Two pairs
+    of numbers (what `dho_channel` passes) are read without numpy."""
+    rows = None
+    if type(x) is tuple:
+        try:
+            (a, b), (c, d) = x
+            rows = (float(a), float(b)), (float(c), float(d))
+        except (TypeError, ValueError):   # not two pairs: numpy reads it
+            pass
+    blk = np.array(x if rows is None else rows, dtype=float)
     if blk.shape != (2, 2):
         raise error(f"{name} must be 2x2, got {blk.shape}")
-    if not all(map(math.isfinite, itertools.chain(*blk.tolist()))):
+    if not all(map(math.isfinite, itertools.chain(*(rows or blk.tolist())))):
         raise error(f"{name} must be finite")
     blk.setflags(write=False)
     return blk
@@ -218,14 +222,37 @@ def delta_S_lossy(eta1, eta2, r):
     return out
 
 
+def _lossy_slope(e1, e2, u):
+    """Slope F of `delta_S_lossy` in u = ln r over its positive factor
+    r sinh(r)/2, and dF/du. With m_i = x_i - 1/2 = c_i s for the arguments
+    x_i of h, c = (1-eta1, eta2, 1) and s = sinh(r/2)^2 (cosh r - 1 = 2s
+    without cancellation), F = c_1 g_1 + c_2 g_2 - g_3, g_i = log1p(1/m_i),
+    and dF/du = r coth(r/2) (1/(s+1) - c_1/(m_1+1) - c_2/(m_2+1)).
+    Finite and warning-free up to SQUEEZING_MAX: terms with m_i below the
+    smallest normal float are dropped, and r/2 is taken at least 5e-9,
+    below which cosh r rounds to 1 and x/tanh x to 1.
+    """
+    half = np.maximum(0.5 * np.exp(u), 5e-9)
+    s = np.sinh(half) ** 2
+    f, df = -np.log1p(1.0 / s), 1.0 / (s + 1.0)
+    for c in (1.0 - e1, e2):
+        m = c * s
+        ok = m >= sys.float_info.min
+        f = f + np.where(ok, c * np.log1p(1.0 / np.where(ok, m, 1.0)), 0.0)
+        df = df - c / (m + 1.0)
+    return f, 2.0 * half / np.tanh(half) * df
+
+
 def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0):
     """Minimize the lossy-channel witness over the squeezing parameter.
 
-    Golden-section search on ln r, warm-started from a 40-point grid, for
-    every cell of the broadcast (eta1, eta2) at once. Returns
-    (r_star, delta_S_star) as arrays of the broadcast shape, or as two
-    floats for scalar input. The minimum is never positive-biased:
-    values below the coarse grid's best are always explored around it.
+    A 40-point grid on ln r picks each cell's best point k; a safeguarded
+    Newton search (`optimize.safeguarded_newton`) on the closed-form slope
+    then finds the minimum in u = ln r between points k - 1 and k + 1, to
+    1e-9 in u, or the end it descends to, for every cell of the broadcast
+    (eta1, eta2) at once. Returns (r_star, delta_S_star) as arrays of the
+    broadcast shape, or as two floats for scalar input, with r_star in
+    [r_min, r_max]; the coarse grid's best value wins where it is lower.
     """
     if not 0.0 < r_min < r_max <= SQUEEZING_MAX:
         raise DomainError(f"need 0 < r_min < r_max <= {SQUEEZING_MAX:.6g} (cosh r overflows "
@@ -233,20 +260,23 @@ def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0)
     e1, e2 = np.broadcast_arrays(np.asarray(eta1, dtype=float), np.asarray(eta2, dtype=float))
     shape, e1, e2 = e1.shape, e1.ravel(), e2.ravel()
     grid = np.linspace(math.log(r_min), math.log(r_max), _COARSE_POINTS)
-    # exp(ln r_max) can round one ulp above r_max
-    vals = delta_S_lossy(e1[:, None], e2[:, None], np.minimum(np.exp(grid), r_max))
+    # exp(ln r) can round one ulp outside [r_min, r_max]
+    r_grid = np.clip(np.exp(grid), r_min, r_max)
+    vals = delta_S_lossy(e1[:, None], e2[:, None], r_grid)
     k = np.argmin(vals, axis=1)
-    _, _, c, d, fc, fd = golden_section(
-        lambda u, idx: delta_S_lossy(e1[idx], e2[idx], np.exp(u)),
+    u = safeguarded_newton(
+        lambda u, idx: _lossy_slope(e1[idx], e2[idx], u),
         grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, _COARSE_POINTS - 1)], 1e-9,
     )
+    r = np.clip(np.exp(u), r_min, r_max)
+    f = delta_S_lossy(e1, e2, r)
     best_grid = vals[np.arange(k.size), k]
-    on_grid = best_grid < np.minimum(fc, fd)
-    u_star = np.where(on_grid, grid[k], np.where(fc < fd, c, d)).reshape(shape)
-    f_star = np.where(on_grid, best_grid, np.minimum(fc, fd)).reshape(shape)
-    if u_star.ndim == 0:
-        return math.exp(u_star), float(f_star)
-    return np.exp(u_star), f_star
+    on_grid = best_grid < f
+    r_star = np.where(on_grid, r_grid[k], r).reshape(shape)
+    f_star = np.where(on_grid, best_grid, f).reshape(shape)
+    if r_star.ndim == 0:
+        return float(r_star), float(f_star)
+    return r_star, f_star
 
 
 @dataclass(frozen=True, eq=False)   # identity ==: arrays compare elementwise
@@ -377,12 +407,11 @@ def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
     c_t = complex(amplitude.c[k])
     if abs(c_t) <= AMPLITUDE_CUTOFF:
         if on_vanishing == "full-loss":
-            return GaussianChannel(m=np.zeros((2, 2)), n=0.5 * _EYE_2)
+            return GaussianChannel(m=((0.0, 0.0), (0.0, 0.0)), n=((0.5, 0.0), (0.0, 0.5)))
         raise DomainError(f"amplitude vanished at t={times[k]:.6g}")
-    return GaussianChannel(
-        m=np.array([[c_t.real, c_t.imag], [-c_t.imag, c_t.real]]),
-        n=0.5 * (1.0 - abs(c_t) ** 2) * _EYE_2,
-    )
+    v = 0.5 * (1.0 - abs(c_t) ** 2)   # N = v I, its zeros signed as v * 0.0
+    return GaussianChannel(m=((c_t.real, c_t.imag), (-c_t.imag, c_t.real)),
+                           n=((v, v * 0.0), (v * 0.0, v)))
 
 
 def first_loss_reversal(eta) -> tuple[int, int] | None:

@@ -1,18 +1,16 @@
 """Bounded one-dimensional minimizers run over arrays of brackets.
 
-`brent_bounded` refines the witness times: Brent's bounded method, one
-search per bracket, the searches advancing in lockstep so that each
-round makes one objective call. `golden_section` serves the lossy-witness
-minimization, where the per-step cost of the cheap vectorized objective
-is the bookkeeping and golden section's array steps are cheaper than
-Brent's scalar ones.
+Both run one search per bracket, the searches advancing in lockstep so
+that each round makes one objective call. `brent_bounded` refines the
+witness times: Brent's bounded method needs function values only.
+`safeguarded_newton` serves the lossy-witness minimization, whose slope
+and its derivative are closed form: Newton steps converge quadratically
+and cost array operations only.
 """
 
 import math
 
 import numpy as np
-
-INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # the constants of scipy.optimize.minimize_scalar(method="bounded"), so
 # that each search takes its steps bit for bit
@@ -20,43 +18,39 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def golden_section(f, a, b, tol: float):
-    """Golden-section search for a minimum on every bracket [a_i, b_i] at once.
+def safeguarded_newton(f, a, b, xtol: float):
+    """Minimum on every bracket [a_i, b_i] at once, from the slope.
 
-    `f(x, idx)` returns the objective at the points x of the searches idx
-    (an index array into the brackets). Each search shrinks its bracket
-    until b - a <= tol and takes exactly the steps of a scalar search:
-    keep [a, d] when f(c) < f(d), else [c, b], one new probe per step.
-    All searches still running share one `f` call per step. Returns the
-    final arrays (a, b, c, d, f(c), f(d)).
-
-    The lossy-witness minimization uses it: its numpy steps cost less
-    than the scalar steps of `brent_bounded` when the objective is cheap
-    and the brackets many, while the witness-time refinement, whose
-    objective calls dominate, takes `brent_bounded` for its fewer rounds.
+    `f(x, idx)` returns the slope g and its derivative g' at the points x
+    of the searches idx (an index array into the brackets). Both ends take
+    one `f` call; a search ends there at a if g(a) >= 0, else at b if
+    g(b) <= 0. The others keep [lo, hi] with g(lo) < 0 <= g(hi) and, from
+    the midpoint on, take the Newton step where it stays in the bracket
+    and is at most half the step before last, else bisect (rtsafe of
+    Numerical Recipes), until a step is shorter than xtol; its point is
+    returned unprobed. Every two steps halve the step or the bracket, so
+    each search ends; those running share one `f` call per round.
     """
-    a = np.array(a, dtype=float, ndmin=1)
-    b = np.array(b, dtype=float, ndmin=1)
-    width = b - a
-    c, d = b - INV_GOLDEN * width, a + INV_GOLDEN * width
-    idx = np.arange(a.size)
-    fc, fd = f(c, idx), f(d, idx)
-    final = np.empty((6, a.size))
-    while True:
-        run = width > tol
-        if not run.all():   # set the finished searches aside
-            final[:, idx[~run]] = a[~run], b[~run], c[~run], d[~run], fc[~run], fd[~run]
-            idx, a, b, c, d, fc, fd = (v[run] for v in (idx, a, b, c, d, fc, fd))
-        if not idx.size:
-            return tuple(final)
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        width = b - a
-        step = INV_GOLDEN * width
-        new = np.where(left, b - step, a + step)
-        f_new = f(new, idx)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    a, b = (np.array(v, dtype=float, ndmin=1) for v in (a, b))
+    n = a.size
+    g, _ = f(np.concatenate((a, b)), np.tile(np.arange(n), 2))
+    final = np.where(g[:n] >= 0, a, b)
+    idx = np.flatnonzero((g[:n] < 0) & (g[n:] > 0))
+    lo, hi = a[idx], b[idx]
+    step_old = step = hi - lo
+    x = lo + 0.5 * step
+    while idx.size:
+        g, dg = f(x, idx)
+        lo, hi = np.where(g < 0, x, lo), np.where(g < 0, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):   # a NaN step bisects
+            newton = g / dg
+        take = (lo <= x - newton) & (x - newton <= hi) & (2.0 * abs(newton) <= abs(step_old))
+        step_old, step = step, np.where(take, newton, 0.5 * (hi - lo))
+        x = np.where(take, x - newton, lo + step)
+        done = abs(step) < xtol
+        final[idx[done]] = x[done]
+        idx, x, lo, hi, step, step_old = (v[~done] for v in (idx, x, lo, hi, step, step_old))
+    return final
 
 
 def _brent_steps(a: float, b: float, xatol: float):
@@ -124,8 +118,8 @@ def _brent_steps(a: float, b: float, xatol: float):
 def brent_bounded(f, a, b, xatol: float):
     """Brent's bounded minimization on every bracket [a_i, b_i] at once.
 
-    `f(x, idx)` returns the objective at the points x of the searches idx,
-    as for `golden_section`. Each search takes exactly the steps of
+    `f(x, idx)` returns the objective at the points x of the searches idx
+    (an index array into the brackets). Each search takes the steps of
     scipy's `minimize_scalar(method="bounded", options={"xatol": xatol})`;
     every round makes one `f` call on the next probes of the searches
     still running, so there are as many calls as the longest search has

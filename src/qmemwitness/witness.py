@@ -252,17 +252,24 @@ def witness_from_trajectory(ev: ChoiEvolution, traj: EntropyTrajectory) -> Qudit
     evaluate the witness. The times are refined on exact off-grid states by
     Brent's bounded search to within 1e-6 of the grid span, and the witness
     is evaluated at the best probes, so delta_s does not depend on the
-    output grid.
+    output grid. The report reuses the searches' entropies of those probes;
+    only a t2 that fell back to its grid time is evaluated again.
     `revival_maxima` lists every interior local maximum of -S(S|A) after t1
     as (time, value); entries beyond the first show whether later revivals
     could still detect. Raises ExtremumNotFoundError like `find_witness_times`.
     """
 
+    probed = {}   # probe time -> its (s_system, s_ancilla, s_joint)
+
     def entropies_at(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return choi_entropy_arrays(np.array([ev.state_at(t) for t in ts]))
+        triple = choi_entropy_arrays(np.array([ev.state_at(t) for t in ts]))
+        probed.update(zip(map(float, ts), zip(*triple)))
+        return triple
 
     t1, t2 = find_witness_times(traj, lambda ts: EntropyTrajectory(ts, *entropies_at(ts)))
-    report = _report_on_pair(*entropies_at((t1, t2)), t1, t2)
+    if t2 not in probed:
+        entropies_at((t2,))
+    report = _report_on_pair(*zip(probed[t1], probed[t2]), t1, t2)
     neg_sa = traj.neg_cond_sa
     revivals = tuple((float(traj.times[i]), float(neg_sa[i]))
                      for i in _interior_extrema(neg_sa, "max")

@@ -296,7 +296,7 @@ class TestQuditTrace:
         assert not out.exists()
 
     def test_scan_budget_counts_cells(self, tmp_path, capsys):
-        # 2 KiB per cell: the ratio grid alone would not fit in any memory
+        # 1 KiB per cell: the ratio grid alone would not fit in any memory
         out = tmp_path / "s.csv"
         assert run(["qudit-scan", "--d-list", 2, "--ratio-points", 10 ** 15,
                     "--output", out]) == 2

@@ -22,6 +22,7 @@ from qmemwitness import (
     h,
     minimize_delta_S_over_r,
 )
+from qmemwitness import gaussian
 from qmemwitness.gaussian import SQUEEZING_MAX
 from qmemwitness.witness import DETECTION_THRESHOLD
 from oracles import (
@@ -319,6 +320,15 @@ class TestLossyWitness:
             assert math.isfinite(delta_S_lossy(0.5, 0.2, SQUEEZING_MAX))
             r_star, ds = minimize_delta_S_over_r(0.5, 0.2, r_max=SQUEEZING_MAX)
             assert 0 < r_star <= SQUEEZING_MAX and math.isfinite(ds)
+            # the Newton search evaluates its slope at the top grid point,
+            # where r sinh r overflows, and at the smallest r; a full
+            # reversal (eta1 = 1, eta2 = 0, the 21st cell) descends to r_max
+            etas = np.linspace(0.0, 1.0, 5)
+            for r_min, r_max in ((1e-3, SQUEEZING_MAX), (5e-324, 1.0)):
+                r_star, ds = minimize_delta_S_over_r(np.repeat(etas, 5), np.tile(etas, 5),
+                                                     r_min=r_min, r_max=r_max)
+                assert np.all((r_min <= r_star) & (r_star <= r_max)) and np.isfinite(ds).all()
+                assert r_star[20] == r_max
 
 
 class TestMinimizeOverR:
@@ -395,15 +405,64 @@ def minimize_loop(eta1, eta2, r_min=1e-3, r_max=6.0):
     return math.exp(u_star), float(f_star), k
 
 
+def minimize_reference(eta1, eta2, r_min=1e-3, r_max=6.0):
+    """Reference: r* and the minimum at 40 digits. The best of 40 ln r grid
+    points picks the bracket between its neighbours; the zero of the
+    r-derivative there (mpmath's Anderson solver), or the bracket end the
+    witness descends to where the derivative keeps its sign."""
+    with mpmath.workdps(40):
+        e1, e2 = mpmath.mpf(eta1), mpmath.mpf(eta2)
+
+        def xs(u):   # the arguments of h
+            c = mpmath.cosh(mpmath.exp(u))
+            return (e1 + (1 - e1) * c) / 2, (1 - e2 + e2 * c) / 2, c / 2
+
+        def h(x):
+            return (x + 0.5) * mpmath.log(x + 0.5) - (
+                (x - 0.5) * mpmath.log(x - 0.5) if x > 0.5 else 0)
+
+        def delta(u):
+            x1, x2, x3 = xs(u)
+            return h(x1) + h(x2) - h(x3)
+
+        def slope(u):   # d delta/dr over sinh(r)/2: the sign of d delta/du
+            return sum(c * mpmath.log((x + 0.5) / (x - 0.5))
+                       for c, x in zip((1 - e1, e2, -1), xs(u)) if c)
+
+        lo_u, hi_u = mpmath.log(r_min), mpmath.log(r_max)
+        grid = [lo_u + (hi_u - lo_u) * i / 39 for i in range(40)]
+        k = min(range(40), key=lambda i: delta(grid[i]))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 39)]
+        if slope(lo) >= 0:
+            u = lo
+        elif slope(hi) <= 0:
+            u = hi
+        else:
+            u = mpmath.findroot(slope, (lo, hi), solver="anderson")
+        return float(mpmath.exp(u)), float(delta(u))
+
+
+def is_flat(eta1, eta2):
+    """delta_S is 0 at every r, so every r is a minimizer."""
+    return eta1 == eta2 and eta1 in (0.0, 1.0)
+
+
 class TestVectorizedMinimizerMatchesLoop:
     @staticmethod
     def check(e1, e2, **kw):
+        # the minimum agrees with golden section to rounding, r* with the
+        # 40-digit minimizer (golden section misses it by up to 4.9e-5 on
+        # the flat minima of the 21x21 grid)
         r_star, ds = minimize_delta_S_over_r(e1, e2, **kw)
         ks = []
         for a, b, r_got, ds_got in zip(e1, e2, r_star, ds):
-            r_ref, ds_ref, k = minimize_loop(float(a), float(b), **kw)
+            _, ds_ref, k = minimize_loop(float(a), float(b), **kw)
             assert abs(ds_got - ds_ref) <= 1e-14
-            assert abs(r_got - r_ref) <= 1e-6 * r_ref
+            if not is_flat(a, b):
+                r_ref, ds_exact = minimize_reference(float(a), float(b), **kw)
+                assert abs(r_got - r_ref) <= 1e-8 * r_ref
+                assert abs(ds_got - ds_exact) <= 1e-13
+            assert kw.get("r_min", 1e-3) <= r_got <= kw.get("r_max", 6.0)
             ks.append(k)
         return ks
 
@@ -422,11 +481,33 @@ class TestVectorizedMinimizerMatchesLoop:
         assert self.check(np.array([0.6, 1.0]), np.array([0.3, 0.0]), r_max=0.5) == [39, 39]
         assert self.check(np.array([1.0]), np.array([0.0]))[0] == 39
 
+    def test_at_most_12_evaluations(self, monkeypatch):
+        # the coarse grid, the bracket ends, the Newton rounds and the final
+        # value, each one vectorized call over the cells still searching
+        # (golden section made 45 delta_S_lossy calls)
+        calls = []
+        for name in ("delta_S_lossy", "_lossy_slope"):
+            def counted(*args, _f=getattr(gaussian, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(gaussian, name, counted)
+        etas = np.linspace(0.0, 1.0, 21)
+        minimize_delta_S_over_r(np.repeat(etas, 21), np.tile(etas, 21))
+        assert calls.count("delta_S_lossy") == 2 and len(calls) <= 12
+
+    def test_cells_searched_together_match_one_by_one(self):
+        etas = np.linspace(0.0, 1.0, 21)
+        e1, e2 = np.repeat(etas, 21), np.tile(etas, 21)
+        r_star, ds = minimize_delta_S_over_r(e1, e2)
+        for i in range(e1.size):
+            assert (r_star[i], ds[i]) == minimize_delta_S_over_r(e1[i], e2[i])
+
     def test_scalar_input_returns_floats(self):
         r_star, ds = minimize_delta_S_over_r(0.6, 0.3)
         assert type(r_star) is float and type(ds) is float
-        r_ref, ds_ref, _ = minimize_loop(0.6, 0.3)
-        assert abs(ds - ds_ref) <= 1e-14 and abs(r_star - r_ref) <= 1e-6 * r_ref
+        _, ds_ref, _ = minimize_loop(0.6, 0.3)
+        r_ref, _ = minimize_reference(0.6, 0.3)
+        assert abs(ds - ds_ref) <= 1e-14 and abs(r_star - r_ref) <= 1e-8 * r_ref
 
     def test_shapes_broadcast(self):
         e1 = np.linspace(0.0, 1.0, 3)[:, None]

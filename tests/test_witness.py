@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import fminbound, minimize_scalar
+from scipy.optimize import brentq, fminbound, minimize_scalar
 
 from qmemwitness import (
     DensityMatrix,
@@ -26,7 +27,7 @@ from qmemwitness import (
     witness_qudit_model,
 )
 from qmemwitness import states, witness
-from qmemwitness.optimize import brent_bounded, golden_section
+from qmemwitness.optimize import brent_bounded, safeguarded_newton
 from qmemwitness.witness import DETECTION_THRESHOLD, _interior_extrema
 from oracles import (
     apply_channel,
@@ -291,8 +292,8 @@ class TestBatchedSearchKeepsTheSequentialRule:
 
         got = find_witness_times(traj, evaluate)
         assert got == find_witness_times_sequential(traj, evaluate)
-        # the refinement rounds plus the report make 8 to 10 entropy calls
-        # on these cells
+        # the refinement rounds make 6 to 9 entropy calls on these cells,
+        # and the report none: both times were probed
         calls, entropies = [], witness.choi_entropy_arrays
 
         def counted(blocks):
@@ -302,7 +303,12 @@ class TestBatchedSearchKeepsTheSequentialRule:
         monkeypatch.setattr(witness, "choi_entropy_arrays", counted)
         rep = witness_from_trajectory(ev, traj).report
         assert (rep.t1, rep.t2) == got
-        assert len(calls) <= 10
+        assert len(calls) <= 9 and calls == sorted(calls, reverse=True)
+        # the report's fields are those of a fresh evaluation, bit for bit
+        fresh = EntropyTrajectory(np.array(got), *entropies(
+            np.array([ev.state_at(t) for t in got])))
+        assert (rep.s_sys_t1, rep.neg_cond_sa_t2, rep.neg_cond_as_t2) == (
+            fresh.s_system[0], fresh.neg_cond_sa[1], fresh.neg_cond_as[1])
         if gamma == 0.005:
             i1 = _interior_extrema(traj.s_system, "min")[0]
             assert i1 in _interior_extrema(traj.neg_cond_sa, "max")
@@ -357,42 +363,26 @@ class TestVectorizedScansMatchLoops:
             assert ordering_check(traj) == ordering_check_loops(s_sys, s_anc, s_joint)
 
 
-def golden_loop(f, a, b, tol):
-    """Reference: scalar golden-section search; final (a, b, c, d, fc, fd) and probe count."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    probes = 2
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        probes += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return (a, b, c, d, fc, fd), probes
+def cubic_slope(u, shift):
+    """Slope u^3 + u - shift (increasing, one zero) and its derivative."""
+    return u * u * u + u - shift, 3.0 * u * u + 1.0
 
 
-class TestGoldenSection:
-    FUNCTIONS = (lambda x: (x - 0.3) ** 2, lambda x: math.cos(3.0 * x),
-                 lambda x: abs(x - 1.0), lambda x: 0.0)
+class TestSafeguardedNewton:
+    def test_zero_of_the_slope(self, rng):
+        shifts = rng.uniform(-3.0, 3.0, size=50)
+        a, b = np.full(50, -2.0), np.full(50, 2.0)
+        rounds = []
 
-    def test_single_bracket_takes_the_scalar_steps(self):
-        for f in self.FUNCTIONS:
-            for a, b, tol in ((0.0, 1.0, 1e-9), (-2.0, 3.0, 1e-4), (0.9, 1.2, 1e-12)):
-                calls = []
+        def f(x, idx):
+            rounds.append(idx.size)
+            return cubic_slope(x, shifts[idx])
 
-                def g(x, idx):
-                    calls.append(x.size)
-                    return np.array([f(float(v)) for v in x])
-
-                got = golden_section(g, a, b, tol)
-                ref, probes = golden_loop(f, a, b, tol)
-                assert [float(v[0]) for v in got] == list(ref)
-                assert sum(calls) == probes
+        x = safeguarded_newton(f, a, b, 1e-9)
+        for xi, shift in zip(x, shifts):
+            root = brentq(lambda u: u ** 3 + u - shift, -2.0, 2.0, xtol=1e-15)
+            assert abs(xi - root) <= 1e-12   # quadratic: the last step was below 1e-9
+        assert rounds[0] == 100 and len(rounds) <= 9
 
     def test_brackets_searched_together_match_one_by_one(self, rng):
         shifts = rng.uniform(-1.0, 2.0, size=40)
@@ -400,19 +390,46 @@ class TestGoldenSection:
         b = a + rng.uniform(1e-6, 2.0, size=40)
         evaluated = []
 
-        def quartic(u):   # +, -, * only, so arrays and scalars round alike
-            return u * u * (1.0 + u * u) - 0.5 * u
-
-        def g(x, idx):
+        def f(x, idx):
             evaluated.append(idx.size)
-            return quartic(x - shifts[idx])
+            return cubic_slope(x, shifts[idx])
 
-        got = golden_section(g, a, b, 1e-9)
+        got = safeguarded_newton(f, a, b, 1e-9)
         for i in range(40):
-            ref, _ = golden_loop(lambda x: quartic(x - float(shifts[i])), float(a[i]),
-                                 float(b[i]), 1e-9)
-            assert [float(arr[i]) for arr in got] == list(ref)
-        assert evaluated[-1] < 40   # finished searches are not evaluated again
+            one = safeguarded_newton(lambda x, idx: cubic_slope(x, shifts[i]), a[i], b[i], 1e-9)
+            assert got[i] == one[0]
+        # finished searches are not evaluated again
+        assert evaluated[1:] == sorted(evaluated[1:], reverse=True) and evaluated[-1] < 40
+
+    def test_ends_where_the_slope_keeps_its_sign(self):
+        # rising at a: a; falling at b: b; both: a; zero at b: b
+        calls = []
+
+        def f(x, idx):
+            calls.append(x.copy())
+            return cubic_slope(x, np.array([-5.0, 5.0, 0.0, 2.0])[idx])
+
+        x = safeguarded_newton(f, [0.0, 0.0, 0.5, 0.0], [1.0, 1.0, -0.5, 1.0], 1e-9)
+        assert x.tolist() == [0.0, 1.0, 0.5, 1.0]
+        assert len(calls) == 1 and calls[0].tolist() == [0.0, 0.0, 0.5, 0.0,
+                                                         1.0, 1.0, -0.5, 1.0]
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_bisects_where_newton_cannot_step(self, bad):
+        # a derivative of 0 or NaN gives no Newton step: bisection
+        # alone, without a warning, to within xtol of the zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = safeguarded_newton(lambda x, idx: (x - 0.3, np.full(x.shape, bad)),
+                                   [0.0], [1.0], 1e-9)
+        assert abs(x[0] - 0.3) < 1e-9
+
+    def test_overshooting_newton_step_is_bisected(self):
+        # atan: from the midpoint of a wide bracket the Newton step lands
+        # outside it (and would diverge), the search still converges
+        x = safeguarded_newton(lambda x, idx: (np.arctan(x - 0.1), 1.0 / (1.0 + (x - 0.1) ** 2)),
+                               [-20.0], [60.0], 1e-9)
+        assert abs(x[0] - 0.1) < 1e-9
 
 
 class TestBrentBounded:
@@ -480,12 +497,13 @@ class TestQuditPipeline:
             assert np.array_equal(getattr(res.trajectory, field), getattr(ref.trajectory, field))
 
     def test_each_probe_state_is_diagonalized_once(self, monkeypatch):
-        # every refinement probe and both report states go through one
-        # choi_entropy_arrays stack exactly once, the probes of the t1 and t2
-        # searches stacked together at each step; each stack eigensolves the
-        # blocks larger than 2x2 at their true sizes and nothing else (the
-        # 2x2 block and the corner are closed form), and no state is
-        # validated a second time as a DensityMatrix
+        # every refinement probe goes through one choi_entropy_arrays stack
+        # exactly once, the probes of the t1 and t2 searches stacked
+        # together at each step, and the report reuses the entropies of
+        # the best probes; each stack eigensolves the blocks larger than
+        # 2x2 at their true sizes and nothing else (the 2x2 block and the
+        # corner are closed form), and no state is validated a second time
+        # as a DensityMatrix
         d = 3
         ev, traj = qudit_entropy_trajectory(LindbladModel(d=d, gamma=0.2),
                                             t_max=6.0, n_points=301)
@@ -514,18 +532,44 @@ class TestQuditPipeline:
         monkeypatch.setattr(states.DensityMatrix, "__post_init__", no_density_matrix)
         rep = witness_from_trajectory(ev, traj).report
         assert len(probes) > 2
-        assert probes[-2:] == [rep.t1, rep.t2]
-        assert sum(stacked) == len(probes)
-        # the first search round stacks every bracket, finished searches
-        # leave the stack, and the report stacks its two states
+        assert rep.t1 in probes and rep.t2 in probes
+        assert len(set(probes)) == len(probes) == sum(stacked)
+        # the first search round stacks every bracket and finished searches
+        # leave the stack; the report adds none
         i1 = _interior_extrema(traj.s_system, "min")[0]
         i_maxs = _interior_extrema(traj.neg_cond_sa, "max")
         brackets = 1 + min(np.count_nonzero(i_maxs >= i1), 1 + (i1 in i_maxs))
-        rounds = stacked[:-1]
-        assert rounds[0] == brackets and rounds == sorted(rounds, reverse=True)
-        assert stacked[-1] == 2
+        assert stacked[0] == brackets and stacked == sorted(stacked, reverse=True)
         sizes = [d - m for m in range(d - 2)]
         assert solves == [(n, size, size) for n in stacked for size in sizes]
+        # the same bits as a fresh evaluation of the two states
+        monkeypatch.undo()
+        fresh = witness.choi_entropy_arrays(np.array([ev.state_at(rep.t1), ev.state_at(rep.t2)]))
+        assert rep == witness._report_on_pair(*fresh, rep.t1, rep.t2)
+
+    def test_report_evaluates_a_t2_that_fell_back_to_the_grid(self, monkeypatch):
+        # when the refined t2 would not follow t1, t2 is its grid time,
+        # which no search probed: that one state is evaluated for the report
+        ev, traj = qudit_entropy_trajectory(LindbladModel(d=3, gamma=0.2),
+                                            t_max=6.0, n_points=301)
+        search = witness.find_witness_times
+
+        def fall_back(traj, evaluate):
+            t1, t2 = search(traj, evaluate)
+            return t1, float(traj.times[np.argmin(abs(traj.times - t2))])
+
+        stacked, entropies = [], witness.choi_entropy_arrays
+
+        def counted(blocks):
+            stacked.append(len(blocks))
+            return entropies(blocks)
+
+        monkeypatch.setattr(witness, "find_witness_times", fall_back)
+        monkeypatch.setattr(witness, "choi_entropy_arrays", counted)
+        rep = witness_from_trajectory(ev, traj).report
+        assert rep.t2 in traj.times and stacked[-1] == 1
+        fresh = entropies(np.array([ev.state_at(rep.t1), ev.state_at(rep.t2)]))
+        assert rep == witness._report_on_pair(*fresh, rep.t1, rep.t2)
 
     def test_scan_rows_ordered_and_complete(self):
         rows = scan_qudit([2], [0.5, 0.25], t_max=8.0, n_points=401)
