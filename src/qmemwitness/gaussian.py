@@ -33,6 +33,10 @@ _COARSE_POINTS = 40
 #: Single-mode symplectic form.
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+# the identity that scales the DHO noise matrix, shared by every channel
+_EYE_2 = np.eye(2)
+_EYE_2.setflags(write=False)
+
 
 def _asymmetric(x: np.ndarray) -> bool:
     """True when x - x^T exceeds SYMMETRY_TOL relative to max(1, largest |entry|),
@@ -48,20 +52,12 @@ def _asymmetric(x: np.ndarray) -> bool:
 
 
 def _block_2x2(x, name: str, error: type[Exception]) -> np.ndarray:
-    """Read-only float 2x2 array of x, built once; `error` unless x is 2x2
-    and finite, checked on its four entries as Python floats. Two pairs
-    of numbers (what `dho_channel` passes) are read without numpy."""
-    rows = None
-    if type(x) is tuple:
-        try:
-            (a, b), (c, d) = x
-            rows = (float(a), float(b)), (float(c), float(d))
-        except (TypeError, ValueError):   # not two pairs: numpy reads it
-            pass
-    blk = np.array(x if rows is None else rows, dtype=float)
+    """Read-only float copy of x; `error` unless it is 2x2 and finite,
+    checked on its four entries as Python floats."""
+    blk = np.array(x, dtype=float)
     if blk.shape != (2, 2):
         raise error(f"{name} must be 2x2, got {blk.shape}")
-    if not all(map(math.isfinite, itertools.chain(*(rows or blk.tolist())))):
+    if not all(map(math.isfinite, itertools.chain(*blk.tolist()))):
         raise error(f"{name} must be finite")
     blk.setflags(write=False)
     return blk
@@ -407,11 +403,12 @@ def dho_channel(amplitude: DhoAmplitude, params: DhoParams, t: float,
     c_t = complex(amplitude.c[k])
     if abs(c_t) <= AMPLITUDE_CUTOFF:
         if on_vanishing == "full-loss":
-            return GaussianChannel(m=((0.0, 0.0), (0.0, 0.0)), n=((0.5, 0.0), (0.0, 0.5)))
+            return GaussianChannel(m=np.zeros((2, 2)), n=0.5 * _EYE_2)
         raise DomainError(f"amplitude vanished at t={times[k]:.6g}")
-    v = 0.5 * (1.0 - abs(c_t) ** 2)   # N = v I, its zeros signed as v * 0.0
-    return GaussianChannel(m=((c_t.real, c_t.imag), (-c_t.imag, c_t.real)),
-                           n=((v, v * 0.0), (v * 0.0, v)))
+    return GaussianChannel(
+        m=np.array([[c_t.real, c_t.imag], [-c_t.imag, c_t.real]]),
+        n=0.5 * (1.0 - abs(c_t) ** 2) * _EYE_2,
+    )
 
 
 def first_loss_reversal(eta) -> tuple[int, int] | None:
