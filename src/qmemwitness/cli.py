@@ -296,11 +296,11 @@ _LOSSY_SPEC = {
 def _cmd_gauss_lossy(cfg: dict) -> int:
     n, fixed_r = cfg["eta_points"], cfg["fixed_r"] or []
     _require(cfg["r_min"] < cfg["r_max"], "r_min must be smaller than r_max")
-    # per cell the minimizer's (cells, 40) coarse-grid temporaries; per
-    # fixed-r row its witness value and temporaries (rows are streamed)
-    _require_memory(n * n * (3 * _KIB + 64 * len(fixed_r)) + 8 * _MIB,
+    # per cell the minimizer's search state and output columns (about 245 B
+    # measured); per fixed-r row its witness value and temporaries (37 B)
+    _require_memory(n * n * (384 + 64 * len(fixed_r)) + 8 * _MIB,
                     f"eta_points={n} with {len(fixed_r)} fixed r values",
-                    "eta_points^2 (3 KiB + 64 B fixed r values) + 8 MiB")
+                    "eta_points^2 (384 B + 64 B fixed r values) + 8 MiB")
 
     _progress(f"gauss-lossy: {n}x{n} grid")
     etas = np.linspace(0.0, 1.0, n)

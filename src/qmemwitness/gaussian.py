@@ -27,9 +27,6 @@ AMPLITUDE_CUTOFF = 1e-12
 #: Largest squeezing parameter with a finite cosh(r), acosh(float max) ~ 710.48.
 SQUEEZING_MAX = math.acosh(sys.float_info.max)
 
-# points of the ln r grid that warm-starts the lossy-witness minimization
-_COARSE_POINTS = 40
-
 #: Single-mode symplectic form.
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -138,26 +135,30 @@ def cp_check(ch: GaussianChannel) -> bool:
     return bool(np.linalg.eigvalsh(cond).min() >= -PHYSICALITY_TOL)
 
 
+def _mode_entropy(m):
+    """h(1/2 + m) as log1p(m) + m log1p(1/m), whose terms never cancel
+    (relative error about 1e-16 for every finite m >= 0), and log1p(1/m),
+    taken as 0 where m is below the smallest normal float."""
+    ok = m >= sys.float_info.min
+    g = np.where(ok, np.log1p(1.0 / np.where(ok, m, 1.0)), 0.0)
+    return np.log1p(m) + m * g, g
+
+
 def h(x):
     """Entropy (nats) of a single mode with symplectic eigenvalue x >= 1/2:
 
         h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2),
 
-    continuously extended by h(1/2) = 0. Evaluated as
-    log1p(m) + m log1p(1/m) with m = x - 1/2, which avoids the
-    cancellation of the two terms at large x (relative error about 1e-16
-    for every finite x). Accepts scalars or arrays; values within 1e-9
-    below 1/2 are clamped to 1/2. Non-finite input raises DomainError.
+    continuously extended by h(1/2) = 0, evaluated by `_mode_entropy` at
+    m = x - 1/2. Accepts scalars or arrays; values within 1e-9 below 1/2
+    are clamped to 1/2. Non-finite input raises DomainError.
     """
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("h(x) requires finite x")
     if (arr < 0.5 - 1e-9).any():
         raise DomainError(f"h(x) requires x >= 1/2, got min {arr.min()}")
-    arr = np.maximum(arr, 0.5)
-    m = arr - 0.5
-    nz = m > 0.0
-    out = np.log1p(m) + np.where(nz, m * np.log1p(1.0 / np.where(nz, m, 1.0)), 0.0)
+    out, _ = _mode_entropy(np.maximum(arr, 0.5) - 0.5)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -198,21 +199,22 @@ def delta_S_lossy(eta1, eta2, r):
         h((eta1 + (1-eta1) cosh r)/2) + h((1-eta2 + eta2 cosh r)/2)
           - h(cosh(r)/2).
 
-    Vectorizes over any of the arguments; NaN or out-of-range input
-    raises DomainError, and so does r > SQUEEZING_MAX, where cosh r
-    overflows.
+    Each argument of h is 1/2 + m_i, m_i = c_i s with c = (1-eta1, eta2, 1)
+    and s = sinh(r/2)^2, so cosh r - 1 is never formed. Vectorizes over
+    any of the arguments; NaN or out-of-range input raises DomainError,
+    and so does r > SQUEEZING_MAX, where cosh r overflows.
     """
     e1 = np.asarray(eta1, dtype=float)
     e2 = np.asarray(eta2, dtype=float)
-    if not (((e1 >= 0) & (e1 <= 1)).all() and ((e2 >= 0) & (e2 <= 1)).all()):
+    if not all(((0 <= e) & (e <= 1)).all() for e in (e1, e2)):
         raise DomainError("loss parameters must lie in [0, 1]")
     rr = np.asarray(r, dtype=float)
     bad = ~((rr > 0) & (rr <= SQUEEZING_MAX))
     if bad.any():
         raise DomainError(f"squeezing parameter r must lie in (0, {SQUEEZING_MAX:.6g}], "
                           f"where cosh r is finite; got r = {rr[bad].flat[0]}")
-    c = np.cosh(rr)
-    out = h((e1 + (1.0 - e1) * c) / 2.0) + h((1.0 - e2 + e2 * c) / 2.0) - h(c / 2.0)
+    s = np.sinh(0.5 * rr) ** 2
+    out = _mode_entropy((1.0 - e1) * s)[0] + _mode_entropy(e2 * s)[0] - _mode_entropy(s)[0]
     if all(np.ndim(a) == 0 for a in (eta1, eta2, r)):
         return float(out)
     return out
@@ -220,21 +222,18 @@ def delta_S_lossy(eta1, eta2, r):
 
 def _lossy_slope(e1, e2, u):
     """Slope F of `delta_S_lossy` in u = ln r over its positive factor
-    r sinh(r)/2, and dF/du. With m_i = x_i - 1/2 = c_i s for the arguments
-    x_i of h, c = (1-eta1, eta2, 1) and s = sinh(r/2)^2 (cosh r - 1 = 2s
-    without cancellation), F = c_1 g_1 + c_2 g_2 - g_3, g_i = log1p(1/m_i),
-    and dF/du = r coth(r/2) (1/(s+1) - c_1/(m_1+1) - c_2/(m_2+1)).
-    Finite and warning-free up to SQUEEZING_MAX: terms with m_i below the
-    smallest normal float are dropped, and r/2 is taken at least 5e-9,
-    below which cosh r rounds to 1 and x/tanh x to 1.
+    r sinh(r)/2, and dF/du. With the m_i and s of `delta_S_lossy`,
+    F = c_1 g_1 + c_2 g_2 - g_3 with g_i = log1p(1/m_i) from
+    `_mode_entropy`, and dF/du = r coth(r/2) (1/(s+1) - c_1/(m_1+1) -
+    c_2/(m_2+1)). Finite and warning-free up to SQUEEZING_MAX: r/2 is
+    taken at least 5e-9, below which x/tanh x rounds to 1.
     """
     half = np.maximum(0.5 * np.exp(u), 5e-9)
     s = np.sinh(half) ** 2
-    f, df = -np.log1p(1.0 / s), 1.0 / (s + 1.0)
+    f, df = -_mode_entropy(s)[1], 1.0 / (s + 1.0)
     for c in (1.0 - e1, e2):
         m = c * s
-        ok = m >= sys.float_info.min
-        f = f + np.where(ok, c * np.log1p(1.0 / np.where(ok, m, 1.0)), 0.0)
+        f = f + c * _mode_entropy(m)[1]
         df = df - c / (m + 1.0)
     return f, 2.0 * half / np.tanh(half) * df
 
@@ -242,34 +241,33 @@ def _lossy_slope(e1, e2, u):
 def minimize_delta_S_over_r(eta1, eta2, r_min: float = 1e-3, r_max: float = 6.0):
     """Minimize the lossy-channel witness over the squeezing parameter.
 
-    A 40-point grid on ln r picks each cell's best point k; a safeguarded
-    Newton search (`optimize.safeguarded_newton`) on the closed-form slope
-    then finds the minimum in u = ln r between points k - 1 and k + 1, to
-    1e-9 in u, or the end it descends to, for every cell of the broadcast
-    (eta1, eta2) at once. Returns (r_star, delta_S_star) as arrays of the
-    broadcast shape, or as two floats for scalar input, with r_star in
-    [r_min, r_max]; the coarse grid's best value wins where it is lower.
+    One safeguarded Newton search (`optimize.safeguarded_newton`) per cell
+    of the broadcast (eta1, eta2), all in lockstep, finds the zero of the
+    closed-form slope in u = ln r on [ln r_min, ln r_max] to 1e-9, or the
+    end the witness descends to, returned as r_min or r_max exactly.
+    Returns (r_star, delta_S_star), arrays of the broadcast shape or two
+    floats for scalar input. The zero is the global minimum: with
+    c = (1-eta1, eta2) and t = 1/sinh(r/2)^2, which falls as r grows, the
+    slope has the sign of F(t) = c1 ln(1 + t/c1) + c2 ln(1 + t/c2) -
+    ln(1 + t), F(0) = 0, and the numerator of F'(t),
+    (c1 + c2 - 1) t^2 + 2 c1 c2 t + c1 c2, has at most one positive root.
+    So F >= 0 if eta2 >= eta1 (r* = r_min); F < 0 if c1 c2 = 0 <
+    1 - c1 - c2 (r* = r_max); otherwise F rises from 0, then falls to
+    -inf: the witness falls, then rises in r.
     """
     if not 0.0 < r_min < r_max <= SQUEEZING_MAX:
         raise DomainError(f"need 0 < r_min < r_max <= {SQUEEZING_MAX:.6g} (cosh r overflows "
                           f"above), got r_min = {r_min}, r_max = {r_max}")
     e1, e2 = np.broadcast_arrays(np.asarray(eta1, dtype=float), np.asarray(eta2, dtype=float))
+    if not all(((0 <= e) & (e <= 1)).all() for e in (e1, e2)):
+        raise DomainError("loss parameters must lie in [0, 1]")
     shape, e1, e2 = e1.shape, e1.ravel(), e2.ravel()
-    grid = np.linspace(math.log(r_min), math.log(r_max), _COARSE_POINTS)
+    lo, hi = math.log(r_min), math.log(r_max)
+    u = safeguarded_newton(lambda u, idx: _lossy_slope(e1[idx], e2[idx], u),
+                           np.full(e1.size, lo), np.full(e1.size, hi), 1e-9)
     # exp(ln r) can round one ulp outside [r_min, r_max]
-    r_grid = np.clip(np.exp(grid), r_min, r_max)
-    vals = delta_S_lossy(e1[:, None], e2[:, None], r_grid)
-    k = np.argmin(vals, axis=1)
-    u = safeguarded_newton(
-        lambda u, idx: _lossy_slope(e1[idx], e2[idx], u),
-        grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, _COARSE_POINTS - 1)], 1e-9,
-    )
-    r = np.clip(np.exp(u), r_min, r_max)
-    f = delta_S_lossy(e1, e2, r)
-    best_grid = vals[np.arange(k.size), k]
-    on_grid = best_grid < f
-    r_star = np.where(on_grid, r_grid[k], r).reshape(shape)
-    f_star = np.where(on_grid, best_grid, f).reshape(shape)
+    r = np.where(u == lo, r_min, np.where(u == hi, r_max, np.clip(np.exp(u), r_min, r_max)))
+    r_star, f_star = r.reshape(shape), delta_S_lossy(e1, e2, r).reshape(shape)
     if r_star.ndim == 0:
         return float(r_star), float(f_star)
     return r_star, f_star

@@ -4,8 +4,9 @@ Both run one search per bracket, the searches advancing in lockstep so
 that each round makes one objective call. `brent_bounded` refines the
 witness times: Brent's bounded method needs function values only.
 `safeguarded_newton` serves the lossy-witness minimization, whose slope
-and its derivative are closed form: Newton steps converge quadratically
-and cost array operations only.
+and its derivative are closed form and whose one minimum in r lets a
+single search span the whole range: Newton steps converge
+quadratically and cost array operations only.
 """
 
 import math

@@ -496,10 +496,10 @@ class TestGaussLossy:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, need", [
-        (["--eta-points", 1000], "2.87 GiB"),
-        (["--eta-points", 600, "--fixed-r", ",".join(map(str, range(1, 51)))], "2.11 GiB")])
+        (["--eta-points", 3000], "3.23 GiB"),
+        (["--eta-points", 800, "--fixed-r", ",".join(map(str, range(1, 51)))], "2.14 GiB")])
     def test_over_memory_budget_is_config_error(self, tmp_path, flags, need, capsys):
-        # eta_points^2 (3 KiB + 64 B fixed r values) + 8 MiB; 600 points alone would fit
+        # eta_points^2 (384 B + 64 B fixed r values) + 8 MiB; 800 points alone would fit
         out = tmp_path / "x.csv"
         assert run(["gauss-lossy", *flags, "--output", out]) == 2
         assert f"needs about {need}" in capsys.readouterr().err

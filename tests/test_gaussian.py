@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmemwitness import (
     DhoAmplitude,
@@ -316,12 +317,12 @@ class TestLossyWitness:
                     delta_S_lossy(0.5, 0.2, r)
             with pytest.raises(DomainError, match="r_max = 1000"):
                 minimize_delta_S_over_r(0.5, 0.2, r_max=1000.0)
-            # the bound itself is accepted, its coarse-grid end point included
+            # the bound itself is accepted
             assert math.isfinite(delta_S_lossy(0.5, 0.2, SQUEEZING_MAX))
             r_star, ds = minimize_delta_S_over_r(0.5, 0.2, r_max=SQUEEZING_MAX)
             assert 0 < r_star <= SQUEEZING_MAX and math.isfinite(ds)
-            # the Newton search evaluates its slope at the top grid point,
-            # where r sinh r overflows, and at the smallest r; a full
+            # the Newton search evaluates its slope at r_max, where
+            # r sinh r overflows, and at the smallest r; a full
             # reversal (eta1 = 1, eta2 = 0, the 21st cell) descends to r_max
             etas = np.linspace(0.0, 1.0, 5)
             for r_min, r_max in ((1e-3, SQUEEZING_MAX), (5e-324, 1.0)):
@@ -329,6 +330,38 @@ class TestLossyWitness:
                                                      r_min=r_min, r_max=r_max)
                 assert np.all((r_min <= r_star) & (r_star <= r_max)) and np.isfinite(ds).all()
                 assert r_star[20] == r_max
+
+    def test_matches_high_precision_reference(self):
+        # r log-uniform over (almost) the whole range, a quarter of the cells
+        # at small r below the diagonal, where cosh r - 1 used to cancel
+        # (HEAD's cosh form flipped the sign of 212 of 4000 such cells)
+        rng = np.random.default_rng(25)
+        e1, e2 = rng.uniform(0.0, 1.0, size=(2, 1000))
+        r = np.exp(rng.uniform(math.log(1e-9), math.log(700.0), 1000))
+        e1[:250], e2[:250] = np.maximum(e1[:250], e2[:250]), np.minimum(e1[:250], e2[:250])
+        r[:250] = np.exp(rng.uniform(math.log(1e-6), math.log(1e-1), 250))
+        ds = delta_S_lossy(e1, e2, r)
+        ref = np.array([lossy_reference(*cell) for cell in zip(e1, e2, r)])
+        assert np.all(np.sign(ds) == np.sign(ref))
+        assert np.all(np.abs(ds - ref) <= 1e-11 * np.abs(ref))
+
+    def test_small_squeezing_reads_its_sign(self):
+        # the cosh form returned -3.6e-15 here, where the witness is +1.93e-16
+        ref = lossy_reference(0.5, 0.49, 4.8e-8)
+        assert ref > 0 and abs(delta_S_lossy(0.5, 0.49, 4.8e-8) - ref) <= 1e-11 * ref
+
+
+def lossy_reference(eta1, eta2, r):
+    """delta_S_lossy from its cosh form with enough digits that 40 survive
+    both cancellations: of cosh r - 1 at small r (up to 19 digits at
+    r = 1e-9) and of the two terms of h at large x (log10 x < r/2)."""
+    with mpmath.workdps(60 + int(r / 2)):
+        e1, e2, c = mpmath.mpf(eta1), mpmath.mpf(eta2), mpmath.cosh(mpmath.mpf(r))
+
+        def h(x):
+            return (x + 0.5) * mpmath.log(x + 0.5) - (x - 0.5) * mpmath.log(x - 0.5) if x > 0.5 else 0
+
+        return float(h((e1 + (1 - e1) * c) / 2) + h((1 - e2 + e2 * c) / 2) - h(c / 2))
 
 
 class TestMinimizeOverR:
@@ -375,6 +408,51 @@ class TestMinimizeOverR:
                     assert ds_mid < 0
                 if ds_mid < 0:
                     assert ds_small < 0
+
+    @pytest.mark.parametrize("r_min, r_max", [(1e-3, 6.0), (1e-6, 20.0)])
+    def test_range_ends_are_exact(self, r_min, r_max):
+        # the witness rises in r where eta2 >= eta1, so r* = r_min and the
+        # minimum is >= 0; it falls where the loss reverses on the eta1 = 1
+        # row or the eta2 = 0 column, so r* = r_max
+        etas = np.linspace(0.0, 1.0, 101)
+        e1, e2 = np.repeat(etas, 101), np.tile(etas, 101)
+        r_star, ds = minimize_delta_S_over_r(e1, e2, r_min=r_min, r_max=r_max)
+        rising = e2 >= e1
+        assert np.all(r_star[rising] == r_min) and np.all(ds[rising] >= 0.0)
+        falling = (e2 < e1) & ((e1 == 1.0) | (e2 == 0.0))
+        assert falling.sum() == 199 and np.all(r_star[falling] == r_max)
+        assert minimize_delta_S_over_r(0.3, 0.6, r_min=r_min, r_max=r_max)[0] == r_min
+        assert minimize_delta_S_over_r(1.0, 0.5, r_min=r_min, r_max=r_max)[0] == r_max
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(eta1=st.floats(0.0, 1.0), eta2=st.floats(0.0, 1.0))
+    def test_slope_changes_sign_at_most_once(self, eta1, eta2):
+        # from - to + in r: the witness has one minimum, which is what lets
+        # one search over the whole range find it. A slope within the
+        # rounding of its largest term, log1p(1/s), has no sign: where
+        # eta1 = 1 or eta2 = 0 it is -O(1/s^2) at large r, far below that
+        u = np.linspace(math.log(1e-8), math.log(700.0), 2000)
+        f, _ = gaussian._lossy_slope(np.full(u.size, eta1), np.full(u.size, eta2), u)
+        g3 = np.log1p(1.0 / np.sinh(np.exp(u) / 2.0) ** 2)
+        signs = np.sign(f[np.abs(f) > 1e-15 * g3])
+        flips = np.flatnonzero(np.diff(signs))
+        assert flips.size == 0 or (flips.size == 1 and signs[0] < 0)
+
+    @pytest.mark.parametrize("r_min, r_max", [(1e-3, 6.0), (5e-324, 1.0), (1e-6, SQUEEZING_MAX),
+                                              (5e-324, SQUEEZING_MAX)])
+    def test_no_grid_point_below_the_minimum(self, rng, r_min, r_max):
+        # up to the rounding of two evaluations whose h terms grow like r: where
+        # eta1 = 1 or eta2 = 0 the witness is flat to e^-r at large r, and
+        # its value at r* = r_max = SQUEEZING_MAX can read 7e-14 above r = 64
+        etas = np.linspace(0.0, 1.0, 21)
+        e1 = np.concatenate([np.repeat(etas, 21), rng.uniform(0.0, 1.0, 200)])
+        e2 = np.concatenate([np.tile(etas, 21), rng.uniform(0.0, 1.0, 200)])
+        grid = np.clip(np.exp(np.linspace(math.log(r_min), math.log(r_max), 400)), r_min, r_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r_star, ds = minimize_delta_S_over_r(e1, e2, r_min=r_min, r_max=r_max)
+            vals = delta_S_lossy(e1[:, None], e2[:, None], grid)
+        assert np.all(ds[:, None] <= vals + 1e-15 * np.maximum(1.0, np.maximum(r_star[:, None], grid)))
 
 
 def minimize_loop(eta1, eta2, r_min=1e-3, r_max=6.0):
@@ -476,15 +554,16 @@ class TestVectorizedMinimizerMatchesLoop:
         self.check(e1[:10], e2[:10], r_min=0.05, r_max=3.0)
 
     def test_edge_brackets(self):
-        # the coarse minimum on the first (k=0) and the last (k=39) grid point
+        # the reference loop's coarse minimum on its first (k=0) and last
+        # (k=39) grid point: minima at or next to an end of the range
         assert self.check(np.array([0.6, 0.9]), np.array([0.3, 0.5]), r_min=2.0) == [0, 0]
         assert self.check(np.array([0.6, 1.0]), np.array([0.3, 0.0]), r_max=0.5) == [39, 39]
         assert self.check(np.array([1.0]), np.array([0.0]))[0] == 39
 
     def test_at_most_12_evaluations(self, monkeypatch):
-        # the coarse grid, the bracket ends, the Newton rounds and the final
-        # value, each one vectorized call over the cells still searching
-        # (golden section made 45 delta_S_lossy calls)
+        # the range ends and the Newton rounds, each one vectorized slope
+        # call over the cells still searching (9 on this grid), then one
+        # value call (golden section made 45 delta_S_lossy calls)
         calls = []
         for name in ("delta_S_lossy", "_lossy_slope"):
             def counted(*args, _f=getattr(gaussian, name), _name=name):
@@ -493,7 +572,7 @@ class TestVectorizedMinimizerMatchesLoop:
             monkeypatch.setattr(gaussian, name, counted)
         etas = np.linspace(0.0, 1.0, 21)
         minimize_delta_S_over_r(np.repeat(etas, 21), np.tile(etas, 21))
-        assert calls.count("delta_S_lossy") == 2 and len(calls) <= 12
+        assert calls.count("delta_S_lossy") == 1 and calls.count("_lossy_slope") <= 12
 
     def test_cells_searched_together_match_one_by_one(self):
         etas = np.linspace(0.0, 1.0, 21)
