@@ -334,7 +334,7 @@ class TestLossyWitness:
     def test_matches_high_precision_reference(self):
         # r log-uniform over (almost) the whole range, a quarter of the cells
         # at small r below the diagonal, where cosh r - 1 used to cancel
-        # (HEAD's cosh form flipped the sign of 212 of 4000 such cells)
+        # (the cosh form flipped the sign of 358 of 4000 such cells)
         rng = np.random.default_rng(25)
         e1, e2 = rng.uniform(0.0, 1.0, size=(2, 1000))
         r = np.exp(rng.uniform(math.log(1e-9), math.log(700.0), 1000))
@@ -359,7 +359,8 @@ def lossy_reference(eta1, eta2, r):
         e1, e2, c = mpmath.mpf(eta1), mpmath.mpf(eta2), mpmath.cosh(mpmath.mpf(r))
 
         def h(x):
-            return (x + 0.5) * mpmath.log(x + 0.5) - (x - 0.5) * mpmath.log(x - 0.5) if x > 0.5 else 0
+            return (x + 0.5) * mpmath.log(x + 0.5) - (
+                (x - 0.5) * mpmath.log(x - 0.5) if x > 0.5 else 0)
 
         return float(h((e1 + (1 - e1) * c) / 2) + h((1 - e2 + e2 * c) / 2) - h(c / 2))
 
@@ -452,7 +453,8 @@ class TestMinimizeOverR:
             warnings.simplefilter("error")
             r_star, ds = minimize_delta_S_over_r(e1, e2, r_min=r_min, r_max=r_max)
             vals = delta_S_lossy(e1[:, None], e2[:, None], grid)
-        assert np.all(ds[:, None] <= vals + 1e-15 * np.maximum(1.0, np.maximum(r_star[:, None], grid)))
+        scale = np.maximum(1.0, np.maximum(r_star[:, None], grid))
+        assert np.all(ds[:, None] <= vals + 1e-15 * scale)
 
 
 def minimize_loop(eta1, eta2, r_min=1e-3, r_max=6.0):
