@@ -160,19 +160,20 @@ def _interior_extrema(values: np.ndarray, kind: str) -> np.ndarray:
 
 def find_witness_times(
     traj: EntropyTrajectory,
-    evaluate: Callable[[np.ndarray], EntropyTrajectory],
-) -> tuple[float, float]:
-    """Select the witness times on an entropy trajectory.
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> EntropyTrajectory:
+    """Select the witness times on an entropy trajectory; returns the
+    two-point EntropyTrajectory of the entropies at (t1, t2).
 
     t1 is the first interior local minimum of s_system, t2 the first
     local maximum of -S(S|A) after t1 (extrema less prominent than 1e-10
     are noise). Each is refined inside the two grid steps around its grid
     point by Brent's bounded search (`optimize.brent_bounded`) on the
-    entropies `evaluate` returns, a map from an array of times to their
-    EntropyTrajectory (typically backed by exact off-grid states), and
-    reported at the search's best probe, within 1e-6 of the grid span of
-    the extremum. The brackets are searched in lockstep, so each round
-    makes one `evaluate` call.
+    (s_system, s_ancilla, s_joint) arrays `evaluate` returns for an array
+    of times (typically of exact off-grid states), to within 1e-6 of the
+    grid span, and taken with its entropies at the search's best probe.
+    The brackets are searched in lockstep, one `evaluate` call per round;
+    a t2 that falls back to its grid time takes one call of its own.
 
     Raises ExtremumNotFoundError when either extremum is missing, e.g.
     on monotone trajectories (callers may extend the grid).
@@ -197,10 +198,16 @@ def find_witness_times(
     # 2/3 tol + 4 sqrt(eps)|u| wide, below tol wherever the grid sits
     centres = np.concatenate(([i1], i_maxs))
     lo = times[centres - 1]
+    probed = {}   # probe time -> its (s_system, s_ancilla, s_joint)
+
+    def probe(ts):
+        entropies = evaluate(ts)
+        probed.update(zip(ts.tolist(), zip(*entropies)))
+        return entropies
 
     def objective(u, idx):
-        e = evaluate(lo[idx] + u)
-        return np.where(idx == 0, e.s_system, -e.neg_cond_sa)
+        s_sys, s_anc, s_joint = probe(lo[idx] + u)
+        return np.where(idx == 0, s_sys, -(s_anc - s_joint))
 
     best, _ = brent_bounded(objective, np.zeros(lo.size), times[centres + 1] - lo, tol / 2)
     t1, *t_maxs = (float(t) for t in lo + best)
@@ -211,7 +218,8 @@ def find_witness_times(
     if not t2 > t1:
         # adjacent extrema refined across each other; keep the grid value
         t2 = float(times[i2])
-    return t1, t2
+        probe(np.array([t2]))
+    return EntropyTrajectory(np.array([t1, t2]), *map(np.array, zip(probed[t1], probed[t2])))
 
 
 def ordering_check(traj: EntropyTrajectory) -> bool:
@@ -249,27 +257,18 @@ class QuditWitnessResult:
 
 def witness_from_trajectory(ev: ChoiEvolution, traj: EntropyTrajectory) -> QuditWitnessResult:
     """Select (t1, t2) on a trajectory from `qudit_entropy_trajectory` and
-    evaluate the witness. The times are refined on exact off-grid states by
-    Brent's bounded search to within 1e-6 of the grid span, and the witness
-    is evaluated at the best probes, so delta_s does not depend on the
-    output grid. The report reuses the searches' entropies of those probes;
-    only a t2 that fell back to its grid time is evaluated again.
-    `revival_maxima` lists every interior local maximum of -S(S|A) after t1
-    as (time, value); entries beyond the first show whether later revivals
-    could still detect. Raises ExtremumNotFoundError like `find_witness_times`.
+    evaluate the witness. `find_witness_times` refines the times on exact
+    off-grid states to within 1e-6 of the grid span and hands back the
+    entropies it measured there, so delta_s does not depend on the output
+    grid. `revival_maxima` lists every interior local maximum of -S(S|A)
+    after t1 as (time, value); entries beyond the first show whether later
+    revivals could still detect. Raises ExtremumNotFoundError like
+    `find_witness_times`.
     """
-
-    probed = {}   # probe time -> its (s_system, s_ancilla, s_joint)
-
-    def entropies_at(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        triple = choi_entropy_arrays(np.array([ev.state_at(t) for t in ts]))
-        probed.update(zip(map(float, ts), zip(*triple)))
-        return triple
-
-    t1, t2 = find_witness_times(traj, lambda ts: EntropyTrajectory(ts, *entropies_at(ts)))
-    if t2 not in probed:
-        entropies_at((t2,))
-    report = _report_on_pair(*zip(probed[t1], probed[t2]), t1, t2)
+    pair = find_witness_times(
+        traj, lambda ts: choi_entropy_arrays(np.array([ev.state_at(t) for t in ts])))
+    t1, t2 = map(float, pair.times)
+    report = _report_on_pair(pair.s_system, pair.s_ancilla, pair.s_joint, t1, t2)
     neg_sa = traj.neg_cond_sa
     revivals = tuple((float(traj.times[i]), float(neg_sa[i]))
                      for i in _interior_extrema(neg_sa, "max")

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # per workload, the tracer counters that must stay visible to the harness
 HOOKS = {
-    "qudit-scan": ("witness.cells", "witness.refine_probes"),
+    "qudit-scan": ("witness.cells", "witness.refine_s", "witness.refine_probes"),
     "gauss": ("gaussian.dho_channel_calls", "gaussian.minimize_calls"),
 }
 

@@ -495,15 +495,29 @@ class TestGaussLossy:
         assert "cosh r overflows" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, need", [
-        (["--eta-points", 3000], "3.23 GiB"),
-        (["--eta-points", 800, "--fixed-r", ",".join(map(str, range(1, 51)))], "2.14 GiB")])
+    @pytest.mark.parametrize("flags, need", [(["--eta-points", 3000], "3.23 GiB")])
     def test_over_memory_budget_is_config_error(self, tmp_path, flags, need, capsys):
-        # eta_points^2 (384 B + 64 B fixed r values) + 8 MiB; 800 points alone would fit
+        # 384 B eta_points^2 + 8 MiB
         out = tmp_path / "x.csv"
         assert run(["gauss-lossy", *flags, "--output", out]) == 2
         assert f"needs about {need}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fixed_r_rows_evaluated_one_r_at_a_time(self, tmp_path, monkeypatch):
+        # no (r, cell) array is held: each r takes one delta_S_lossy call of
+        # its own, besides the minimizer's calls on every cell
+        calls = []
+
+        def counted(eta1, eta2, r):
+            calls.append(np.asarray(r).tolist())
+            return delta_S_lossy(eta1, eta2, r)
+
+        monkeypatch.setattr(cli.gaussian, "delta_S_lossy", counted)
+        out = tmp_path / "lossy.csv"
+        assert run(["gauss-lossy", "--eta-points", 4, "--fixed-r", "0.5,2,3",
+                    "--output", out]) == 0
+        assert [r for r in calls if len(r) == 1] == [[0.5], [2.0], [3.0]]
+        assert all(len(r) == 16 for r in calls if len(r) != 1)
 
     def test_rows_match_per_cell_minimization(self, tmp_path):
         out = tmp_path / "lossy.csv"

@@ -168,28 +168,32 @@ def synthetic_trajectory(ts):
     """Dip of s_system at t=1.0 and peak of -S(S|A) at t=1.5."""
 
     def evaluate(t):
-        t = np.asarray(t, dtype=float)
         s_sys = 1.0 - 0.3 * np.exp(-((t - 1.0) ** 2) / 0.08)
         s_joint = 1.0 - 0.4 * np.exp(-((t - 1.5) ** 2) / 0.08)
-        return EntropyTrajectory(t, s_sys, np.ones_like(t), s_joint)
+        return s_sys, np.ones_like(t), s_joint
 
-    return evaluate(ts), evaluate
+    return EntropyTrajectory(ts, *evaluate(ts)), evaluate
 
 
 class TestFindWitnessTimes:
     def test_monotone_trajectory_raises(self):
         def evaluate(t):
-            return EntropyTrajectory(t, 1.5 - 0.1 * t, np.full_like(t, 1.5), np.ones_like(t))
+            return 1.5 - 0.1 * t, np.full_like(t, 1.5), np.ones_like(t)
 
+        ts = np.linspace(0, 3, 31)
         with pytest.raises(ExtremumNotFoundError):
-            find_witness_times(evaluate(np.linspace(0, 3, 31)), evaluate)
+            find_witness_times(EntropyTrajectory(ts, *evaluate(ts)), evaluate)
 
     def test_synthetic_extrema_with_refinement(self):
         ts = np.linspace(0.0, 3.0, 61)
         traj, evaluate = synthetic_trajectory(ts)
-        t1, t2 = find_witness_times(traj, evaluate=evaluate)
+        pair = find_witness_times(traj, evaluate=evaluate)
+        t1, t2 = pair.times
         assert abs(t1 - 1.0) < 3e-4
         assert abs(t2 - 1.5) < 3e-4
+        # the pair carries the entropies the searches measured at (t1, t2)
+        assert np.array_equal([pair.s_system, pair.s_ancilla, pair.s_joint],
+                              evaluate(pair.times))
 
     @pytest.mark.parametrize("start", [0.0, 1e3, 1e5])
     def test_refined_to_the_tolerance_wherever_the_grid_starts(self, start):
@@ -203,12 +207,12 @@ class TestFindWitnessTimes:
                                  options={"xatol": 1e-13}).x
 
         def evaluate(t):
-            t = np.asarray(t, dtype=float)
             u = t - start
             s_joint = 1.0 - 0.4 * np.exp(-((u - 1.5) ** 2) / 0.08)
-            return EntropyTrajectory(t, f(u), np.ones_like(t), s_joint)
+            return f(u), np.ones_like(t), s_joint
 
-        t1, _ = find_witness_times(evaluate(start + np.linspace(0.0, 3.0, 61)), evaluate)
+        ts = start + np.linspace(0.0, 3.0, 61)
+        t1, _ = find_witness_times(EntropyTrajectory(ts, *evaluate(ts)), evaluate).times
         assert abs(t1 - start - u_star) <= 1e-6 * 3.0
 
     def test_too_short_trajectory(self):
@@ -231,15 +235,19 @@ def find_witness_times_sequential(traj, evaluate):
                               options={"xatol": tol / 2})
         return float(lo + res.x)
 
+    def neg_cond_sa(x):
+        _, s_anc, s_joint = evaluate(x)
+        return s_anc - s_joint
+
     i_mins = _interior_extrema(traj.s_system, "min")
     if i_mins.size == 0:
         raise ExtremumNotFoundError("no interior local minimum of s_system")
-    t1 = refine(i_mins[0], lambda x: evaluate(x).s_system)
+    t1 = refine(i_mins[0], lambda x: evaluate(x)[0])
     i_maxs = _interior_extrema(traj.neg_cond_sa, "max")
     i_maxs = i_maxs[times[i_maxs] > t1]
     if i_maxs.size == 0:
         raise ExtremumNotFoundError("no local maximum of -S(S|A) after t1")
-    t2 = refine(i_maxs[0], lambda x: -evaluate(x).neg_cond_sa)
+    t2 = refine(i_maxs[0], lambda x: -neg_cond_sa(x))
     return t1, (t2 if t2 > t1 else float(times[i_maxs[0]]))
 
 
@@ -249,13 +257,13 @@ def two_peak_trajectory(dip):
     the dip."""
 
     def evaluate(t):
-        t = np.asarray(t, dtype=float)
         s_sys = 1.0 - 0.3 * np.exp(-((t - dip) ** 2) / 0.08)
         s_joint = (1.0 - 0.4 * np.exp(-((t - 1.0) ** 2) / 0.08)
                    - 0.3 * np.exp(-((t - 2.0) ** 2) / 0.08))
-        return EntropyTrajectory(t, s_sys, np.ones_like(t), s_joint)
+        return s_sys, np.ones_like(t), s_joint
 
-    return evaluate(np.linspace(0.0, 3.0, 61)), evaluate
+    ts = np.linspace(0.0, 3.0, 61)
+    return EntropyTrajectory(ts, *evaluate(ts)), evaluate
 
 
 class TestBatchedSearchKeepsTheSequentialRule:
@@ -272,7 +280,7 @@ class TestBatchedSearchKeepsTheSequentialRule:
             sizes.append(x.size)
             return evaluate(x)
 
-        got = find_witness_times(traj, counted)
+        got = tuple(find_witness_times(traj, counted).times)
         assert got == find_witness_times_sequential(traj, evaluate)
         assert got[0] == pytest.approx(dip, abs=1e-4) and got[1] == pytest.approx(t2, abs=1e-4)
         # three brackets searched together, finished searches dropped
@@ -287,10 +295,10 @@ class TestBatchedSearchKeepsTheSequentialRule:
             LindbladModel(d=d, gamma=gamma, convention=conv))
 
         def evaluate(ts):
-            return EntropyTrajectory(ts, *states.choi_entropy_arrays(
-                np.array([ev.state_at(t) for t in ts])))
+            return states.choi_entropy_arrays(np.array([ev.state_at(t) for t in ts]))
 
-        got = find_witness_times(traj, evaluate)
+        pair = find_witness_times(traj, evaluate)
+        got = tuple(pair.times)
         assert got == find_witness_times_sequential(traj, evaluate)
         # the refinement rounds make 6 to 9 entropy calls on these cells,
         # and the report none: both times were probed
@@ -303,6 +311,7 @@ class TestBatchedSearchKeepsTheSequentialRule:
         monkeypatch.setattr(witness, "choi_entropy_arrays", counted)
         rep = witness_from_trajectory(ev, traj).report
         assert (rep.t1, rep.t2) == got
+        assert rep == witness._report_on_pair(pair.s_system, pair.s_ancilla, pair.s_joint, *got)
         assert len(calls) <= 9 and calls == sorted(calls, reverse=True)
         # the report's fields are those of a fresh evaluation, bit for bit
         fresh = EntropyTrajectory(np.array(got), *entropies(
@@ -548,15 +557,17 @@ class TestQuditPipeline:
         assert rep == witness._report_on_pair(*fresh, rep.t1, rep.t2)
 
     def test_report_evaluates_a_t2_that_fell_back_to_the_grid(self, monkeypatch):
-        # when the refined t2 would not follow t1, t2 is its grid time,
-        # which no search probed: that one state is evaluated for the report
+        # when the refined t2 would not follow t1, t2 is the grid time of
+        # its maximum, which no search probed: the search evaluates that one
+        # state in a stack of its own after its last round
         ev, traj = qudit_entropy_trajectory(LindbladModel(d=3, gamma=0.2),
                                             t_max=6.0, n_points=301)
-        search = witness.find_witness_times
+        search, rounds = witness.brent_bounded, []
 
-        def fall_back(traj, evaluate):
-            t1, t2 = search(traj, evaluate)
-            return t1, float(traj.times[np.argmin(abs(traj.times - t2))])
+        def maxima_before_t1(f, a, b, xatol):
+            x, fx = search(lambda u, idx: rounds.append(idx.size) or f(u, idx), a, b, xatol)
+            x[1:] = -np.inf   # every maximum's search ends before t1
+            return x, fx
 
         stacked, entropies = [], witness.choi_entropy_arrays
 
@@ -564,12 +575,28 @@ class TestQuditPipeline:
             stacked.append(len(blocks))
             return entropies(blocks)
 
-        monkeypatch.setattr(witness, "find_witness_times", fall_back)
+        monkeypatch.setattr(witness, "brent_bounded", maxima_before_t1)
         monkeypatch.setattr(witness, "choi_entropy_arrays", counted)
-        rep = witness_from_trajectory(ev, traj).report
-        assert rep.t2 in traj.times and stacked[-1] == 1
+        res = witness_from_trajectory(ev, traj)
+        rep = res.report
+        assert rep.t2 == res.revival_maxima[0][0]   # the first grid maximum after t1
+        assert stacked == rounds + [1]
         fresh = entropies(np.array([ev.state_at(rep.t1), ev.state_at(rep.t2)]))
         assert rep == witness._report_on_pair(*fresh, rep.t1, rep.t2)
+
+    @pytest.mark.parametrize("conv", ["spin", "truncated-oscillator"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_pair_is_a_fresh_evaluation_of_its_two_states(self, d, conv):
+        # the entropies the search hands back at (t1, t2) are those of the
+        # two exact states evaluated afresh, bit for bit
+        for gamma in (0.05, 0.3):
+            ev, traj = qudit_entropy_trajectory(LindbladModel(d=d, gamma=gamma, convention=conv))
+            pair = find_witness_times(traj, lambda ts: states.choi_entropy_arrays(
+                np.array([ev.state_at(t) for t in ts])))
+            fresh = states.choi_entropy_arrays(np.array([ev.state_at(t) for t in pair.times]))
+            assert np.array_equal([pair.s_system, pair.s_ancilla, pair.s_joint], fresh)
+            rep = witness_from_trajectory(ev, traj).report
+            assert [rep.t1, rep.t2] == pair.times.tolist()
 
     def test_scan_rows_ordered_and_complete(self):
         rows = scan_qudit([2], [0.5, 0.25], t_max=8.0, n_points=401)
