@@ -10,15 +10,20 @@ evaluation on serialized states:
     gauss-dho     damped-oscillator amplitude, loss and rate trajectories
     witness-eval  witness report for two serialized snapshots
 
+Usage is `qmemwitness COMMAND (--flag VALUE | --flag=VALUE)*`. The flags
+are the command's spec names with "-" for "_", plus --config, spelled in
+full; a value is the next argument as written (so "--omega -1e-3"), and
+the last of a repeated flag wins. `-h`/`--help` prints the help the specs
+generate.
+
 Output is deterministic: identical configuration produces byte-identical
 files (floats printed with 12 significant digits, "\\n" line endings).
 Progress goes to stderr only. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+error (a usage error included), 3 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
@@ -149,23 +154,22 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-def _merge_config(args: argparse.Namespace, spec: dict) -> dict:
-    """Layer defaults < config file < explicit flags, then convert each value once.
+def _merge_config(flags: dict, spec: dict) -> dict:
+    """Layer defaults < config file (the path under "config" in `flags`) <
+    the other `flags`, {name: text}, then convert each value once.
 
     A file value becomes the text its flag would take (a list joined with
     commas, a scalar through str), so both layers pass through the flag's
-    converter; None (a null in the file, an absent flag) keeps the layer
-    below, and a None default stays None.
+    converter; a null in the file keeps the default, and a None default
+    stays None.
     """
     merged = {name: default for name, (default, _convert, _help) in spec.items()}
-    for key, value in _load_config(args.config).items():
+    for key, value in _load_config(flags.get("config")).items():
         if key not in merged:
             raise ConfigError(f"unknown config key {key!r}")
         if value is not None:
             merged[key] = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-    for name in spec:
-        if getattr(args, name) is not None:
-            merged[name] = getattr(args, name)
+    merged.update((name, text) for name, text in flags.items() if name in spec)
     cfg = {}
     for name, (_default, convert, _help) in spec.items():
         try:
@@ -309,10 +313,8 @@ def _cmd_gauss_lossy(cfg: dict) -> int:
     _write_csv(cfg["output"], ["eta1", "eta2", "delta_S_min", "r_star"], [(e1, e2, ds, r_star)])
 
     if fixed_r:
-        # one block of columns per r, evaluated as it is written; r goes in as
-        # a (1,) array, since a scalar takes other numpy paths and rounds
-        # some rows differently
-        ds_r = (gaussian.delta_S_lossy(e1, e2, np.array([r])) for r in fixed_r)
+        # one block of columns per r, evaluated as it is written
+        ds_r = (gaussian.delta_S_lossy(e1, e2, r) for r in fixed_r)
         blocks_r = ((e1, e2, np.full(e1.size, r), ds, ds < 0) for r, ds in zip(fixed_r, ds_r))
         stem = Path(cfg["output"])
         path_r = str(stem.with_name(stem.stem + "_fixed_r" + stem.suffix))
@@ -456,7 +458,7 @@ def _cmd_witness_eval(cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# command table and argv reader
 
 _COMMANDS = {
     "qudit-trace": (_TRACE_SPEC, _cmd_qudit_trace,
@@ -472,34 +474,64 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of all five commands, where only `command`'s subparser
-    has its flags: the others are listed but never parsed in this call."""
-    parser = argparse.ArgumentParser(
-        prog="qmemwitness",
-        description="Quantum-memory witness computations for open-system dynamics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (spec, _handler, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        if name != command:
-            continue
-        p.add_argument("--config", default=None,
-                       help="JSON config file (schema_version 1); flags override it")
-        for param, (default, _convert, help_str) in spec.items():
-            flag = "--" + param.replace("_", "-")
-            p.add_argument(flag, default=None,
-                           help=f"{help_str} [default: {default}]")
-    return parser
+_HELP_FLAGS = ("-h", "--help")
+
+
+def _help_text(command: str | None) -> str:
+    """Help of the top level (command None) or of one command, from the specs."""
+    if command is None:
+        head, title = "COMMAND", "commands"
+        about = ("Quantum-memory witness computations for open-system dynamics.\n"
+                 "'qmemwitness COMMAND --help' lists the flags of a command.")
+        rows = [(name, text) for name, (_spec, _handler, text) in _COMMANDS.items()]
+    else:
+        spec, _handler, about = _COMMANDS[command]
+        head, title = command, "flags"
+        rows = [("--config", "JSON config file (schema_version 1); flags override it")] + [
+            ("--" + name.replace("_", "-"), f"{help_str} [default: {default}]")
+            for name, (default, _convert, help_str) in spec.items()]
+    width = max(len(name) for name, _ in rows)
+    return "\n".join([f"usage: qmemwitness {head} [--flag VALUE | --flag=VALUE ...]", "",
+                      about, "", title + ":"] + [f"  {n:<{width}}  {t}" for n, t in rows])
+
+
+def _read_argv(argv: list[str]) -> tuple[str, dict]:
+    """The command and its {name: text} flags from COMMAND (--flag VALUE |
+    --flag=VALUE)*, where a flag is a spec name with "-" for "_" or
+    "config", spelled in full; VALUE is taken verbatim (so "--omega -1e-3"
+    works) and the last of a repeated flag wins. -h or --help prints the
+    help of the top level or of the command and exits with 0; any other
+    misuse is a ConfigError."""
+    if argv and argv[0] in _HELP_FLAGS:
+        print(_help_text(None))
+        raise SystemExit(0)
+    if not argv or argv[0] not in _COMMANDS:
+        got = repr(argv[0]) if argv else "nothing"
+        raise ConfigError(f"expected a command, one of {', '.join(_COMMANDS)}; got {got}")
+    command, tokens = argv[0], iter(argv[1:])
+    names = {"--" + name.replace("_", "-"): name for name in [*_COMMANDS[command][0], "config"]}
+    flags = {}
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            print(_help_text(command))
+            raise SystemExit(0)
+        flag, eq, text = token.partition("=")
+        if flag not in names:
+            raise ConfigError(f"{command}: unknown flag {flag!r}" if token.startswith("-")
+                              else f"{command}: unexpected argument {token!r}")
+        if not eq:
+            text = next(tokens, None)
+            _require(text is not None, f"{command}: {flag} needs a value")
+        flags[names[flag]] = text
+    return command, flags
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the top-level parser has no flag but --help, so a command comes first
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
-    spec, handler, _ = _COMMANDS[args.command]
     try:
-        return handler(_merge_config(args, spec))
+        command, flags = _read_argv(argv)
+        spec, handler, _ = _COMMANDS[command]
+        return handler(_merge_config(flags, spec))
     except (QmemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -213,7 +213,7 @@ def delta_S_lossy(eta1, eta2, r):
     if bad.any():
         raise DomainError(f"squeezing parameter r must lie in (0, {SQUEEZING_MAX:.6g}], "
                           f"where cosh r is finite; got r = {rr[bad].flat[0]}")
-    s = np.sinh(0.5 * rr) ** 2
+    s = np.square(np.sinh(0.5 * rr))
     out = _mode_entropy((1.0 - e1) * s)[0] + _mode_entropy(e2 * s)[0] - _mode_entropy(s)[0]
     if all(np.ndim(a) == 0 for a in (eta1, eta2, r)):
         return float(out)
@@ -229,7 +229,7 @@ def _lossy_slope(e1, e2, u):
     taken at least 5e-9, below which x/tanh x rounds to 1.
     """
     half = np.maximum(0.5 * np.exp(u), 5e-9)
-    s = np.sinh(half) ** 2
+    s = np.square(np.sinh(half))
     f, df = -_mode_entropy(s)[1], 1.0 / (s + 1.0)
     for c in (1.0 - e1, e2):
         m = c * s

@@ -31,6 +31,7 @@ zeros elsewhere (block d - 1 is a 1x1 corner).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import KW_ONLY, dataclass
 
@@ -130,46 +131,87 @@ class LindbladModel:
 
     def sector(self, q: int) -> tuple[np.ndarray, np.ndarray]:
         """(ket, bra) pairs of basis indices 2 n_S + n_M in sector q, shape
-        (n, 2) in row-major vec order, and the real generator L_q on them,
-        d rho / dt = -i [H, rho] + gamma (X rho X^dag - {X^dag X, rho} / 2)
-        in the gauge rho -> V rho V^dag, V = i^(n_M), which multiplies the
-        entry of rho at pair (k, b) by i^(m_k) (-i)^(m_b) (m: memory levels)."""
-        d, n = self.d, 2 * self.d
-        s = np.arange(d - 1)
-        # -i V H_eff V^dag for H_eff = H - i gamma/2 |1><1|_M, whose exchange
-        # carries the ladder elements <s+1|J_+|s> of the convention, and the
-        # jump X = sum_s |s,0><s,1|, which V leaves real
-        rate = np.diag(np.tile([0.0, -0.5 * self.gamma], d))
-        exchange = np.sqrt((s + 1.0) * (d - 1.0 - s)
-                           if self.convention == CONVENTION_SPIN else s + 1.0)
-        rate[2 * s + 1, 2 * s + 2], rate[2 * s + 2, 2 * s + 1] = exchange, -exchange
-        jump = np.eye(n, k=1) * (np.arange(n) % 2 == 0)[:, None]
-        excitations = np.arange(n) // 2 + np.arange(n) % 2
-        ket, bra = np.nonzero(excitations[:, None] - excitations == q)
-        k, b = ket[:, None], bra[:, None]
-        return np.stack([ket, bra], axis=1), (
-            rate[k, ket] * (b == bra) + (k == ket) * rate[b, bra]
-            + self.gamma * jump[k, ket] * jump[b, bra])
+        (n, 2) in row-major vec order (read-only), and the real generator
+        L_q on them, d rho / dt = -i [H, rho] + gamma (X rho X^dag -
+        {X^dag X, rho} / 2) in the gauge rho -> V rho V^dag, V = i^(n_M),
+        which multiplies the entry of rho at pair (k, b) by i^(m_k) (-i)^(m_b)
+        (m: memory levels)."""
+        parts = _sector_parts(self.d, self.convention, q)
+        return parts[0], _generator(parts, self.gamma)
 
 
-def _sectors(model: LindbladModel) -> list[tuple]:
-    """Per sector q = 0..d-1: L_q, the positions of |j+q,0><j,0| (the
-    evolved columns), of |a,0><a-q,0| and |a,1><a-q,1| (summed over M), the
-    (a - q, j) pairs with a <= j + q, whose entries <a| Lambda(|j+q><j|) |a-q>
-    are the ones that can fill, and their places in the flat blocks: block
-    j + q - a, row a, column a - q."""
-    d = model.d
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _sector_parts(d: int, convention: str, q: int) -> tuple:
+    """The gamma-free parts of sector q: its (ket, bra) pairs, and the flat
+    positions and values of the nonzero entries of the two parts of
+    L_q = exchange + gamma * damping, read-only."""
+    n, s = 2 * d, np.arange(d - 1)
+    # -i V H V^dag, whose exchange carries the ladder elements <s+1|J_+|s>
+    # of the convention; per unit gamma, the damping is -1/2 for memory
+    # level 1 on either side plus the jump X = sum_s |s,0><s,1|, which V
+    # leaves real
+    rate = np.zeros((n, n))
+    ladder = np.sqrt((s + 1.0) * (d - 1.0 - s) if convention == CONVENTION_SPIN else s + 1.0)
+    rate[2 * s + 1, 2 * s + 2], rate[2 * s + 2, 2 * s + 1] = ladder, -ladder
+    decay = np.diag(np.tile([0.0, -0.5], d))
+    jump = np.eye(n, k=1) * (np.arange(n) % 2 == 0)[:, None]
+    excitations = np.arange(n) // 2 + np.arange(n) % 2
+    ket, bra = np.nonzero(excitations[:, None] - excitations == q)
+    k, b = ket[:, None], bra[:, None]
+    exchange = rate[k, ket] * (b == bra) + (k == ket) * rate[b, bra]
+    damping = (decay[k, ket] * (b == bra) + (k == ket) * decay[b, bra]
+               + jump[k, ket] * jump[b, bra])
+    # no entry is nonzero in both parts, so each value is its part's alone
+    return _read_only(np.stack([ket, bra], axis=1), np.flatnonzero(exchange),
+                      exchange[exchange != 0], np.flatnonzero(damping), damping[damping != 0])
+
+
+def _generator(parts: tuple, gamma: float) -> np.ndarray:
+    """L_q from its `_sector_parts` at damping rate `gamma`. The damping
+    entries are added onto +0.0, so gamma = 0 leaves them +0.0, as every
+    entry without a nonzero term is."""
+    pairs, exchange_at, exchange, damping_at, damping = parts
+    generator = np.zeros((len(pairs), len(pairs)))
+    generator.flat[exchange_at] = exchange
+    generator.flat[damping_at] += gamma * damping
+    return generator
+
+
+@functools.lru_cache(maxsize=4)
+def _sector_structure(d: int, convention: str) -> tuple:
+    """Per sector q = 0..d-1: its `_sector_parts`, the positions of
+    |j+q,0><j,0| (the evolved columns), of |a,0><a-q,0| and |a,1><a-q,1|
+    (summed over M), the (a - q, j) pairs with a <= j + q, whose entries
+    <a| Lambda(|j+q><j|) |a-q> are the ones that can fill, and their places
+    in the flat blocks: block j + q - a, row a, column a - q. None of it
+    depends on gamma, so models of one (d, convention) share it; the
+    arrays are read-only, and only a few (d, convention) are kept, since
+    the (a - q, j) pairs and their places take about 4 d^3 bytes."""
     out = []
     for q in range(d):
-        pairs, generator = model.sector(q)
+        parts = _sector_parts(d, convention, q)
+        pairs = parts[0]
         pos = np.full((2 * d, 2 * d), -1)
         pos[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
         j, a = np.arange(d - q), np.arange(q, d)
+        units = pos[2 * (j + q), 2 * j]
+        rows = (pos[2 * a, 2 * (a - q)], pos[2 * a + 1, 2 * (a - q) + 1])
         row, col = np.triu_indices(d - q)
-        out.append((generator, pos[2 * (j + q), 2 * j],
-                    (pos[2 * a, 2 * (a - q)], pos[2 * a + 1, 2 * (a - q) + 1]), (row, col),
-                    ((col - row) * d + row + q) * d + row))
-    return out
+        target = ((col - row) * d + row + q) * d + row
+        _read_only(units, *rows, row, col, target)
+        out.append((parts, units, rows, (row, col), target))
+    return tuple(out)
+
+
+def _sectors(model: LindbladModel) -> list[tuple]:
+    """Per sector q = 0..d-1: L_q and the index arrays of `_sector_structure`."""
+    return [(_generator(parts, model.gamma), *layout)
+            for parts, *layout in _sector_structure(model.d, model.convention)]
 
 
 def dense_choi(blocks: np.ndarray) -> np.ndarray:

@@ -516,8 +516,8 @@ class TestGaussLossy:
         out = tmp_path / "lossy.csv"
         assert run(["gauss-lossy", "--eta-points", 4, "--fixed-r", "0.5,2,3",
                     "--output", out]) == 0
-        assert [r for r in calls if len(r) == 1] == [[0.5], [2.0], [3.0]]
-        assert all(len(r) == 16 for r in calls if len(r) != 1)
+        assert [r for r in calls if not isinstance(r, list)] == [0.5, 2.0, 3.0]
+        assert all(len(r) == 16 for r in calls if isinstance(r, list))
 
     def test_rows_match_per_cell_minimization(self, tmp_path):
         out = tmp_path / "lossy.csv"
@@ -805,9 +805,8 @@ class TestFlagDomains:
             base += ["--" + key.replace("_", "-"), v]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema_version": 1, name: value}))
-        # --flag=value, since argparse reads "-inf" or "-5e-324" after a space as a flag
-        for argv in (base + ["--" + name.replace("_", "-") + "=" + _flag_text(value)],
-                     base + ["--config", cfg]):
+        flag, text = "--" + name.replace("_", "-"), _flag_text(value)
+        for argv in (base + [flag, text], base + [flag + "=" + text], base + ["--config", cfg]):
             assert run(argv) == 2, argv
             assert f"{name} must be" in capsys.readouterr().err
             assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "s.json"]
@@ -831,3 +830,49 @@ class TestHelp:
         for name, (default, _convert, _help) in _COMMANDS[command][0].items():
             assert "--" + name.replace("_", "-") in out
         assert "--config" in out
+
+
+class TestArgvReader:
+    def test_both_spellings_and_last_repeat_wins(self, tmp_path):
+        out = tmp_path / "dho.csv"
+        assert run(["gauss-dho", "--t-max=1", "--points", 11, "--points=13",
+                    "--output", out]) == 0
+        params = json.loads((tmp_path / "dho.json").read_text())["params"]
+        assert (params["t_max"], params["points"]) == (1.0, 13)
+        assert len(read_csv(out)[1]) == 13
+
+    def test_negative_value_after_a_space(self, tmp_path):
+        outputs = []
+        for spelled in (["--omega", "-1e-3"], ["--omega=-1e-3"]):
+            out = tmp_path / f"dho{len(outputs)}.csv"
+            assert run(["gauss-dho", "--t-max", 1, "--points", 11, *spelled,
+                        "--output", out]) == 0
+            outputs.append((out.read_bytes(), json.loads(out.with_suffix(".json").read_text())))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1]["params"]["omega"] == -1e-3
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "expected a command"),
+        (["gauss"], "expected a command"),
+        (["gauss-dho", "--points", 11, "--bogus", 1], "unknown flag '--bogus'"),
+        (["gauss-dho", "--point", 11], "unknown flag '--point'"),
+        (["gauss-dho", "--t_max", 1], "unknown flag '--t_max'"),
+        (["gauss-dho", "--points", 11, "stray"], "unexpected argument 'stray'"),
+        (["gauss-dho", "--t-max", 1, "--points"], "--points needs a value"),
+    ])
+    def test_usage_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                    argv, message):
+        monkeypatch.chdir(tmp_path)   # where the default output would go
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_command_does_not_import_argparse(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(qmemwitness.__file__).resolve().parents[1])}
+        code = ("import sys; from qmemwitness.cli import main; "
+                "code = main(['gauss-dho', '--t-max', '1', '--points', '11', '--output', sys.argv[1]]); "
+                "sys.exit(code or 'argparse' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.csv")], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr

@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmemwitness import (
     DhoAmplitude,
@@ -354,6 +354,15 @@ class TestLossyWitness:
         ref = np.array([lossy_reference(*cell) for cell in zip(e1, e2, r)])
         assert np.all(np.sign(ds) == np.sign(ref))
         assert np.all(np.abs(ds - ref) <= 1e-11 * np.abs(ref))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(eta1=st.floats(0.0, 1.0), eta2=st.floats(0.0, 1.0), r=st.floats(1e-9, 710.0))
+    @example(eta1=0.7, eta2=0.2, r=1.248726659129084)   # numpy's scalar power rounded
+    @example(eta1=0.7, eta2=0.2, r=0.00016840281937036792)   # these two differently
+    def test_scalar_and_array_r_give_the_same_bits(self, eta1, eta2, r):
+        values = [delta_S_lossy(eta1, eta2, r), delta_S_lossy(eta1, eta2, np.array(r)),
+                  float(delta_S_lossy(eta1, eta2, np.array([r]))[0])]
+        assert values[0] == values[1] == values[2], values
 
     def test_small_squeezing_reads_its_sign(self):
         # the cosh form returned -3.6e-15 here, where the witness is +1.93e-16

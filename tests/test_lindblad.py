@@ -150,6 +150,19 @@ class TestSectors:
             assert np.abs(generator - expected).max() <= 1e-14
         assert len(model.sector(0)[0]) == 4 * d - 2
 
+    def test_shared_structure_is_read_only(self):
+        # models of one (d, convention) share the gamma-free index arrays
+        from qmemwitness.lindblad import _sector_structure
+
+        model = LindbladModel(d=3, gamma=0.3)
+        pairs, generator = model.sector(1)
+        assert not pairs.flags.writeable and generator.flags.writeable
+        for parts, units, rows, (row, col), target in _sector_structure(3, model.convention):
+            for arr in (*parts, units, *rows, row, col, target):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0
+
     @pytest.mark.parametrize("d, conv", SECTOR_CASES)
     def test_dense_generator_has_no_entries_between_sectors(self, d, conv):
         dense = liouvillian_dense(d, 0.8, 0.3, conv)
